@@ -13,6 +13,8 @@ operands.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import (
     DivisionByZero,
     EvalError,
@@ -22,17 +24,6 @@ from .errors import (
     NotBoolean,
 )
 from .tree import LEAF, SET, VAR, Node, node_equal
-
-#: Operation identifiers recognized by the evaluator (case-sensitive).
-BUILTIN_OPS = frozenset(
-    {
-        "prod", "sum", "pair", "if",
-        "min", "max", "monus", "rem",
-        "and", "or", "not", "implies",
-        "eq", "le", "lt",
-        "select", "seteq",
-    }
-)
 
 
 def _nat(node: Node, who: str) -> int:
@@ -159,11 +150,8 @@ def select(m: Node, predicate: Node, ctx) -> Node:
         pred = predicate.copy()
         if var_name is not None:
             pred = _bind_var(pred, var_name, child)
-        ctx.scopes.insert(0, child)
-        try:
+        with ctx.scopes_pushed([child]):
             result = evaluate(pred, ctx)
-        finally:
-            ctx.scopes.pop(0)
         if _bool(result, "select predicate"):
             out.children.append((label, child.copy()))
     return out
@@ -191,34 +179,26 @@ def _bind_var(node: Node, name: str, value: Node) -> Node:
     return node
 
 
-#: ops applied strictly to fully evaluated operands, keyed by identifier.
-_EAGER_ARITY = {
-    "prod": 2, "sum": 2, "pair": 2,
-    "min": 2, "max": 2, "monus": 2, "rem": 2,
-    "and": 2, "or": 2, "implies": 2, "not": 1,
-    "eq": 2, "le": 2, "lt": 2, "seteq": 2,
+#: ops applied strictly to fully evaluated operands: identifier -> (arity, fn).
+_EAGER_OPS = {
+    "prod": (2, product), "sum": (2, coproduct), "pair": (2, pair),
+    "rem": (2, remainder), "seteq": (2, struct_eq),
+    "not": (1, partial(bool_lattice, "not")),
+    **{op: (2, partial(nat_lattice, op)) for op in ("min", "max", "monus")},
+    **{op: (2, partial(bool_lattice, op)) for op in ("and", "or", "implies")},
+    **{op: (2, partial(nat_compare, op)) for op in ("eq", "le", "lt")},
 }
+
+#: Operation identifiers recognized by the evaluator (case-sensitive).
+BUILTIN_OPS = frozenset(_EAGER_OPS) | {"if", "select"}
 
 
 def apply_builtin(op: str, operands: list[Node]) -> Node:
     """Dispatch an eager built-in; ``if`` and ``select`` are not eager."""
-    arity = _EAGER_ARITY.get(op)
-    if arity is None:
+    entry = _EAGER_OPS.get(op)
+    if entry is None:
         raise EvalError(f"{op!r} is not an eager built-in")
+    arity, fn = entry
     if len(operands) != arity:
         raise EvalError(f"{op} expects {arity} operands, got {len(operands)}")
-    if op == "prod":
-        return product(*operands)
-    if op == "sum":
-        return coproduct(*operands)
-    if op == "pair":
-        return pair(*operands)
-    if op in ("min", "max", "monus"):
-        return nat_lattice(op, *operands)
-    if op == "rem":
-        return remainder(*operands)
-    if op in ("and", "or", "implies", "not"):
-        return bool_lattice(op, *operands)
-    if op in ("eq", "le", "lt"):
-        return nat_compare(op, *operands)
-    return struct_eq(*operands)
+    return fn(*operands)

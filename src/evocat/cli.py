@@ -31,7 +31,7 @@ from .errors import (
 )
 from .evaluator import DEFAULT_FUEL, EvalContext, TraceSink
 from .templates import merge_program, run_entry
-from .tree import Node, Path, StateTree
+from .tree import Node, Path
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -88,18 +88,18 @@ def _read(path: str) -> str:
 
 def _parse_arg_value(text: str) -> Node:
     tree = textio.parse(f"value = {text}", allow_vars=False)
-    if len(tree.root.children) != 1:
+    if len(tree.children) != 1:
         raise ParseError(f"--arg value {text!r} is not a single literal")
-    return tree.root.children[0][1]
+    return tree.children[0][1]
 
 
-def _load_machine(args) -> StateTree:
+def _load_machine(args) -> Node:
     if args.state is not None:
         machine = textio.parse(_read(args.state), allow_vars=False)
-        if machine.root.kind != "set":
+        if machine.kind != "set":
             raise ParseError("a state file must be a set of entries")
     else:
-        machine = StateTree()
+        machine = Node.set_node()
     for path in args.programs:
         merge_program(machine, textio.parse(_read(path)))
     return machine
@@ -144,8 +144,7 @@ def _cmd_run(args, traced: bool) -> int:
         print(f"evocat: resolution error: {err}", file=sys.stderr)
         return EXIT_RESOLVE
     except EvoError as err:
-        where = getattr(err, "instruction", None)
-        at = f" (instruction {where})" if where is not None else ""
+        at = f" (instruction {err.instruction})" if err.instruction is not None else ""
         print(f"evocat: runtime error{at}: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

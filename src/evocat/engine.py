@@ -35,7 +35,6 @@ from .tree import (
     VAR,
     Node,
     Path,
-    StateTree,
     node_equal,
     replace_subtree,
 )
@@ -269,10 +268,6 @@ def _validate_formula(lhs: Node, rhs: Node, index: int) -> None:
 # --- sequential execution -----------------------------------------------------
 
 
-def _as_frame(frame: Union[StateTree, Node]) -> Node:
-    return frame.root if isinstance(frame, StateTree) else frame
-
-
 def _context_for(frame: Node, ctx: Optional[EvalContext], fuel: Optional[int]) -> EvalContext:
     if ctx is None:
         ctx = EvalContext(frame, fuel=fuel if fuel is not None else DEFAULT_FUEL)
@@ -283,10 +278,10 @@ def _context_for(frame: Node, ctx: Optional[EvalContext], fuel: Optional[int]) -
 
 def run_sequential(
     body: Union[Node, list[Node]],
-    frame: Union[StateTree, Node],
+    frame: Node,
     ctx: Optional[EvalContext] = None,
     fuel: Optional[int] = None,
-) -> StateTree:
+) -> Node:
     """Execute an instruction list against a frame.
 
     The reserved child ``ip`` starts at 0; each step evaluates the
@@ -294,14 +289,13 @@ def run_sequential(
     at the address, and increments ``ip`` unless the instruction wrote it.
     Execution halts once ``ip`` runs past the last instruction.
     """
-    root = _as_frame(frame)
-    if root.kind != SET:
+    if frame.kind != SET:
         raise EvalError("a sequential frame must be a set node")
-    ctx = _context_for(root, ctx, fuel)
+    ctx = _context_for(frame, ctx, fuel)
     program = instructions_from(body)
-    root.set_child("ip", Node.leaf(0))
+    frame.set_child("ip", Node.leaf(0))
     while True:
-        ip_node = root.child("ip")
+        ip_node = frame.child("ip")
         if ip_node is None or ip_node.kind != LEAF:
             raise EvalError("frame child 'ip' must be a natural-number leaf")
         index = ip_node.value
@@ -313,13 +307,14 @@ def run_sequential(
             ctx.spend()
             ctx.count("instruction")
             value = evaluate(inst.to.copy(), ctx)
-            _apply_write(root, inst.at, value, ctx)
+            _apply_write(frame, inst.at, value, ctx)
         except EvoError as err:
-            err.instruction = index  # type: ignore[attr-defined]
+            if err.instruction is None:
+                err.instruction = index
             raise
         if inst.at != _IP:
-            root.set_child("ip", Node.leaf(index + 1))
-    return frame if isinstance(frame, StateTree) else StateTree(root)
+            frame.set_child("ip", Node.leaf(index + 1))
+    return frame
 
 
 def _apply_write(root: Node, at: Path, value: Node, ctx: EvalContext) -> None:
@@ -339,10 +334,10 @@ def _apply_write(root: Node, at: Path, value: Node, ctx: EvalContext) -> None:
 
 def run_rewrite(
     rules: Union[Node, list[Node]],
-    frame: Union[StateTree, Node],
+    frame: Node,
     ctx: Optional[EvalContext] = None,
     fuel: Optional[int] = None,
-) -> StateTree:
+) -> Node:
     """Rewrite the frame's data children to a normal form under the rules.
 
     Loop: (1) evaluate every ready sub-term (built-in operations with fully
@@ -351,20 +346,19 @@ def run_rewrite(
     of matched nodes; (3) replace them all with instantiated right sides.
     Stops when, after a ready sweep, no formula matches.
     """
-    root = _as_frame(frame)
-    if root.kind != SET:
+    if frame.kind != SET:
         raise EvalError("a rewrite frame must be a set node")
-    ctx = _context_for(root, ctx, fuel)
+    ctx = _context_for(frame, ctx, fuel)
     formulas = formulas_from(rules)
     while True:
         with ctx.lenient():
-            for label, child in root.children:
+            for label, child in frame.children:
                 if label not in RESERVED_FRAME_LABELS:
                     evaluate(child, ctx)
         hits: list[tuple[Node, Path, Binding]] = []
         fired: Optional[Formula] = None
         for formula in formulas:
-            for index, (label, child) in enumerate(root.children):
+            for index, (label, child) in enumerate(frame.children):
                 if label in RESERVED_FRAME_LABELS:
                     continue
                 seg = label if label is not None else index
@@ -380,7 +374,7 @@ def run_rewrite(
             ctx.spend()
             ctx.count("firing")
             node.become(replacement)
-    return frame if isinstance(frame, StateTree) else StateTree(root)
+    return frame
 
 
 def _collect_matches(

@@ -2,8 +2,9 @@
 
 Everything raised on purpose by this package derives from EvoError, so
 callers can catch one type at the boundary.  Parse-time problems carry a
-source position; engine errors may carry the index of the instruction or
-formula that caused them (``instruction`` attribute, set by the engines).
+source position.  An error raised while a sequential body runs carries, in
+``instruction``, the index of the innermost instruction that was executing
+when it was raised; enclosing bodies leave it as they find it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 class EvoError(Exception):
     """Base class for all errors raised by evocat."""
+
+    instruction: int | None = None
 
 
 # --- text format ---------------------------------------------------------
@@ -60,6 +63,10 @@ class UnknownOperation(EvalError):
 
 class FuelExhausted(EvalError):
     """The step budget ran out; the run would probably not terminate."""
+
+
+class DepthExceeded(EvalError):
+    """The run nested deeper than the host interpreter's stack allows."""
 
 
 class CyclicReference(EvalError):

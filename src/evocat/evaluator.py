@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from typing import Optional, Union
+from typing import Optional
 
 from . import algebra
 from .errors import (
@@ -37,7 +37,6 @@ from .tree import (
     VAR,
     Node,
     Path,
-    StateTree,
     resolve_chain,
 )
 
@@ -51,7 +50,8 @@ MODE_REWRITE = 1
 
 
 class TraceSink:
-    """Collects one event per machine transition; optionally prints them.
+    """One event per machine transition: written to ``stream`` as it
+    happens, or, without a stream, collected in ``events``.
 
     A line is ``<step> <mode> <index> <path>``: a global step counter, the
     engine mode (``seq``/``rew``), the instruction index (0-based) or
@@ -61,11 +61,14 @@ class TraceSink:
     def __init__(self, stream=None):
         self.events: list[tuple[int, str, int, str]] = []
         self.stream = stream
+        self.steps = 0
 
     def emit(self, mode: str, index: int, path: str) -> None:
-        step = len(self.events)
-        self.events.append((step, mode, index, path))
-        if self.stream is not None:
+        step = self.steps
+        self.steps += 1
+        if self.stream is None:
+            self.events.append((step, mode, index, path))
+        else:
             self.stream.write(f"{step} {mode} {index} {path}\n")
 
 
@@ -82,7 +85,7 @@ class EvalContext:
 
     def __init__(
         self,
-        root: Union[StateTree, Node, None] = None,
+        root: Optional[Node] = None,
         *,
         scopes: Optional[list[Node]] = None,
         fuel: int = DEFAULT_FUEL,
@@ -93,7 +96,7 @@ class EvalContext:
         if scopes is not None:
             self.scopes = scopes
         elif root is not None:
-            self.scopes = [root.root if isinstance(root, StateTree) else root]
+            self.scopes = [root]
         else:
             self.scopes = []
         self.fuel = fuel

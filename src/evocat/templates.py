@@ -23,6 +23,7 @@ from typing import Optional, Union
 from .engine import run_rewrite, run_sequential
 from .errors import (
     CompareFailed,
+    DepthExceeded,
     DuplicateSibling,
     EmptyHeap,
     EvalError,
@@ -37,15 +38,14 @@ from .evaluator import (
     instance_args_ready,
     is_function_instance,
 )
-from .tree import LEAF, SET, Node, Path, StateTree, resolve
+from .tree import LEAF, SET, Node, Path, resolve
 
 from . import textio
 
 
-def instantiate(source: Union[StateTree, Node], path: Union[Path, str]) -> Node:
+def instantiate(root: Node, path: Union[Path, str]) -> Node:
     """Deep-copy the template subtree at ``path``; the copy is detached and
     later writes to it never touch the template."""
-    root = source.root if isinstance(source, StateTree) else source
     if isinstance(path, str):
         path = Path.parse(path)
     node = resolve(root, path)
@@ -118,7 +118,7 @@ def call(instance: Node, ctx: EvalContext) -> Node:
 
 
 def run_entry(
-    root: Union[StateTree, Node],
+    root: Node,
     entry: Union[Path, str],
     arguments: Optional[dict[str, Node]] = None,
     ctx: Optional[EvalContext] = None,
@@ -126,37 +126,38 @@ def run_entry(
     """Instantiate the template at ``entry``, fill named argument slots,
     call it, and return the result value.  The machine tree is the
     outermost scope of the run."""
-    root_node = root.root if isinstance(root, StateTree) else root
     if ctx is None:
-        ctx = EvalContext(root_node)
-    instance = instantiate(root_node, entry)
+        ctx = EvalContext(root)
+    instance = instantiate(root, entry)
     if not is_function_instance(instance):
         raise NotASet(f"{entry} is not a function template")
     for label, value in (arguments or {}).items():
         assign_argument(instance, label, value)
-    if ctx.scopes and ctx.scopes[0] is root_node:
-        return call(instance, ctx)
-    with ctx.scopes_pushed([root_node]):
-        return call(instance, ctx)
+    try:
+        if ctx.scopes and ctx.scopes[0] is root:
+            return call(instance, ctx)
+        with ctx.scopes_pushed([root]):
+            return call(instance, ctx)
+    except RecursionError:
+        raise DepthExceeded(f"{entry} nested too deep for the interpreter stack") from None
 
 
 # --- program assembly ---------------------------------------------------------
 
 
-def merge_program(base: StateTree, program: Union[StateTree, Node]) -> StateTree:
+def merge_program(base: Node, program: Node) -> Node:
     """Adjoin a program's top-level entries to the machine root; a
     duplicate top-level label is a load error, not a shadowing."""
-    node = program.root if isinstance(program, StateTree) else program
-    if node.kind != SET:
+    if program.kind != SET:
         raise NotASet("a program file must be a set of top-level entries")
-    for label, child in node.children:
-        if label is not None and base.root.child(label) is not None:
+    for label, child in program.children:
+        if label is not None and base.child(label) is not None:
             raise DuplicateSibling(f"duplicate top-level label {label!r}")
-        base.root.add_child(label, child)
+        base.add_child(label, child)
     return base
 
 
-def load_stdlib() -> StateTree:
+def load_stdlib() -> Node:
     """The shipped template library: gcd, fact, div, Date, deriv, heap."""
     source = resources.files(__package__).joinpath("stdlib.evo").read_text("utf-8")
     return textio.parse(source)
@@ -165,9 +166,8 @@ def load_stdlib() -> StateTree:
 # --- heap appliance -------------------------------------------------------------
 
 
-def _heap_data(heap: Union[StateTree, Node]) -> Node:
-    node = heap.root if isinstance(heap, StateTree) else heap
-    data = node.child("data") if node.kind == SET else None
+def _heap_data(heap: Node) -> Node:
+    data = heap.child("data") if heap.kind == SET else None
     if data is None or data.kind != SET:
         raise EvalError("not a heap appliance: no 'data' set")
     return data
@@ -190,29 +190,27 @@ def _heap_less(heap: Node, a: Node, b: Node, ctx: EvalContext) -> bool:
         raise CompareFailed(f"compare failed: {err}") from err
 
 
-def heap_put(heap: Union[StateTree, Node], item: Node, ctx: Optional[EvalContext] = None) -> None:
+def heap_put(heap: Node, item: Node, ctx: Optional[EvalContext] = None) -> None:
     """Insert a copy of ``item`` and restore heap order."""
-    node = heap.root if isinstance(heap, StateTree) else heap
     if ctx is None:
-        ctx = EvalContext(node)
+        ctx = EvalContext(heap)
     data = _heap_data(heap)
     data.children.append((None, item.copy()))
     slots = data.children
     i = len(slots) - 1
     while i > 0:
         parent = (i - 1) // 2
-        if _heap_less(node, slots[i][1], slots[parent][1], ctx):
+        if _heap_less(heap, slots[i][1], slots[parent][1], ctx):
             slots[i], slots[parent] = slots[parent], slots[i]
             i = parent
         else:
             break
 
 
-def heap_get(heap: Union[StateTree, Node], ctx: Optional[EvalContext] = None) -> Node:
+def heap_get(heap: Node, ctx: Optional[EvalContext] = None) -> Node:
     """Remove and return the minimum item under the heap's order."""
-    node = heap.root if isinstance(heap, StateTree) else heap
     if ctx is None:
-        ctx = EvalContext(node)
+        ctx = EvalContext(heap)
     data = _heap_data(heap)
     slots = data.children
     if not slots:
@@ -226,9 +224,9 @@ def heap_get(heap: Union[StateTree, Node], ctx: Optional[EvalContext] = None) ->
         while True:
             left, right = 2 * i + 1, 2 * i + 2
             smallest = i
-            if left < n and _heap_less(node, slots[left][1], slots[smallest][1], ctx):
+            if left < n and _heap_less(heap, slots[left][1], slots[smallest][1], ctx):
                 smallest = left
-            if right < n and _heap_less(node, slots[right][1], slots[smallest][1], ctx):
+            if right < n and _heap_less(heap, slots[right][1], slots[smallest][1], ctx):
                 smallest = right
             if smallest == i:
                 break

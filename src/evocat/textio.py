@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import DuplicateSibling, ParseError, VariablesOutsideRules
-from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path, StateTree
+from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path
 
 MAX_DEPTH = 200
 
@@ -318,14 +318,14 @@ class _Parser:
             return Path(tuple(segs))
 
 
-def parse(src: str, allow_vars: bool = True) -> StateTree:
+def parse(src: str, allow_vars: bool = True) -> Node:
     """Compile source text into a state tree.
 
     ``allow_vars=False`` is the plain-state mode: any ``$`` form is
     rejected with VariablesOutsideRules.
     """
     tokens = tokenize(src)
-    return StateTree(_Parser(tokens, allow_vars).document())
+    return _Parser(tokens, allow_vars).document()
 
 
 # --- string sugar ---------------------------------------------------------
@@ -378,9 +378,8 @@ def _escape(text: str) -> str:
 # --- renderer --------------------------------------------------------------
 
 
-def render(tree: Union[StateTree, Node]) -> str:
+def render(root: Node) -> str:
     """Canonical text for a tree; equal trees render bit-identically."""
-    root = tree.root if isinstance(tree, StateTree) else tree
     out: list[str] = []
     if root.kind == SET and root.op is None and _sugar_text(root) is None:
         _render_entries(root, 0, out)

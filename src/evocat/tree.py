@@ -12,7 +12,8 @@ identity, composition is concatenation, a label segment selects the child
 with that label and an ordinal segment ``#k`` selects the k-th child by
 position.  The one mutation primitive is subtree replacement, implemented
 as in-place "becoming" so that views into a tree stay valid across
-transitions.
+transitions.  A machine state is just its root ``Node``, and a view is the
+subtree node itself, so a replacement through a view is seen outside it.
 """
 
 from __future__ import annotations
@@ -234,6 +235,29 @@ class Node:
         self.var = other.var
         return self
 
+    # --- the node as a machine state (path-addressed operations) ---
+
+    @property
+    def root(self) -> "Node":
+        return self
+
+    def resolve(self, path: Union[Path, str]) -> Optional["Node"]:
+        return resolve(self, _as_path(path))
+
+    def replace(self, at: Union[Path, str], new: "Node") -> "Node":
+        return replace_subtree(self, _as_path(at), new)
+
+    def view(self, at: Union[Path, str]) -> "Node":
+        return subtree_view(self, _as_path(at))
+
+    def data_of(self, at: Union[Path, str], ctx=None) -> "Node":
+        return data_of(self, _as_path(at), ctx)
+
+    def render(self) -> str:
+        from . import textio
+
+        return textio.render(self)
+
     def __repr__(self) -> str:  # debugging aid only
         if self.kind == LEAF:
             return f"<leaf {self.value}>"
@@ -298,45 +322,13 @@ def resolve_chain(context: Node, path: Path) -> Optional[list[Node]]:
     return chain
 
 
-class StateTree:
-    """A machine state: a root node plus path-addressed operations.
-
-    Subtree views share nodes with the enclosing tree, so replacement
-    through a view is visible outside it (and vice versa).
-    """
-
-    __slots__ = ("root",)
-
-    def __init__(self, root: Optional[Node] = None):
-        self.root = root if root is not None else Node.set_node()
-
-    def resolve(self, path: Union[Path, str]) -> Optional[Node]:
-        return resolve(self.root, _as_path(path))
-
-    def replace(self, at: Union[Path, str], new: Node) -> "StateTree":
-        return replace_subtree(self, _as_path(at), new)
-
-    def view(self, at: Union[Path, str]) -> "StateTree":
-        return subtree_view(self, _as_path(at))
-
-    def data_of(self, at: Union[Path, str], ctx=None) -> Node:
-        return data_of(self, _as_path(at), ctx)
-
-    def render(self) -> str:
-        from . import textio
-
-        return textio.render(self)
-
-    def copy(self) -> "StateTree":
-        return StateTree(self.root.copy())
+def StateTree(root: Optional[Node] = None) -> Node:
+    """A machine state is its root node; with no root, an empty set."""
+    return root if root is not None else Node.set_node()
 
 
 def _as_path(path: Union[Path, str]) -> Path:
     return Path.parse(path) if isinstance(path, str) else path
-
-
-def _as_root(tree: Union[StateTree, Node]) -> Node:
-    return tree.root if isinstance(tree, StateTree) else tree
 
 
 def _contains(node: Node, target: Node) -> bool:
@@ -345,7 +337,7 @@ def _contains(node: Node, target: Node) -> bool:
     return any(_contains(child, target) for _, child in node.children)
 
 
-def replace_subtree(tree: Union[StateTree, Node], at: Path, new: Node) -> StateTree:
+def replace_subtree(root: Node, at: Path, new: Node) -> Node:
     """Replace the subtree at ``at`` with ``new`` (insert when the final
     segment does not exist yet); all other nodes are untouched.
 
@@ -353,12 +345,10 @@ def replace_subtree(tree: Union[StateTree, Node], at: Path, new: Node) -> StateT
     the node being replaced would tie the tree into a cycle, so that is
     rejected.
     """
-    root = _as_root(tree)
     if not at:
         if new is not root and _contains(new, root):
             raise PathUnresolvable("replacement contains the node it replaces")
-        root.become(new)
-        return tree if isinstance(tree, StateTree) else StateTree(root)
+        return root.become(new)
     parent = resolve(root, at.parent())
     if parent is None:
         raise PathUnresolvable(f"no node at {at.parent()}")
@@ -377,22 +367,21 @@ def replace_subtree(tree: Union[StateTree, Node], at: Path, new: Node) -> StateT
         if new is not existing and _contains(new, existing):
             raise PathUnresolvable("replacement contains the node it replaces")
         existing.become(new)
-    return tree if isinstance(tree, StateTree) else StateTree(root)
+    return root
 
 
-def subtree_view(tree: Union[StateTree, Node], at: Path) -> StateTree:
-    """A machine rooted at the subtree; shares structure with ``tree``."""
-    root = _as_root(tree)
+def subtree_view(root: Node, at: Path) -> Node:
+    """A machine rooted at the subtree; shares structure with ``root``."""
     node = resolve(root, at)
     if node is None:
         raise PathUnresolvable(str(at))
     if node.kind != SET:
         raise NotASet(f"{at} is not a set node")
-    return StateTree(node)
+    return node
 
 
-def data_of(tree: Union[StateTree, Node], at: Path, ctx=None) -> Node:
+def data_of(root: Node, at: Path, ctx=None) -> Node:
     """Contents of the node at ``at``, evaluated if it is a term."""
     from .evaluator import tree_data_of
 
-    return tree_data_of(_as_root(tree), at, ctx)
+    return tree_data_of(root, at, ctx)

@@ -4,6 +4,7 @@ import pytest
 
 from evocat import EvalContext, StateTree, parse
 from evocat.algebra import (
+    BUILTIN_OPS,
     apply_builtin,
     bool_lattice,
     coproduct,
@@ -273,6 +274,25 @@ class TestDispatch:
             apply_builtin("not", [leaf(1), leaf(1)])
         with pytest.raises(EvalError):
             apply_builtin("sum", [leaf(1)])
+
+    def test_every_eager_builtin_dispatches_at_its_arity(self):
+        # results of op(0, 1), or not(1); pair is checked by shape
+        expected = {
+            "prod": 0, "sum": 1, "min": 0, "max": 1, "monus": 0, "rem": 0,
+            "and": 0, "or": 1, "implies": 1, "not": 0,
+            "eq": 0, "le": 1, "lt": 1, "seteq": 0, "pair": None,
+        }
+        assert set(expected) == BUILTIN_OPS - {"if", "select"}
+        for op, want in expected.items():
+            operands = [leaf(1)] if op == "not" else [leaf(0), leaf(1)]
+            result = apply_builtin(op, operands)
+            if want is None:
+                assert node_equal(result, parse("fst = 0 snd = 1"))
+            else:
+                assert (result.kind, result.value) == ("leaf", want), op
+            for wrong in (len(operands) - 1, len(operands) + 1):
+                with pytest.raises(EvalError):
+                    apply_builtin(op, [leaf(1)] * wrong)
 
     def test_if_and_select_not_eager(self):
         with pytest.raises(EvalError):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path as FsPath
 
+from evocat import cli
+
 STDLIB = FsPath(__file__).resolve().parents[1] / "src" / "evocat" / "stdlib.evo"
 
 DIVERGING = """
@@ -27,6 +29,26 @@ main {
     #2 { at = [dev.stdout] to = [dev.clock] }
     #3 { at = [result] to = 0 }
   }
+  result = 0
+}
+"""
+
+
+NESTED_FAILURE = """
+inner {
+  args { }
+  mode = 0
+  body {
+    #0 { at = [x] to = 1 }
+    #1 { at = [y] to = 2 }
+    #2 { at = [result] to : rem { #0 = 1 #1 = 0 } }
+  }
+  result = 0
+}
+outer {
+  args { }
+  mode = 0
+  body { #0 { at = [result] to : inner { } } }
   result = 0
 }
 """
@@ -66,6 +88,19 @@ class TestRun:
         proc = evocat("run", str(program), "--entry", "spin", "--arg", "n=1", "--fuel", "5")
         assert proc.returncode == 3
         assert "FuelExhausted" in proc.stderr
+
+    def test_nested_failure_names_innermost_instruction(self, tmp_path, capsys):
+        program = tmp_path / "nested.evo"
+        program.write_text(NESTED_FAILURE)
+        assert cli.main(["run", str(program), "--entry", "outer"]) == 3
+        err = capsys.readouterr().err
+        assert "(instruction 2)" in err and "DivisionByZero" in err
+
+    def test_deep_recursion_is_a_runtime_error(self, capsys):
+        assert cli.main(["run", str(STDLIB), "--entry", "fact", "--arg", "n=200"]) == 3
+        err = capsys.readouterr().err
+        assert "DepthExceeded" in err
+        assert "Traceback" not in err
 
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.evo"

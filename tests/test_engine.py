@@ -1,12 +1,13 @@
 """The two program disciplines and the pattern layer under them."""
 
+import io
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evocat import EvalContext, StateTree, TraceSink, parse, render
+from evocat import EvalContext, StateTree, TraceSink, load_stdlib, parse, render, run_entry
 from evocat.engine import (
     formulas_from,
     instructions_from,
@@ -215,6 +216,17 @@ class TestSequential:
         sink = TraceSink()
         run_sequential(body, StateTree(), EvalContext(StateTree(), trace=sink))
         assert [(e[1], e[2], e[3]) for e in sink.events] == [("seq", 0, "x"), ("seq", 1, "y")]
+
+
+    def test_streaming_trace_keeps_no_events(self):
+        lib = load_stdlib()
+        stream = io.StringIO()
+        sink = TraceSink(stream)
+        args = {"arg1": leaf(12), "arg2": leaf(8)}
+        assert run_entry(lib, "gcd", args, EvalContext(lib, trace=sink)).value == 4
+        assert sink.events == []
+        steps = [int(line.split()[0]) for line in stream.getvalue().splitlines()]
+        assert steps and steps == list(range(len(steps)))
 
 
 class TestRewrite:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evocat import parse, render
+from evocat import load_stdlib, parse, render
+from evocat.engine import run_rewrite, run_sequential
 from evocat.errors import NotASet, OrdinalInMeet, PathUnresolvable
 from evocat.tree import (
     Node,
@@ -15,6 +16,7 @@ from evocat.tree import (
     compose,
     meet,
     node_equal,
+    replace_subtree,
     resolve,
     subtree_view,
 )
@@ -28,7 +30,7 @@ paths = st.builds(
 label_paths = st.lists(st.sampled_from(LABELS), max_size=6).map(tuple).map(Path)
 
 
-def T(src: str) -> StateTree:
+def T(src: str) -> Node:
     return parse(src)
 
 
@@ -235,3 +237,33 @@ class TestTreeShape:
                 target.value += 1
                 assert leaf_map(a, (), []) != leaf_map(b, (), [])
                 assert not node_equal(a, b)
+
+
+class TestOneTreeType:
+    def test_entry_points_return_nodes(self):
+        body = parse("b { #0 { at = [x] to = 1 } }").resolve("b")
+        rules = parse("r { #0 { lhs : f { #0 = $X } rhs = $X } }").resolve("r")
+        frame = parse("goal : f { #0 = 3 }")
+        results = [
+            parse("a = 1"),
+            load_stdlib(),
+            StateTree(),
+            run_sequential(body, StateTree()),
+            run_rewrite(rules, frame),
+            replace_subtree(parse("a = 1"), Path.parse("b"), Node.leaf(2)),
+            subtree_view(parse("m { a = 1 }"), Path.parse("m")),
+        ]
+        assert all(type(result) is Node for result in results)
+        assert frame.resolve("goal").value == 3
+
+    def test_root_is_the_node_itself(self):
+        t = parse("a { b = 1 }")
+        assert t.root is t
+        assert t.resolve("a").root is t.resolve("a")
+
+    def test_state_tree_wraps_nothing(self):
+        n = parse("a = 1")
+        assert StateTree(n) is n
+        empty = StateTree()
+        assert empty.kind == "set" and empty.op is None and empty.children == []
+        assert StateTree() is not empty
