@@ -23,7 +23,7 @@ from .errors import (
     NotASet,
     NotBoolean,
 )
-from .tree import LEAF, SET, VAR, Node, node_equal
+from .tree import LEAF, SET, VAR, Node, node_equal, rebuild
 
 
 def _nat(node: Node, who: str) -> int:
@@ -43,13 +43,8 @@ def product(a: Node, b: Node) -> Node:
     if a.kind == LEAF and b.kind == LEAF:
         return Node.leaf(a.value * b.value)
     if a.kind == SET and b.kind == SET:
-        out = Node.set_node()
-        k = 0
-        for _, ca in a.children:
-            for _, cb in b.children:
-                out.add_child(f"p{k}", pair(ca, cb))
-                k += 1
-        return out
+        pairs = [pair(ca, cb) for _, ca in a.children for _, cb in b.children]
+        return Node(SET, children=[(f"p{k}", p) for k, p in enumerate(pairs)])
     raise MixedKinds(f"product of {a!r} and {b!r}")
 
 
@@ -58,12 +53,8 @@ def coproduct(a: Node, b: Node) -> Node:
     if a.kind == LEAF and b.kind == LEAF:
         return Node.leaf(a.value + b.value)
     if a.kind == SET and b.kind == SET:
-        out = Node.set_node()
-        k = 0
-        for _, child in list(a.children) + list(b.children):
-            out.add_child(f"p{k}", child.copy())
-            k += 1
-        return out
+        kids = a.children + b.children
+        return Node(SET, children=[(f"p{k}", c.copy()) for k, (_, c) in enumerate(kids)])
     raise MixedKinds(f"coproduct of {a!r} and {b!r}")
 
 
@@ -144,17 +135,15 @@ def select(m: Node, predicate: Node, ctx) -> Node:
     names = _predicate_vars(predicate)
     if len(names) > 1:
         raise EvalError(f"select predicate uses several variables: {sorted(names)}")
-    var_name = next(iter(names)) if names else None
-    out = Node.set_node()
+    kept = []
     for label, child in m.children:
-        pred = predicate.copy()
-        if var_name is not None:
-            pred = _bind_var(pred, var_name, child)
+        # the predicate's one variable, if any, is every VAR node in it
+        pred = rebuild(predicate, lambda n: child.copy() if n.kind == VAR else None)
         with ctx.scopes_pushed([child]):
             result = evaluate(pred, ctx)
         if _bool(result, "select predicate"):
-            out.children.append((label, child.copy()))
-    return out
+            kept.append((label, child.copy()))
+    return Node(SET, children=kept)
 
 
 def _predicate_vars(node: Node) -> set[str]:
@@ -167,16 +156,6 @@ def _predicate_vars(node: Node) -> set[str]:
         for _, child in node.children:
             names |= _predicate_vars(child)
     return names
-
-
-def _bind_var(node: Node, name: str, value: Node) -> Node:
-    if node.kind == VAR and node.var == name:
-        return value.copy()
-    if node.kind == SET:
-        node.children = [
-            (label, _bind_var(child, name, value)) for label, child in node.children
-        ]
-    return node
 
 
 #: ops applied strictly to fully evaluated operands: identifier -> (arity, fn).

@@ -23,6 +23,7 @@ from typing import Optional
 from . import textio
 from .devices import DeviceTable, scripted_clock
 from .errors import (
+    DepthExceeded,
     EvoError,
     MissingArgument,
     NotASet,
@@ -148,9 +149,13 @@ def _cmd_run(args, traced: bool) -> int:
         print(f"evocat: runtime error{at}: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    sys.stdout.write(textio.render(result))
-    if args.dump is not None:
-        text = textio.render(machine)
+    try:
+        sys.stdout.write(textio.render(result))
+        text = textio.render(machine) if args.dump is not None else None
+    except DepthExceeded as err:
+        print(f"evocat: render error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
+    if text is not None:
         if args.dump == "-":
             sys.stdout.write(text)
         else:

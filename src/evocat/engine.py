@@ -18,7 +18,7 @@ replaced by a hole.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import EvalError, EvoError, UnboundVariable
 from .evaluator import (
@@ -36,6 +36,7 @@ from .tree import (
     Node,
     Path,
     node_equal,
+    rebuild,
     replace_subtree,
 )
 
@@ -52,15 +53,8 @@ class Abstraction:
     body: Node
 
     def plug(self, argument: Node) -> Node:
-        return _plug(self.body.copy(), argument)
-
-
-def _plug(node: Node, argument: Node) -> Node:
-    if node.kind == HOLE:
-        return argument.copy()
-    if node.kind == SET:
-        node.children = [(label, _plug(child, argument)) for label, child in node.children]
-    return node
+        """A copy of the body with a copy of ``argument`` in every hole."""
+        return rebuild(self.body, lambda n: argument.copy() if n.kind == HOLE else None)
 
 
 @dataclass
@@ -100,13 +94,14 @@ def match(pattern: Node, subject: Node) -> Optional[Binding]:
             raise EvalError(
                 f"function variable ${fname} applied to ${argname}, which the pattern never binds"
             )
-        abstraction = Abstraction(_abstract(node.copy(), argval))
+        # subtrees equal to the argument become holes (none: a constant function)
+        body = rebuild(node, lambda n: Node.hole() if node_equal(n, argval) else None)
         seen = binding.funcs.get(fname)
         if seen is not None:
-            if not node_equal(seen.body, abstraction.body):
+            if not node_equal(seen.body, body):
                 return None
         else:
-            binding.funcs[fname] = abstraction
+            binding.funcs[fname] = Abstraction(body)
     return binding
 
 
@@ -141,16 +136,6 @@ def _walk(p: Node, t: Node, binding: Binding, deferred: list) -> bool:
     return True
 
 
-def _abstract(node: Node, value: Node) -> Node:
-    """Replace every subtree equal to ``value`` by a hole (zero occurrences
-    leave a vacuous abstraction, the constant function)."""
-    if node_equal(node, value):
-        return Node.hole()
-    if node.kind == SET:
-        node.children = [(label, _abstract(child, value)) for label, child in node.children]
-    return node
-
-
 # --- substitution ------------------------------------------------------------
 
 
@@ -177,21 +162,20 @@ def substitute(template: Node, binding: Binding) -> Node:
             )
         argument = substitute(template.children[0][1], binding)
         return abstraction.plug(argument)
-    out = Node(SET, op=template.op)
-    out.children = [
-        (label, substitute(child, binding)) for label, child in template.children
-    ]
-    return out
+    return Node(
+        SET,
+        op=template.op,
+        children=[(label, substitute(child, binding)) for label, child in template.children],
+    )
 
 
 # --- program extraction -------------------------------------------------------
 
 
-def instructions_from(body: Union[Node, list[Node]]) -> list[Instruction]:
+def instructions_from(body: Node) -> list[Instruction]:
     """Read ``{ at = [path] to = ... }`` entries out of a body node."""
-    nodes = [child for _, child in body.children] if isinstance(body, Node) else body
     program: list[Instruction] = []
-    for index, node in enumerate(nodes):
+    for index, (_, node) in enumerate(body.children):
         if node.kind != SET:
             raise EvalError(f"instruction #{index} is not a set node")
         at = node.child("at")
@@ -204,13 +188,12 @@ def instructions_from(body: Union[Node, list[Node]]) -> list[Instruction]:
     return program
 
 
-def formulas_from(rules: Union[Node, list[Node]]) -> list[Formula]:
+def formulas_from(rules: Node) -> list[Formula]:
     """Read ``{ lhs ... rhs ... }`` entries out of a rules node and check
     them: rhs variables must occur in the lhs, function variables take one
     argument, and that argument must be bound first-order elsewhere."""
-    nodes = [child for _, child in rules.children] if isinstance(rules, Node) else rules
     formulas: list[Formula] = []
-    for index, node in enumerate(nodes):
+    for index, (_, node) in enumerate(rules.children):
         if node.kind != SET:
             raise EvalError(f"formula #{index} is not a set node")
         lhs = node.child("lhs")
@@ -277,7 +260,7 @@ def _context_for(frame: Node, ctx: Optional[EvalContext], fuel: Optional[int]) -
 
 
 def run_sequential(
-    body: Union[Node, list[Node]],
+    body: Node,
     frame: Node,
     ctx: Optional[EvalContext] = None,
     fuel: Optional[int] = None,
@@ -333,7 +316,7 @@ def _apply_write(root: Node, at: Path, value: Node, ctx: EvalContext) -> None:
 
 
 def run_rewrite(
-    rules: Union[Node, list[Node]],
+    rules: Node,
     frame: Node,
     ctx: Optional[EvalContext] = None,
     fuel: Optional[int] = None,

@@ -76,10 +76,8 @@ def bind_operands(instance: Node, operands: list[Node]) -> None:
         raise MissingArgument(
             f"call provides {len(operands)} operands for {len(args.children)} slots"
         )
-    args.children = [
-        (label, operand.copy())
-        for (label, _), operand in zip(args.children, operands)
-    ]
+    for (_, slot), operand in zip(args.children, operands):
+        slot.become(operand.copy())
 
 
 def assign_argument(instance: Node, label: str, value: Node) -> None:
@@ -195,13 +193,12 @@ def heap_put(heap: Node, item: Node, ctx: Optional[EvalContext] = None) -> None:
     if ctx is None:
         ctx = EvalContext(heap)
     data = _heap_data(heap)
-    data.children.append((None, item.copy()))
-    slots = data.children
-    i = len(slots) - 1
+    data.add_child(None, item.copy())
+    i = len(data.children) - 1
     while i > 0:
         parent = (i - 1) // 2
-        if _heap_less(heap, slots[i][1], slots[parent][1], ctx):
-            slots[i], slots[parent] = slots[parent], slots[i]
+        if _heap_less(heap, data.child_at(i), data.child_at(parent), ctx):
+            data.swap_children(i, parent)
             i = parent
         else:
             break
@@ -212,24 +209,22 @@ def heap_get(heap: Node, ctx: Optional[EvalContext] = None) -> Node:
     if ctx is None:
         ctx = EvalContext(heap)
     data = _heap_data(heap)
-    slots = data.children
-    if not slots:
+    n = len(data.children)
+    if not n:
         raise EmptyHeap("get on an empty heap")
-    top = slots[0][1]
-    last = slots.pop()
-    if slots:
-        slots[0] = last
-        i = 0
-        n = len(slots)
-        while True:
-            left, right = 2 * i + 1, 2 * i + 2
-            smallest = i
-            if left < n and _heap_less(heap, slots[left][1], slots[smallest][1], ctx):
-                smallest = left
-            if right < n and _heap_less(heap, slots[right][1], slots[smallest][1], ctx):
-                smallest = right
-            if smallest == i:
-                break
-            slots[i], slots[smallest] = slots[smallest], slots[i]
-            i = smallest
+    data.swap_children(0, n - 1)  # the last item moves to the top
+    top = data.pop_child()
+    n -= 1
+    i = 0
+    while True:
+        left, right = 2 * i + 1, 2 * i + 2
+        smallest = i
+        if left < n and _heap_less(heap, data.child_at(left), data.child_at(smallest), ctx):
+            smallest = left
+        if right < n and _heap_less(heap, data.child_at(right), data.child_at(smallest), ctx):
+            smallest = right
+        if smallest == i:
+            break
+        data.swap_children(i, smallest)
+        i = smallest
     return top

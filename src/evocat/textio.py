@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import DuplicateSibling, ParseError, VariablesOutsideRules
+from .errors import DepthExceeded, DuplicateSibling, ParseError, VariablesOutsideRules
 from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path
 
 MAX_DEPTH = 200
@@ -212,37 +212,38 @@ class _Parser:
             if end.type != T_EOF:
                 raise ParseError("trailing input after document body", end.line, end.col)
             return node
-        root = Node.set_node()
-        self.entries(root, 0)
+        root = Node(SET, children=self.entries(0))
         end = self.next()
         if end.type != T_EOF:
             raise ParseError("expected an entry", end.line, end.col)
         return root
 
-    def entries(self, parent: Node, depth: int) -> None:
+    def entries(self, depth: int) -> list[tuple[Optional[str], Node]]:
         if depth > MAX_DEPTH:
             tok = self.peek()
             raise ParseError("nesting too deep", tok.line, tok.col)
+        children: list[tuple[Optional[str], Node]] = []
+        seen: set[str] = set()
         while True:
             tok = self.peek()
             if tok.type == T_IDENT:
                 self.next()
                 label: Optional[str] = tok.value
+                if label in seen:
+                    raise DuplicateSibling(f"duplicate sibling label {label!r}", tok.line, tok.col)
+                seen.add(label)
             elif tok.type == T_HASHNAT:
                 self.next()
-                if tok.value != len(parent.children):
+                if tok.value != len(children):
                     raise ParseError(
-                        f"positional label #{tok.value} at position {len(parent.children)}",
+                        f"positional label #{tok.value} at position {len(children)}",
                         tok.line,
                         tok.col,
                     )
                 label = None
             else:
-                return
-            if label is not None and parent.child(label) is not None:
-                raise DuplicateSibling(f"duplicate sibling label {label!r}", tok.line, tok.col)
-            node = self.body(depth)
-            parent.children.append((label, node))
+                return children
+            children.append((label, self.body(depth)))
 
     def bare_body(self, depth: int) -> Node:
         tok = self.peek()
@@ -296,10 +297,9 @@ class _Parser:
             else:
                 raise ParseError("expected operation identifier", op_tok.line, op_tok.col)
         self.expect_punct("{")
-        node = Node.set_node(op=op)
-        self.entries(node, depth + 1)
+        children = self.entries(depth + 1)
         self.expect_punct("}")
-        return node
+        return Node(SET, op=op, children=children)
 
     def path(self) -> Path:
         segs: list[Union[str, int]] = []
@@ -408,6 +408,10 @@ def _render_bare(node: Node, out: list[str]) -> None:
 
 
 def _render_entries(node: Node, depth: int, out: list[str]) -> None:
+    # Depth is numbered as in ``_Parser.entries``, so render never writes
+    # text that parse rejects as nesting too deep.
+    if depth > MAX_DEPTH:
+        raise DepthExceeded(f"tree nested deeper than {MAX_DEPTH} sets cannot be rendered")
     pad = "  " * depth
     for index, (label, child) in enumerate(node.children):
         name = label if label is not None else f"#{index}"

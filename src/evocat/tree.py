@@ -14,13 +14,18 @@ position.  The one mutation primitive is subtree replacement, implemented
 as in-place "becoming" so that views into a tree stay valid across
 transitions.  A machine state is just its root ``Node``, and a view is the
 subtree node itself, so a replacement through a view is seen outside it.
+
+This module is the only writer of a node's children: outside it
+``Node.children`` is read-only.  The writers are the constructor,
+``add_child``, ``set_child``, ``swap_children``, ``pop_child`` and
+``become``; a copy with some subtrees replaced is built by ``rebuild``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import (
     DuplicateSibling,
@@ -216,6 +221,15 @@ class Node:
             node = self.children[idx][1]
         return node
 
+    def swap_children(self, i: int, j: int) -> None:
+        """Exchange the i-th and j-th children, labels included."""
+        kids = self.children
+        kids[i], kids[j] = kids[j], kids[i]
+
+    def pop_child(self) -> "Node":
+        """Remove the last child and return its node."""
+        return self.children.pop()[1]
+
     # --- whole-node operations ---
 
     def copy(self) -> "Node":
@@ -290,6 +304,19 @@ def node_equal(a: Node, b: Node) -> bool:
     return all(
         la == lb and node_equal(ca, cb)
         for (la, ca), (lb, cb) in zip(a.children, b.children)
+    )
+
+
+def rebuild(node: Node, swap: Callable[[Node], Optional[Node]]) -> Node:
+    """A fresh copy of ``node`` in which each subtree for which ``swap``
+    returns a node is replaced by that node.  The replacement is adopted as
+    it is and not descended into; ``node`` itself is never written."""
+    new = swap(node)
+    if new is not None:
+        return new
+    return Node(
+        node.kind, value=node.value, op=node.op, ref=node.ref, var=node.var,
+        children=[(label, rebuild(child, swap)) for label, child in node.children],
     )
 
 

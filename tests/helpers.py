@@ -30,6 +30,17 @@ def setn(*children: Node, op: Optional[str] = None, labels: Optional[list] = Non
     return Node.set_node(list(zip(labels, children)), op=op)
 
 
+def node_ids(root: Node) -> set[int]:
+    """Identities of every node in a tree, for checking that two trees share
+    no nodes (both must stay alive while the sets are compared)."""
+    ids, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        ids.add(id(node))
+        stack.extend(child for _, child in node.children)
+    return ids
+
+
 # --- random value trees (no terms) -----------------------------------------
 
 

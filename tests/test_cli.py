@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path as FsPath
 
-from evocat import cli
+from evocat import cli, textio
 
 STDLIB = FsPath(__file__).resolve().parents[1] / "src" / "evocat" / "stdlib.evo"
 
@@ -49,6 +49,21 @@ outer {
   args { }
   mode = 0
   body { #0 { at = [result] to : inner { } } }
+  result = 0
+}
+"""
+
+
+NEST = """
+nest {
+  args { n = $n }
+  mode = 0
+  body {
+    #0 { at = [ip] to : if { #0 : eq { #0 = [args.n] #1 = 0 } #1 = 4 #2 = 1 } }
+    #1 { at = [result] to : pair { #0 = [result] #1 = 0 } }
+    #2 { at = [args.n] to : monus { #0 = [args.n] #1 = 1 } }
+    #3 { at = [ip] to = 0 }
+  }
   result = 0
 }
 """
@@ -101,6 +116,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "DepthExceeded" in err
         assert "Traceback" not in err
+
+    def test_too_deep_result_is_a_runtime_error(self, tmp_path, capsys):
+        program = tmp_path / "nest.evo"
+        program.write_text(NEST)
+        # n pairs nest n sets; the result's innermost entries sit at depth n - 1
+        assert cli.main(["run", str(program), "--entry", "nest", "--arg", "n=201"]) == 0
+        assert textio.parse(capsys.readouterr().out).resolve("snd").value == 0
+        assert cli.main(["run", str(program), "--entry", "nest", "--arg", "n=202"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "DepthExceeded" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.evo"

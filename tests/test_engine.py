@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from evocat import EvalContext, StateTree, TraceSink, load_stdlib, parse, render, run_entry
 from evocat.engine import (
+    Abstraction,
     formulas_from,
     instructions_from,
     match,
@@ -19,7 +20,7 @@ from evocat.engine import (
 from evocat.errors import DivisionByZero, EvalError, FuelExhausted
 from evocat.tree import Node, node_equal
 
-from helpers import LABELS, euclid, leaf, setn
+from helpers import LABELS, euclid, leaf, node_ids, setn
 
 
 def pat(src: str) -> Node:
@@ -78,12 +79,40 @@ class TestMatch:
         # substituting the bindings back reproduces the subject
         assert node_equal(substitute(rule, binding), subject)
 
+    def test_function_binding_shares_no_nodes_with_the_subject(self):
+        rule = pat("p : d { #0 : prod { #0 : $f { #0 = $x } #1 : $g { #0 = $x } } #1 = $x }")
+        x = setn(op="x")
+        subject = setn(
+            setn(setn(x.copy(), op="cos"), setn(x.copy(), op="sin"), op="prod"), x.copy(), op="d"
+        )
+        binding = match(rule, subject)
+        assert render(binding.funcs["f"].body) == ": cos {\n  #0 = $__hole__\n}\n"
+        for abstraction in binding.funcs.values():
+            assert not node_ids(abstraction.body) & node_ids(subject)
+
     def test_vacuous_abstraction(self):
         rule = pat("p : d { #0 : $f { #0 = $x } #1 = $x }")
         subject = setn(leaf(5), setn(op="x"), op="d")
         binding = match(rule, subject)
         assert binding.funcs["f"].body.kind == "leaf"
         assert node_equal(substitute(rule, binding), subject)
+
+
+class TestAbstraction:
+    def test_plug_twice_gives_fresh_equal_trees(self):
+        body = setn(Node.hole(), setn(Node.hole(), leaf(2), op="sum"), op="f")
+        before = render(body)
+        body_ids = node_ids(body)
+        abstraction = Abstraction(body)
+        argument = setn(leaf(7), op="x")
+        one = abstraction.plug(argument)
+        two = abstraction.plug(argument)
+        want = setn(argument.copy(), setn(argument.copy(), leaf(2), op="sum"), op="f")
+        assert node_equal(one, want) and node_equal(two, want)
+        assert not node_ids(one) & node_ids(two)
+        for out in (one, two):
+            assert not node_ids(out) & (body_ids | node_ids(argument))
+        assert render(body) == before and node_ids(body) == body_ids
 
 
 class TestSubstitute:

@@ -25,9 +25,10 @@ from evocat.errors import (
     PathUnresolvable,
 )
 from evocat.evaluator import evaluate
+from evocat.templates import bind_operands
 from evocat.tree import node_equal
 
-from helpers import leaf, setn
+from helpers import leaf, node_ids, setn
 
 WEEKDAY_MAIN = """
 main {
@@ -168,6 +169,18 @@ class TestCall:
         assert result.value == datetime.date(2001, 1, 1).weekday()
 
 
+class TestBindOperands:
+    def test_slots_are_copies_of_the_operands(self):
+        instance = instantiate(load_stdlib(), "gcd")
+        operands = [setn(leaf(1), leaf(2)), leaf(3)]
+        bind_operands(instance, operands)
+        args = instance.child("args")
+        assert args.labels() == ["arg1", "arg2"]
+        assert node_equal(args.child("arg1"), operands[0])
+        assert node_equal(args.child("arg2"), operands[1])
+        assert not node_ids(args) & (node_ids(operands[0]) | node_ids(operands[1]))
+
+
 class TestHeap:
     def fresh_heap(self):
         lib = load_stdlib()
@@ -200,6 +213,22 @@ class TestHeap:
         for i in range(1, len(slots)):
             parent = (i - 1) // 2
             assert slots[parent][1].value <= slots[i][1].value
+
+    def test_get_on_one_and_two_items(self):
+        heap, ctx = self.fresh_heap()
+        data = heap.child("data")
+        heap_put(heap, leaf(4), ctx)
+        assert heap_get(heap, ctx).value == 4
+        assert data.children == []
+        for order in ((2, 9), (9, 2)):
+            for v in order:
+                heap_put(heap, leaf(v), ctx)
+            assert heap_get(heap, ctx).value == 2
+            assert [child.value for _, child in data.children] == [9]
+            assert heap_get(heap, ctx).value == 9
+            assert data.children == []
+        with pytest.raises(EmptyHeap):
+            heap_get(heap, ctx)
 
     def test_get_on_empty(self):
         heap, ctx = self.fresh_heap()

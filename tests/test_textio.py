@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evocat import parse, render
-from evocat.errors import DuplicateSibling, ParseError, VariablesOutsideRules
+from evocat.errors import DepthExceeded, DuplicateSibling, ParseError, VariablesOutsideRules
 from evocat.tree import Node, Path, node_equal
 
 from helpers import gen_any_tree
@@ -47,6 +47,21 @@ class TestParse:
         with pytest.raises(DuplicateSibling):
             parse("a = 1 a = 2")
         parse("x { #0 = 1 #1 = 1 }")  # unlabeled children may repeat values
+
+    def test_duplicate_sibling_position(self):
+        cases = {
+            "a = 1\nb {\n  x = 1\n  y { }\n    x = 3\n}\n": (5, 5),
+            "a = 1\n  a { }\n": (2, 3),
+            "#0 = 1\nq = 2\n#2 = 3 q = 4": (3, 8),
+        }
+        for src, (line, col) in cases.items():
+            with pytest.raises(DuplicateSibling) as info:
+                parse(src)
+            assert (info.value.line, info.value.col) == (line, col)
+
+    def test_many_distinct_labels(self):
+        t = parse(" ".join(f"k{i} = {i}" for i in range(2000)))
+        assert len(t.children) == 2000 and t.resolve("k1999").value == 1999
 
     def test_positional_label_must_match_position(self):
         parse("s { #0 = 1 a = 2 #2 = 3 }")
@@ -113,6 +128,28 @@ class TestRender:
         for _ in range(40):
             tree = gen_any_tree(rng, depth=4)
             assert render(tree) == render(tree.copy())
+
+
+def chain(depth: int) -> Node:
+    """``a { a { ... } }``: a root holding ``depth`` nested sets."""
+    node = Node.set_node()
+    for _ in range(depth):
+        node = Node.set_node([("a", node)])
+    return node
+
+
+class TestDepth:
+    def test_deepest_renderable_chain_round_trips(self):
+        text = render(chain(200))
+        assert render(parse(text)) == text
+        assert node_equal(parse(text), chain(200))
+
+    @pytest.mark.parametrize("depth", [201, 3000])
+    def test_render_rejects_what_parse_would(self, depth):
+        with pytest.raises(DepthExceeded):
+            render(chain(depth))
+        with pytest.raises(ParseError):
+            parse("a {" * depth + "}" * depth)
 
 
 class TestRoundTrip:

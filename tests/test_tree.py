@@ -1,6 +1,8 @@
 """Addressing, replacement, and view semantics of the state tree."""
 
 import random
+import re
+from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,13 @@ from evocat.tree import (
     compose,
     meet,
     node_equal,
+    rebuild,
     replace_subtree,
     resolve,
     subtree_view,
 )
 
-from helpers import LABELS, gen_value_tree
+from helpers import LABELS, gen_value_tree, node_ids
 
 paths = st.builds(
     Path,
@@ -267,3 +270,52 @@ class TestOneTreeType:
         empty = StateTree()
         assert empty.kind == "set" and empty.op is None and empty.children == []
         assert StateTree() is not empty
+
+
+SRC = FsPath(__file__).resolve().parents[1] / "src" / "evocat"
+CHILDREN_WRITE = re.compile(
+    r"\.children(\s*=[^=]|\.(append|pop|insert|extend|remove)|\[[^]]*\]\s*=[^=])"
+)
+
+
+class TestOneWriter:
+    def test_only_tree_writes_children(self):
+        offenders = [
+            f"{path.name}:{lineno}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py"))
+            if path.name != "tree.py"
+            for lineno, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+            if CHILDREN_WRITE.search(line)
+        ]
+        assert offenders == []
+
+    def test_rebuild_replaces_and_leaves_the_source_alone(self):
+        t = T("a { b = 1 c { b = 1 } } d = 2")
+        before = render(t)
+        out = rebuild(t, lambda n: Node.leaf(9) if n.kind == "leaf" and n.value == 1 else None)
+        assert render(out) == "a {\n  b = 9\n  c {\n    b = 9\n  }\n}\nd = 2\n"
+        assert render(t) == before
+        assert not node_ids(out) & node_ids(t)
+
+    def test_rebuild_adopts_the_replacement_without_descending_into_it(self):
+        t = T("a { b = 1 }")
+        replacement = T("b = 1")
+        seen = []
+
+        def swap(n):
+            seen.append(n)
+            return replacement if n is t.resolve("a") else None
+
+        out = rebuild(t, swap)
+        assert out.resolve("a") is replacement
+        assert seen == [t, t.resolve("a")]
+        assert rebuild(t, lambda n: replacement) is replacement
+
+    def test_swap_and_pop_children(self):
+        t = T("a = 1 b = 2 c = 3")
+        t.swap_children(0, 2)
+        assert t.labels() == ["c", "b", "a"]
+        t.swap_children(1, 1)
+        assert t.labels() == ["c", "b", "a"]
+        assert t.pop_child().value == 1
+        assert t.labels() == ["c", "b"]
