@@ -139,7 +139,7 @@ def select(m: Node, predicate: Node, ctx) -> Node:
     for label, child in m.children:
         # the predicate's one variable, if any, is every VAR node in it
         pred = rebuild(predicate, lambda n: child.copy() if n.kind == VAR else None)
-        with ctx.scopes_pushed([child]):
+        with ctx.scoped([child] + ctx.scopes):
             result = evaluate(pred, ctx)
         if _bool(result, "select predicate"):
             kept.append((label, child.copy()))

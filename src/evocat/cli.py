@@ -47,6 +47,15 @@ def _positive(text: str) -> int:
     return value
 
 
+def _clock_spec(text: str) -> tuple[int, int]:
+    """``START[:STEP]``, both naturals; STEP defaults to 1."""
+    start, _, step = text.partition(":")
+    parts = (start, step or "1")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise argparse.ArgumentTypeError(f"expected START[:STEP] in naturals, got {text!r}")
+    return int(parts[0]), int(parts[1])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evocat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dump", metavar="FILE", help="write the final state ('-' = stdout)")
         p.add_argument(
             "--scripted-clock",
+            type=_clock_spec,
             metavar="START[:STEP]",
             help="deterministic clock instead of wall time",
         )
@@ -83,8 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not valid UTF-8 at byte {err.start} of {path}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")  # as a text-mode read
 
 
 def _parse_arg_value(text: str) -> Node:
@@ -107,10 +122,7 @@ def _load_machine(args) -> Node:
 
 
 def _make_devices(args) -> DeviceTable:
-    clock = None
-    if args.scripted_clock is not None:
-        start, _, step = args.scripted_clock.partition(":")
-        clock = scripted_clock(int(start), int(step) if step else 1)
+    clock = scripted_clock(*args.scripted_clock) if args.scripted_clock is not None else None
     return DeviceTable.standard(clock=clock, stdin=sys.stdin, stdout=sys.stdout)
 
 

@@ -1,11 +1,14 @@
 """Devices: the machine's boundary to its environment.
 
-A device is mounted at a reserved path (``dev.clock``, ``dev.stdin``,
-``dev.stdout``).  Reads and writes addressed to a mount are intercepted
-before the tree is touched: an input device produces a fresh value on
-every access (never memoized), an output device turns the written value
-into an effect.  The table is injected at machine construction, so tests
-run against scripted fakes and stay deterministic.
+A device is mounted at a reserved address (``dev.clock``, ``dev.stdin``,
+``dev.stdout``).  The table is keyed by ``Path``; ``mount``,
+``read_device`` and ``write_device`` also accept the dotted text of an
+address.  Reads and writes addressed to a mount are intercepted before the
+tree is touched: an input device produces a fresh value on every access
+(never memoized), an output device turns the written value into an effect.
+``DeviceTable.lookup`` is the one place that checks a mount's direction.
+The table is injected at machine construction, so tests run against
+scripted fakes and stay deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .errors import EndOfInput, NotEncodable, UnboundDevice
 from .textio import decode_text, encode_text
-from .tree import LEAF, SET, Node, Path
+from .tree import LEAF, SET, Node, Path, _as_path
 
 IN = "in"
 OUT = "out"
@@ -110,18 +113,23 @@ class DeviceTable:
     """Immutable-after-construction map from mount path to device."""
 
     def __init__(self):
-        self._mounts: dict[str, Device] = {}
+        self._mounts: dict[Path, Device] = {}
 
     def mount(self, path: Union[Path, str], device: Device) -> "DeviceTable":
-        key = str(path) if isinstance(path, Path) else path
-        if any(k == key or k.startswith(key + ".") or key.startswith(k + ".") for k in self._mounts):
-            raise UnboundDevice(f"overlapping mount {key}")
-        self._mounts[key] = device
+        path = _as_path(path)
+        if any(k.is_prefix_of(path) or path.is_prefix_of(k) for k in self._mounts):
+            raise UnboundDevice(f"overlapping mount {path}")
+        self._mounts[path] = device
         return self
 
-    def lookup(self, path: Union[Path, str]) -> Optional[Device]:
-        key = str(path) if isinstance(path, Path) else path
-        return self._mounts.get(key)
+    def lookup(self, path: Path, direction: str) -> Optional[Device]:
+        """The device mounted at ``path``, or None when there is none; a
+        mount of the other direction (IN or OUT) is an UnboundDevice."""
+        device = self._mounts.get(path)
+        if device is not None and device.direction != direction:
+            verb = "read from output" if direction == IN else "write to input"
+            raise UnboundDevice(f"cannot {verb} device at {path}")
+        return device
 
     @classmethod
     def standard(
@@ -153,14 +161,14 @@ class CollectingOutput:
 
 
 def read_device(table: DeviceTable, mount: Union[Path, str]) -> Node:
-    device = table.lookup(mount)
-    if device is None or device.direction != IN:
+    device = table.lookup(_as_path(mount), IN)
+    if device is None:
         raise UnboundDevice(f"no input device at {mount}")
     return device.read()
 
 
 def write_device(table: DeviceTable, mount: Union[Path, str], value: Node) -> None:
-    device = table.lookup(mount)
-    if device is None or device.direction != OUT:
+    device = table.lookup(_as_path(mount), OUT)
+    if device is None:
         raise UnboundDevice(f"no output device at {mount}")
     device.write(value)

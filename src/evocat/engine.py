@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .devices import OUT
 from .errors import EvalError, EvoError, UnboundVariable
 from .evaluator import (
     DEFAULT_FUEL,
@@ -285,7 +286,7 @@ def run_sequential(
         if index >= len(program):
             break
         inst = program[index]
-        ctx.emit("seq", index, str(inst.at))
+        ctx.emit("seq", index, inst.at)
         try:
             ctx.spend()
             ctx.count("instruction")
@@ -301,15 +302,12 @@ def run_sequential(
 
 
 def _apply_write(root: Node, at: Path, value: Node, ctx: EvalContext) -> None:
-    if ctx.devices is not None:
-        device = ctx.devices.lookup(str(at))
-        if device is not None:
-            from .devices import write_device
-
-            write_device(ctx.devices, at, value)
-            ctx.count("device_write")
-            return
-    replace_subtree(root, at, value)
+    device = ctx.devices.lookup(at, OUT) if ctx.devices is not None else None
+    if device is None:
+        replace_subtree(root, at, value)
+    else:
+        device.write(value)
+        ctx.count("device_write")
 
 
 # --- rewriting ------------------------------------------------------------------
@@ -353,7 +351,7 @@ def run_rewrite(
             break
         for node, path, binding in hits:
             replacement = substitute(fired.rhs, binding)
-            ctx.emit("rew", fired.index + 1, str(path))
+            ctx.emit("rew", fired.index + 1, path)
             ctx.spend()
             ctx.count("firing")
             node.become(replacement)

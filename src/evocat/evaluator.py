@@ -9,8 +9,11 @@ detached node evaluates without touching any tree.
 
 References resolve through a scope chain, innermost context first and the
 machine root last, which is also how function identifiers find their
-templates.  A shared fuel budget bounds every run; a set of in-progress
-paths turns reference cycles into errors instead of hangs.
+templates.  Every address here is a ``Path``: a device read is one
+``DeviceTable.lookup``, the cycle guard keys on the path itself, and the
+trace turns a path into text only when it writes or stores an event.  A
+shared fuel budget bounds every run; a set of in-progress paths turns
+reference cycles into errors instead of hangs.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from contextlib import contextmanager
 from typing import Optional
 
 from . import algebra
+from .devices import IN
 from .errors import (
     CyclicReference,
     EvalError,
     FuelExhausted,
     PathUnresolvable,
-    UnboundDevice,
     UnboundVariable,
     UnknownOperation,
 )
@@ -55,7 +58,8 @@ class TraceSink:
 
     A line is ``<step> <mode> <index> <path>``: a global step counter, the
     engine mode (``seq``/``rew``), the instruction index (0-based) or
-    formula index (1-based), and the target path.
+    formula index (1-based), and the target path.  ``emit`` takes the
+    path as a ``Path``; it is formatted only for the line or the event.
     """
 
     def __init__(self, stream=None):
@@ -63,11 +67,11 @@ class TraceSink:
         self.stream = stream
         self.steps = 0
 
-    def emit(self, mode: str, index: int, path: str) -> None:
+    def emit(self, mode: str, index: int, path: Path) -> None:
         step = self.steps
         self.steps += 1
         if self.stream is None:
-            self.events.append((step, mode, index, path))
+            self.events.append((step, mode, index, str(path)))
         else:
             self.stream.write(f"{step} {mode} {index} {path}\n")
 
@@ -104,7 +108,7 @@ class EvalContext:
         self.trace = trace
         self.strict = strict
         self.stats: Counter = Counter()
-        self.in_progress: set[tuple[int, str]] = set()
+        self.in_progress: set[tuple[int, Path]] = set()
 
     def spend(self, n: int = 1) -> None:
         if self.fuel < n:
@@ -114,23 +118,16 @@ class EvalContext:
     def count(self, key: str, n: int = 1) -> None:
         self.stats[key] += n
 
-    def emit(self, mode: str, index: int, path: str) -> None:
+    def emit(self, mode: str, index: int, path: Path) -> None:
         if self.trace is not None:
             self.trace.emit(mode, index, path)
 
     @contextmanager
-    def using_scopes(self, scopes: list[Node]):
+    def scoped(self, scopes: list[Node]):
+        """Resolve references through ``scopes`` until the block ends; push
+        a scope with ``ctx.scoped([inner] + ctx.scopes)``."""
         saved = self.scopes
         self.scopes = scopes
-        try:
-            yield self
-        finally:
-            self.scopes = saved
-
-    @contextmanager
-    def scopes_pushed(self, inner: list[Node]):
-        saved = self.scopes
-        self.scopes = inner + self.scopes
         try:
             yield self
         finally:
@@ -197,11 +194,9 @@ def is_value(node: Node) -> bool:
 def _device_read(ctx: EvalContext, path: Path) -> Optional[Node]:
     if ctx.devices is None:
         return None
-    device = ctx.devices.lookup(str(path))
+    device = ctx.devices.lookup(path, IN)
     if device is None:
         return None
-    if device.direction != "in":
-        raise UnboundDevice(f"cannot read from output device at {path}")
     ctx.count("device_read")
     return device.read()
 
@@ -214,13 +209,13 @@ def _force_at(scope_stack: list[Node], path: Path, ctx: EvalContext) -> Optional
     if chain is None:
         return None
     target = chain[-1]
-    key = (id(scope_stack[0]), str(path))
+    key = (id(scope_stack[0]), path)
     if key in ctx.in_progress:
         raise CyclicReference(f"reference cycle through {path}")
     ctx.in_progress.add(key)
     try:
         enclosing = list(reversed(chain[:-1])) + list(scope_stack)
-        with ctx.using_scopes(enclosing):
+        with ctx.scoped(enclosing):
             if is_function_instance(target) and instance_args_ready(target) is None:
                 from .templates import call
 
@@ -246,7 +241,7 @@ def tree_data_of(root: Node, at: Path, ctx: Optional[EvalContext] = None) -> Nod
         stack = [root] + list(ctx.scopes)
     target = _force_at(stack, at, ctx)
     if target is None:
-        raise PathUnresolvable(str(at))
+        raise PathUnresolvable(f"no node at {at}")
     return target
 
 
@@ -260,7 +255,7 @@ def deref(path: Path, ctx: EvalContext) -> Node:
         target = _force_at(ctx.scopes[i:], path, ctx)
         if target is not None:
             return target.copy()
-    raise PathUnresolvable(str(path))
+    raise PathUnresolvable(f"no node at {path}")
 
 
 # --- the evaluator ----------------------------------------------------------

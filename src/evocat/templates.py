@@ -38,7 +38,7 @@ from .evaluator import (
     instance_args_ready,
     is_function_instance,
 )
-from .tree import LEAF, SET, Node, Path, resolve
+from .tree import LEAF, SET, Node, Path, _as_path, resolve
 
 from . import textio
 
@@ -46,11 +46,10 @@ from . import textio
 def instantiate(root: Node, path: Union[Path, str]) -> Node:
     """Deep-copy the template subtree at ``path``; the copy is detached and
     later writes to it never touch the template."""
-    if isinstance(path, str):
-        path = Path.parse(path)
+    path = _as_path(path)
     node = resolve(root, path)
     if node is None:
-        raise PathUnresolvable(str(path))
+        raise PathUnresolvable(f"no node at {path}")
     if node.kind != SET:
         raise NotASet(f"{path} is not a template set node")
     return node.copy()
@@ -104,7 +103,7 @@ def call(instance: Node, ctx: EvalContext) -> Node:
         raise MissingArgument(f"argument slot {unfilled!r} is still empty")
     ctx.spend()
     mode = instance.child("mode").value
-    with ctx.scopes_pushed([instance]):
+    with ctx.scoped([instance] + ctx.scopes):
         if mode == MODE_SEQUENTIAL:
             run_sequential(instance.child("body"), instance, ctx)
         else:
@@ -134,7 +133,7 @@ def run_entry(
     try:
         if ctx.scopes and ctx.scopes[0] is root:
             return call(instance, ctx)
-        with ctx.scopes_pushed([root]):
+        with ctx.scoped([root] + ctx.scopes):
             return call(instance, ctx)
     except RecursionError:
         raise DepthExceeded(f"{entry} nested too deep for the interpreter stack") from None

@@ -27,6 +27,7 @@ printable code point.  Equal trees render to identical text.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -45,6 +46,10 @@ T_PUNCT = "punct"  # one of { } [ ] : = .
 T_EOF = "eof"
 
 _PUNCT = "{}[]:=."
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
+# ASCII only, as in the grammar: str.isdigit would also take '²' and '٣'
+_DIGITS = re.compile(r"[0-9]*")
+_IDENT_REST = re.compile(r"[A-Za-z0-9_]*")
 
 
 @dataclass
@@ -59,112 +64,83 @@ def _is_ident_start(c: str) -> bool:
     return c.isascii() and (c.isalpha() or c == "_")
 
 
-def _is_ident_rest(c: str) -> bool:
-    return c.isascii() and (c.isalnum() or c == "_")
-
-
 def tokenize(src: str) -> list[Token]:
+    # Columns are 1-based offsets from the start of the current line.
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
+    i, line, line_start = 0, 1, 0
     n = len(src)
-
-    def err(msg: str, l: int, c: int) -> ParseError:
-        return ParseError(msg, l, c)
 
     while i < n:
         c = src[i]
         if c == "\n":
             i += 1
             line += 1
-            col = 1
+            line_start = i
             continue
         if c.isspace():
             i += 1
-            col += 1
             continue
         if c == "/" and i + 1 < n and src[i + 1] == "/":
             while i < n and src[i] != "\n":
                 i += 1
             continue
-        start_line, start_col = line, col
+        col = i - line_start + 1
         if c in _PUNCT:
             tokens.append(Token(T_PUNCT, c, line, col))
             i += 1
-            col += 1
             continue
         if c == "#":
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
+            j = _DIGITS.match(src, i + 1).end()
             if j == i + 1:
-                raise err("'#' must be followed by digits", line, col)
-            tokens.append(Token(T_HASHNAT, _to_nat(src[i + 1 : j], start_line, start_col), line, col))
-            col += j - i
+                raise ParseError("'#' must be followed by digits", line, col)
+            tokens.append(Token(T_HASHNAT, _to_nat(src[i + 1 : j], line, col), line, col))
             i = j
             continue
         if c == "$":
-            j = i + 1
-            if j >= n or not _is_ident_start(src[j]):
-                raise err("'$' must be followed by an identifier", line, col)
-            while j < n and _is_ident_rest(src[j]):
-                j += 1
+            if i + 1 >= n or not _is_ident_start(src[i + 1]):
+                raise ParseError("'$' must be followed by an identifier", line, col)
+            j = _IDENT_REST.match(src, i + 1).end()
             tokens.append(Token(T_VAR, src[i + 1 : j], line, col))
-            col += j - i
             i = j
             continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(Token(T_NAT, _to_nat(src[i:j], start_line, start_col), line, col))
-            col += j - i
+        if "0" <= c <= "9":
+            j = _DIGITS.match(src, i).end()
+            tokens.append(Token(T_NAT, _to_nat(src[i:j], line, col), line, col))
             i = j
             continue
         if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_rest(src[j]):
-                j += 1
+            j = _IDENT_REST.match(src, i).end()
             tokens.append(Token(T_IDENT, src[i:j], line, col))
-            col += j - i
             i = j
             continue
         if c == '"':
             chars: list[str] = []
             j = i + 1
-            col += 1
             while True:
                 if j >= n:
-                    raise err("unterminated string", start_line, start_col)
+                    raise ParseError("unterminated string", line, col)
                 ch = src[j]
                 if ch == "\n":
-                    raise err("newline in string (use \\n)", line, col)
+                    raise ParseError("newline in string (use \\n)", line, j - line_start + 1)
                 if ch == '"':
                     j += 1
-                    col += 1
                     break
                 if ch == "\\":
                     if j + 1 >= n:
-                        raise err("unterminated escape", line, col)
-                    esc = src[j + 1]
-                    if esc == '"':
-                        chars.append('"')
-                    elif esc == "\\":
-                        chars.append("\\")
-                    elif esc == "n":
-                        chars.append("\n")
-                    else:
-                        raise err(f"unknown escape \\{esc}", line, col)
+                        raise ParseError("unterminated escape", line, j - line_start + 1)
+                    esc = _ESCAPES.get(src[j + 1])
+                    if esc is None:
+                        raise ParseError(f"unknown escape \\{src[j + 1]}", line, j - line_start + 1)
+                    chars.append(esc)
                     j += 2
-                    col += 2
                     continue
                 chars.append(ch)
                 j += 1
-                col += 1
-            tokens.append(Token(T_STRING, "".join(chars), start_line, start_col))
+            tokens.append(Token(T_STRING, "".join(chars), line, col))
             i = j
             continue
-        raise err(f"unexpected character {c!r}", line, col)
-    tokens.append(Token(T_EOF, None, line, col))
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(Token(T_EOF, None, line, i - line_start + 1))
     return tokens
 
 

@@ -10,7 +10,9 @@ function-variable abstraction and never appears in files.
 Addressing follows the usual path discipline: the empty path is the
 identity, composition is concatenation, a label segment selects the child
 with that label and an ordinal segment ``#k`` selects the k-th child by
-position.  The one mutation primitive is subtree replacement, implemented
+position.  Every address below the text boundary is a ``Path``; entry
+points that also accept dotted text such as ``"a.#1"`` convert it with
+``_as_path``.  The one mutation primitive is subtree replacement, implemented
 as in-place "becoming" so that views into a tree stay valid across
 transitions.  A machine state is just its root ``Node``, and a view is the
 subtree node itself, so a replacement through a view is seen outside it.
@@ -43,7 +45,7 @@ VAR = "var"
 HOLE = "hole"
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_ORDINAL_RE = re.compile(r"#(\d+)\Z")
+_ORDINAL_RE = re.compile(r"#([0-9]+)\Z")
 
 Segment = Union[str, int]
 
@@ -171,9 +173,7 @@ class Node:
 
     @classmethod
     def ref_node(cls, path: Union[Path, str]) -> "Node":
-        if isinstance(path, str):
-            path = Path.parse(path)
-        return cls(REF, ref=path)
+        return cls(REF, ref=_as_path(path))
 
     @classmethod
     def var_node(cls, name: str) -> "Node":
@@ -322,17 +322,10 @@ def rebuild(node: Node, swap: Callable[[Node], Optional[Node]]) -> Node:
 
 def resolve(context: Node, path: Path) -> Optional[Node]:
     """Follow ``path`` from ``context``; None when any step fails."""
-    node = context
-    for seg in path:
-        if node.kind != SET:
-            return None
-        if isinstance(seg, int):
-            node = node.child_at(seg)
-        else:
-            node = node.child(seg)
-        if node is None:
-            return None
-    return node
+    chain = resolve_chain(context, path)
+    if chain is None:
+        return None
+    return chain[-1] if chain else context
 
 
 def resolve_chain(context: Node, path: Path) -> Optional[list[Node]]:
@@ -355,6 +348,8 @@ def StateTree(root: Optional[Node] = None) -> Node:
 
 
 def _as_path(path: Union[Path, str]) -> Path:
+    """A ``Path``, or the dotted text of one parsed: the one conversion
+    behind every entry point that accepts an address as text."""
     return Path.parse(path) if isinstance(path, str) else path
 
 
@@ -401,7 +396,7 @@ def subtree_view(root: Node, at: Path) -> Node:
     """A machine rooted at the subtree; shares structure with ``root``."""
     node = resolve(root, at)
     if node is None:
-        raise PathUnresolvable(str(at))
+        raise PathUnresolvable(f"no node at {at}")
     if node.kind != SET:
         raise NotASet(f"{at} is not a set node")
     return node

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path as FsPath
 
+import pytest
+
 from evocat import cli, textio
 
 STDLIB = FsPath(__file__).resolve().parents[1] / "src" / "evocat" / "stdlib.evo"
@@ -213,6 +215,37 @@ class TestFmtCheck:
         bad = tmp_path / "bad.evo"
         bad.write_text("{{{")
         assert evocat("check", str(bad)).returncode == 1
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("spec", ["abc", "5:x", "-3", "5:-10"])
+    def test_scripted_clock_takes_naturals_only(self, spec, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", str(STDLIB), "--entry", "gcd", "--scripted-clock", spec])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("usage:") == 1 and "--scripted-clock" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_non_utf8_program_is_a_load_error(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.evo"
+        bad.write_bytes(b'a = 1\nb = "\xff"\n')
+        state = ["--state", str(bad)] if command == "trace" else []
+        program = str(STDLIB) if command == "trace" else str(bad)
+        assert cli.main([command, *state, program, "--entry", "a"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evocat: load error:")
+        assert "byte 11" in err and str(bad) in err
+
+    @pytest.mark.parametrize("command", ["fmt", "check"])
+    def test_non_utf8_file_is_a_parse_error(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.evo"
+        bad.write_bytes(b"a = 1 // \xc3\n")
+        assert cli.main([command, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"evocat: {bad}: ") and "byte 9" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestDeterminism:

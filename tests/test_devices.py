@@ -1,5 +1,7 @@
 """Device table behavior: reads, writes, directions, determinism."""
 
+import re
+
 import pytest
 
 from evocat import (
@@ -14,8 +16,9 @@ from evocat import (
     scripted_clock,
     write_device,
 )
-from evocat.devices import ClockDevice
+from evocat.devices import IN, OUT, ClockDevice
 from evocat.errors import EndOfInput, NotEncodable, UnboundDevice
+from evocat.tree import Path
 from helpers import leaf
 
 
@@ -120,3 +123,47 @@ class TestMachineIntegration:
         t.mount("dev.a", ClockDevice(scripted_clock(0)))
         with pytest.raises(UnboundDevice):
             t.mount("dev.a.b", ClockDevice(scripted_clock(0)))
+
+
+class TestMounts:
+    def test_path_and_text_mounts_are_equivalent(self):
+        by_path, by_text = DeviceTable(), DeviceTable()
+        device = ClockDevice(scripted_clock(0))
+        by_path.mount(Path.of("dev", "a"), device)
+        by_text.mount("dev.a", device)
+        for t in (by_path, by_text):
+            assert t.lookup(Path.parse("dev.a"), IN) is device
+            assert t.lookup(Path.parse("dev.b"), IN) is None
+            with pytest.raises(UnboundDevice):
+                t.mount("dev.a", device)
+            with pytest.raises(UnboundDevice):
+                t.mount(Path.of("dev", "a", "b"), device)
+
+    def test_overlap_is_by_segment_not_by_text(self):
+        t = DeviceTable().mount("dev.a", ClockDevice(scripted_clock(0)))
+        t.mount("dev.ab", ClockDevice(scripted_clock(0)))
+        for nested in ("dev.a.b", "dev", "dev.ab.c"):
+            with pytest.raises(UnboundDevice, match="overlapping"):
+                t.mount(nested, ClockDevice(scripted_clock(0)))
+
+    def test_lookup_checks_the_direction(self):
+        t, _ = table()
+        stdout = Path.parse("dev.stdout")
+        assert t.lookup(stdout, OUT) is not None
+        with pytest.raises(UnboundDevice, match="dev.stdout"):
+            t.lookup(stdout, IN)
+
+    @pytest.mark.parametrize(
+        "instruction, path",
+        [
+            ("{ at = [x] to = [dev.stdout] }", "dev.stdout"),
+            ("{ at = [dev.stdin] to = 1 }", "dev.stdin"),
+        ],
+    )
+    def test_program_using_a_mount_backwards(self, instruction, path):
+        t, out = table()
+        machine = StateTree()
+        body = parse(f"b {{ #0 {instruction} }}").resolve("b")
+        with pytest.raises(UnboundDevice, match=re.escape(path)):
+            run_sequential(body, machine, EvalContext(machine, devices=t))
+        assert out.lines == [] and machine.labels() == ["ip"]

@@ -257,6 +257,16 @@ class TestSequential:
         steps = [int(line.split()[0]) for line in stream.getvalue().splitlines()]
         assert steps and steps == list(range(len(steps)))
 
+    def test_events_hold_text_and_match_the_stream(self):
+        lib = load_stdlib()
+        args = {"arg1": leaf(12), "arg2": leaf(8)}
+        collected, stream = TraceSink(), io.StringIO()
+        for sink in (collected, TraceSink(stream)):
+            assert run_entry(lib, "gcd", args, EvalContext(lib, trace=sink)).value == 4
+        assert collected.events and all(type(e[3]) is str for e in collected.events)
+        lines = [" ".join(map(str, e)) for e in collected.events]
+        assert stream.getvalue() == "".join(line + "\n" for line in lines)
+
 
 class TestRewrite:
     def goal_frame(self, a, b):

@@ -11,8 +11,8 @@ from evocat.errors import (
     PathUnresolvable,
     UnknownOperation,
 )
-from evocat.evaluator import evaluate, is_value
-from evocat.tree import Node, node_equal
+from evocat.evaluator import deref, evaluate, is_value
+from evocat.tree import Node, Path, node_equal
 
 from helpers import expr_oracle, gen_expr
 
@@ -118,6 +118,17 @@ class TestReferences:
             t.data_of("missing.path")
         with pytest.raises(PathUnresolvable):
             t.data_of("x")
+
+    def test_scoped_pushes_and_restores(self):
+        root, inner = parse("a = 1 b = 3"), parse("a = 2")
+        ctx = EvalContext(root)
+        with pytest.raises(PathUnresolvable):
+            with ctx.scoped([inner] + ctx.scopes):
+                assert deref(Path.parse("a"), ctx).value == 2
+                assert deref(Path.parse("b"), ctx).value == 3
+                deref(Path.parse("c"), ctx)
+        assert ctx.scopes == [root]
+        assert deref(Path.parse("a"), ctx).value == 1
 
 
 class TestFuel:

@@ -99,6 +99,40 @@ class TestParse:
             parse(src)
 
 
+class TestLexicalPositions:
+    """Each lexical error reports the line and column (both 1-based) of the
+    character at fault; a string's own errors point inside it."""
+
+    @pytest.mark.parametrize(
+        "src, line, col, message",
+        [
+            ("a = 1\nb = #x", 2, 5, "'#' must be followed by digits"),
+            ("a {\n  b = $ }", 2, 7, "'$' must be followed by an identifier"),
+            ('a = 1 b = "abc', 1, 11, "unterminated string"),
+            ('a = "ab\ncd"', 1, 8, "newline in string"),
+            ('a = "ab\\', 1, 8, "unterminated escape"),
+            ('x {\n  y = "a\\tb"\n}', 2, 9, "unknown escape \\t"),
+            ("a = 1\n\t b = @", 2, 7, "unexpected character '@'"),
+            ("a = // c", 1, 9, "expected a value"),
+            ("a {\n b = 1 // c\n c = // d", 3, 10, "expected a value"),
+        ],
+    )
+    def test_error_position(self, src, line, col, message):
+        with pytest.raises(ParseError) as info:
+            parse(src)
+        assert (info.value.line, info.value.col) == (line, col)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+    def test_only_ascii_digits_are_naturals(self, digit):
+        with pytest.raises(ParseError) as info:
+            parse(f"x = {digit}")
+        assert (info.value.line, info.value.col) == (1, 5)
+        assert "unexpected character" in str(info.value)
+        with pytest.raises(ParseError):
+            Path.parse(f"a.#{digit}")
+
+
 class TestRender:
     def test_leaf_only_tree_has_no_braces(self):
         assert render(parse("5")) == "5\n"
