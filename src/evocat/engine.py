@@ -13,6 +13,15 @@ may hold a function variable ``$f`` applied to one previously bound
 variable, the decidable fragment of second-order matching.  ``$f`` binds
 to the matched subtree with every occurrence of the argument's value
 replaced by a hole.
+
+The match scan is indexed by the root symbol of each lhs (root-symbol
+discrimination, as in McCune's term indexing).  ``formulas_from`` gives a
+formula the key of its lhs root: the node kind, and for a set also its
+operation and arity.  A variable or ``$f`` root has no key and admits any
+subject.  The scan calls ``match`` only on nodes whose root agrees with
+the key, so only those allocate a ``Binding``, and it builds a ``Path``
+only for a hit.  Patterns are checked when the rules load, so the nodes
+the scan skips cannot change which error a run raises.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from .tree import (
     VAR,
     Node,
     Path,
+    Segment,
     node_equal,
     rebuild,
     replace_subtree,
@@ -78,6 +88,9 @@ class Formula:
     lhs: Node
     rhs: Node
     index: int  # 0-based position in the rule list
+    # what a subject's root must agree with to match: (kind, op, arity),
+    # op and arity compared for a set only; None when any subject may match
+    key: Optional[tuple[str, Optional[str], int]]
 
 
 # --- matching ----------------------------------------------------------------
@@ -192,7 +205,8 @@ def instructions_from(body: Node) -> list[Instruction]:
 def formulas_from(rules: Node) -> list[Formula]:
     """Read ``{ lhs ... rhs ... }`` entries out of a rules node and check
     them: rhs variables must occur in the lhs, function variables take one
-    argument, and that argument must be bound first-order elsewhere."""
+    argument (in the lhs, a variable bound first-order elsewhere), and no
+    hole appears on either side.  Each formula carries its lhs root key."""
     formulas: list[Formula] = []
     for index, (_, node) in enumerate(rules.children):
         if node.kind != SET:
@@ -202,33 +216,50 @@ def formulas_from(rules: Node) -> list[Formula]:
         if lhs is None or rhs is None:
             raise EvalError(f"formula #{index} must have 'lhs' and 'rhs'")
         _validate_formula(lhs, rhs, index)
-        formulas.append(Formula(lhs, rhs, index))
+        formulas.append(Formula(lhs, rhs, index, _root_key(lhs)))
     return formulas
 
 
-def _collect_vars(node: Node, first_order: set, funcs: set, fn_args: set) -> None:
+def _root_key(lhs: Node) -> Optional[tuple[str, Optional[str], int]]:
+    if lhs.kind == VAR or (lhs.op is not None and lhs.op.startswith("$")):
+        return None
+    return (lhs.kind, lhs.op, len(lhs.children))
+
+
+def _collect_vars(
+    node: Node, index: int, side: str, first_order: set, funcs: set, fn_args: set
+) -> None:
     if node.kind == VAR:
         first_order.add(node.var)
         return
+    if node.kind == HOLE:
+        raise EvalError(f"formula #{index}: hole nodes cannot appear in the {side}")
     if node.kind != SET:
         return
     if node.op is not None and node.op.startswith("$"):
+        # a pattern applies $f to a variable; a template to any one term
+        argument = node.children[0][1] if len(node.children) == 1 else None
+        if argument is None or (side == "lhs" and argument.kind != VAR):
+            want = "variable" if side == "lhs" else "argument"
+            raise EvalError(
+                f"formula #{index}: function variable {node.op} in the {side} "
+                f"must be applied to exactly one {want}"
+            )
         funcs.add(node.op[1:])
-        for _, child in node.children:
-            if child.kind == VAR:
-                fn_args.add(child.var)
-            else:
-                _collect_vars(child, first_order, funcs, fn_args)
+        if argument.kind == VAR:
+            fn_args.add(argument.var)
+        else:
+            _collect_vars(argument, index, side, first_order, funcs, fn_args)
         return
     for _, child in node.children:
-        _collect_vars(child, first_order, funcs, fn_args)
+        _collect_vars(child, index, side, first_order, funcs, fn_args)
 
 
 def _validate_formula(lhs: Node, rhs: Node, index: int) -> None:
     lhs_vars: set[str] = set()
     lhs_funcs: set[str] = set()
     lhs_fn_args: set[str] = set()
-    _collect_vars(lhs, lhs_vars, lhs_funcs, lhs_fn_args)
+    _collect_vars(lhs, index, "lhs", lhs_vars, lhs_funcs, lhs_fn_args)
     missing = lhs_fn_args - lhs_vars
     if missing:
         raise EvalError(
@@ -238,7 +269,7 @@ def _validate_formula(lhs: Node, rhs: Node, index: int) -> None:
     rhs_vars: set[str] = set()
     rhs_funcs: set[str] = set()
     rhs_fn_args: set[str] = set()
-    _collect_vars(rhs, rhs_vars, rhs_funcs, rhs_fn_args)
+    _collect_vars(rhs, index, "rhs", rhs_vars, rhs_funcs, rhs_fn_args)
     free = (rhs_vars | rhs_fn_args) - lhs_vars - lhs_fn_args
     if free:
         raise EvalError(f"formula #{index}: rhs variables {sorted(free)} not bound by lhs")
@@ -342,8 +373,7 @@ def run_rewrite(
             for index, (label, child) in enumerate(frame.children):
                 if label in RESERVED_FRAME_LABELS:
                     continue
-                seg = label if label is not None else index
-                _collect_matches(formula.lhs, child, Path.of(seg), hits)
+                _collect_matches(formula, child, [label if label is not None else index], hits)
             if hits:
                 fired = formula
                 break
@@ -359,14 +389,29 @@ def run_rewrite(
 
 
 def _collect_matches(
-    lhs: Node, node: Node, path: Path, hits: list[tuple[Node, Path, Binding]]
+    formula: Formula, node: Node, segs: list[Segment], hits: list[tuple[Node, Path, Binding]]
 ) -> None:
-    binding = match(lhs, node)
-    if binding is not None:
-        hits.append((node, path, binding))
-        return
-    if node.kind != SET or is_function_instance(node):
+    """Append ``formula``'s outermost matches under ``node``, in preorder.
+
+    ``segs`` is the path of ``node`` as a segment list, extended and
+    shrunk in place; a ``Path`` is built only for a hit.  A node whose
+    root disagrees with the formula's root key cannot match, so ``match``
+    runs only on the nodes that agree."""
+    key = formula.key
+    if key is None or (
+        node.kind == key[0]
+        and (key[0] != SET or (node.op == key[1] and len(node.children) == key[2]))
+    ):
+        binding = match(formula.lhs, node)
+        if binding is not None:
+            hits.append((node, Path(tuple(segs)), binding))
+            return
+    # only an op-less set can be a function instance; the scan stops there
+    if node.kind != SET or (node.op is None and is_function_instance(node)):
         return
     for index, (label, child) in enumerate(node.children):
-        seg = label if label is not None else index
-        _collect_matches(lhs, child, path.child(seg), hits)
+        # a child that is not a set is visited only when it may match
+        if child.kind == SET or key is None or child.kind == key[0]:
+            segs.append(label if label is not None else index)
+            _collect_matches(formula, child, segs, hits)
+            segs.pop()

@@ -153,6 +153,31 @@ class TestMounts:
         with pytest.raises(UnboundDevice, match="dev.stdout"):
             t.lookup(stdout, IN)
 
+    def test_lookup_of_unmounted_paths(self):
+        t, _ = table()
+        for text in ("x", "x.y", "#0", "dev", "dev.other", "dev.clock.x", "."):
+            assert t.lookup(Path.parse(text), IN) is None
+            assert t.lookup(Path.parse(text), OUT) is None
+        device = ClockDevice(scripted_clock(0))
+        whole = DeviceTable().mount(Path(), device)
+        assert whole.lookup(Path(), IN) is device
+        assert whole.lookup(Path.parse("x"), IN) is None
+
+    def test_non_device_addresses_resolve_in_the_tree(self):
+        t, out = table()
+        machine = parse("dev { other = 3 }")
+        body = parse(
+            """b {
+              #0 { at = [x] to = [dev.other] }
+              #1 { at = [dev.other] to = 4 }
+              #2 { at = [y] to : sum { #0 = [x] #1 = [dev.other] } }
+              #3 { at = [dev.stdout] to = [y] }
+            }"""
+        ).resolve("b")
+        run_sequential(body, machine, EvalContext(machine, devices=t))
+        assert render(machine) == "dev {\n  other = 4\n}\nip = 4\nx = 3\ny = 7\n"
+        assert out.lines == ["7"]
+
     @pytest.mark.parametrize(
         "instruction, path",
         [

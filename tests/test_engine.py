@@ -188,6 +188,38 @@ class TestValidation:
         with pytest.raises(EvalError):
             formulas_from(rules)
 
+    @staticmethod
+    def load_and_run(rules):
+        """Rules are checked when they load: the run raises before any
+        subject could reach the faulty formula."""
+        frame = Node.set_node([("rules", rules), ("goal", leaf(5))])
+        with pytest.raises(EvalError) as info:
+            run_rewrite(rules, frame)
+        assert frame.child("goal").value == 5
+        return str(info.value)
+
+    @pytest.mark.parametrize(
+        "applied", ["$f { #0 = $x #1 = $x }", "$f { #0 = 3 }", "$f { #0 : g { #0 = $x } }"]
+    )
+    def test_lhs_function_variable_takes_exactly_one_variable(self, applied):
+        rules = parse(f"r {{ #0 {{ lhs : d {{ #0 = $x #1 : {applied} }} rhs = 0 }} }}").resolve("r")
+        assert "exactly one variable" in self.load_and_run(rules)
+
+    @pytest.mark.parametrize("applied", ["$f { }", "$f { #0 = $x #1 = $x }"])
+    def test_rhs_function_variable_takes_exactly_one_argument(self, applied):
+        rules = parse(
+            f"r {{ #0 {{ lhs : d {{ #0 = $x #1 : $f {{ #0 = $x }} }} rhs : {applied} }} }}"
+        ).resolve("r")
+        assert "exactly one argument" in self.load_and_run(rules)
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_hole_in_a_rule_is_rejected(self, side):
+        sides = {"lhs": setn(leaf(1), op="h"), "rhs": leaf(0)}
+        sides[side] = setn(Node.hole(), op="h")
+        rules = Node.set_node([(None, Node.set_node(list(sides.items())))])
+        message = self.load_and_run(rules)
+        assert "hole" in message and side in message
+
     def test_malformed_instruction(self):
         body = parse("b { #0 { at = [x] } }").resolve("b")
         with pytest.raises(EvalError):
