@@ -13,7 +13,9 @@ templates.  Every address here is a ``Path``: a device read is one
 ``DeviceTable.lookup``, the cycle guard keys on the path itself, and the
 trace turns a path into text only when it writes or stores an event.  A
 shared fuel budget bounds every run; a set of in-progress paths turns
-reference cycles into errors instead of hangs.
+reference cycles into errors instead of hangs.  Forcing a reference whose
+target is a leaf, variable or hole is skipped, since evaluation would leave
+that target as it is.
 """
 
 from __future__ import annotations
@@ -204,6 +206,7 @@ def _device_read(ctx: EvalContext, path: Path) -> Optional[Node]:
 def _force_at(scope_stack: list[Node], path: Path, ctx: EvalContext) -> Optional[Node]:
     """Resolve ``path`` from ``scope_stack[0]`` and force the target: call it
     if it is a filled function instance, evaluate it if it is a term.
+    A leaf, variable or hole target is returned without forcing.
     Returns the in-tree node, or None when the path does not resolve."""
     chain = resolve_chain(scope_stack[0], path)
     if chain is None:
@@ -212,6 +215,8 @@ def _force_at(scope_stack: list[Node], path: Path, ctx: EvalContext) -> Optional
     key = (id(scope_stack[0]), path)
     if key in ctx.in_progress:
         raise CyclicReference(f"reference cycle through {path}")
+    if target.kind in (LEAF, VAR, HOLE):
+        return target
     ctx.in_progress.add(key)
     try:
         enclosing = list(reversed(chain[:-1])) + list(scope_stack)

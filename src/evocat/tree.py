@@ -233,9 +233,25 @@ class Node:
     # --- whole-node operations ---
 
     def copy(self) -> "Node":
-        node = Node(self.kind, value=self.value, op=self.op, ref=self.ref, var=self.var)
-        node.children = [(label, child.copy()) for label, child in self.children]
-        return node
+        """A deep copy that shares no node with ``self``.  The copy is
+        iterative, over a work list of (source, blank copy) pairs, so its
+        depth is not bounded by the interpreter's stack."""
+        new = object.__new__(Node)
+        work = [(self, new)]
+        while work:
+            src, dst = work.pop()
+            dst.kind = src.kind
+            dst.value = src.value
+            dst.op = src.op
+            dst.ref = src.ref
+            dst.var = src.var
+            kids = []
+            for label, child in src.children:
+                twin = object.__new__(Node)
+                kids.append((label, twin))
+                work.append((child, twin))
+            dst.children = kids
+        return new
 
     def become(self, other: "Node") -> "Node":
         """Take over the content of ``other``; identity is preserved."""
@@ -286,25 +302,33 @@ class Node:
 
 
 def node_equal(a: Node, b: Node) -> bool:
-    """Structural equality: kind, payload, labels and order, recursively."""
-    if a is b:
-        return True
-    if a.kind != b.kind:
-        return False
-    if a.kind == LEAF:
-        return a.value == b.value
-    if a.kind == REF:
-        return a.ref == b.ref
-    if a.kind == VAR:
-        return a.var == b.var
-    if a.kind == HOLE:
-        return True
-    if a.op != b.op or len(a.children) != len(b.children):
-        return False
-    return all(
-        la == lb and node_equal(ca, cb)
-        for (la, ca), (lb, cb) in zip(a.children, b.children)
-    )
+    """Structural equality: kind, payload, labels and order, at every depth
+    (compared with a work list, not recursion)."""
+    work = [(a, b)]
+    while work:
+        a, b = work.pop()
+        if a is b:
+            continue
+        kind = a.kind
+        if kind != b.kind:
+            return False
+        if kind == LEAF:
+            if a.value != b.value:
+                return False
+        elif kind == REF:
+            if a.ref != b.ref:
+                return False
+        elif kind == VAR:
+            if a.var != b.var:
+                return False
+        elif kind == SET:
+            if a.op != b.op or len(a.children) != len(b.children):
+                return False
+            for (la, ca), (lb, cb) in zip(a.children, b.children):
+                if la != lb:
+                    return False
+                work.append((ca, cb))
+    return True
 
 
 def rebuild(node: Node, swap: Callable[[Node], Optional[Node]]) -> Node:
@@ -354,9 +378,14 @@ def _as_path(path: Union[Path, str]) -> Path:
 
 
 def _contains(node: Node, target: Node) -> bool:
-    if node is target:
-        return True
-    return any(_contains(child, target) for _, child in node.children)
+    """Whether ``target`` is ``node`` or lies anywhere below it."""
+    work = [node]
+    while work:
+        node = work.pop()
+        if node is target:
+            return True
+        work.extend([child for _, child in node.children])
+    return False
 
 
 def replace_subtree(root: Node, at: Path, new: Node) -> Node:

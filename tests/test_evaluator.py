@@ -2,7 +2,16 @@
 
 import pytest
 
-from evocat import DeviceTable, EvalContext, parse, render, scripted_clock
+from evocat import (
+    DeviceTable,
+    EvalContext,
+    load_stdlib,
+    merge_program,
+    parse,
+    render,
+    run_entry,
+    scripted_clock,
+)
 from evocat.errors import (
     CyclicReference,
     DivisionByZero,
@@ -11,7 +20,8 @@ from evocat.errors import (
     PathUnresolvable,
     UnknownOperation,
 )
-from evocat.evaluator import deref, evaluate, is_value
+from evocat.evaluator import DEFAULT_FUEL, deref, evaluate, is_value, tree_data_of
+from evocat.templates import heap_get, heap_put
 from evocat.tree import Node, Path, node_equal
 
 from helpers import expr_oracle, gen_expr
@@ -111,6 +121,9 @@ class TestReferences:
         t2 = parse("a = [a]")
         with pytest.raises(CyclicReference):
             t2.data_of("a")
+        t3 = parse("a : sum { #0 = [a] #1 = 1 }")
+        with pytest.raises(CyclicReference):
+            t3.data_of("a")
 
     def test_missing_path(self):
         t = parse("a = 5")
@@ -129,6 +142,86 @@ class TestReferences:
                 deref(Path.parse("c"), ctx)
         assert ctx.scopes == [root]
         assert deref(Path.parse("a"), ctx).value == 1
+
+
+class TestFinalTargets:
+    """A reference to a leaf, variable or hole is not forced: the result,
+    the counters and the fuel are those of forcing it."""
+
+    def test_deref_copies_and_data_of_returns_the_node(self):
+        t = parse("a = 5 v = $x")
+        t.add_child("h", Node.hole())
+        for label in ("a", "v", "h"):
+            ctx = EvalContext(t)
+            node = t.resolve(label)
+            got = deref(Path.of(label), ctx)
+            assert got is not node and node_equal(got, node)
+            assert tree_data_of(t, Path.of(label), ctx) is node
+            assert ctx.fuel == DEFAULT_FUEL and not ctx.stats
+            assert not ctx.in_progress
+
+    def test_device_wins_over_a_tree_leaf(self):
+        devices = DeviceTable.standard(clock=scripted_clock(100), stdin=[], stdout=lambda s: None)
+        t = parse("dev { clock = 7 }")
+        ctx = EvalContext(t, devices=devices)
+        assert t.data_of("dev.clock", ctx).value == 100
+        assert deref(Path.parse("dev.clock"), ctx).value == 101
+        assert evaluate(parse("r = [dev.clock]").resolve("r"), ctx).value == 102
+        assert t.resolve("dev.clock").value == 7
+
+    def test_run_counts_are_pinned(self):
+        # counts and fuel of the acceptance runs, recorded while leaf
+        # targets were still forced
+        def counts(ctx):
+            return dict(ctx.stats), DEFAULT_FUEL - ctx.fuel
+
+        lib = load_stdlib()
+        runs = {
+            "gcd": {"arg1": 12, "arg2": 8},
+            "fact": {"n": 10},
+            "div": {"a": 23, "b": 5},
+        }
+        got = {}
+        for entry, args in runs.items():
+            ctx = EvalContext(lib)
+            run_entry(lib, entry, {k: Node.leaf(v) for k, v in args.items()}, ctx)
+            got[entry] = counts(ctx)
+        merge_program(
+            lib,
+            parse(
+                """main {
+                     args { day = $day month = $month year = $year }
+                     mode = 0
+                     body {
+                       #0 { at = [x] to = [Date] }
+                       #1 { at = [x.day] to = [args.day] }
+                       #2 { at = [x.month] to = [args.month] }
+                       #3 { at = [x.year] to = [args.year] }
+                       #4 { at = [result] to = [x.weekday] }
+                     }
+                     result = 0
+                   }"""
+            ),
+        )
+        ctx = EvalContext(lib)
+        date = {"day": 5, "month": 2, "year": 2004}
+        assert run_entry(lib, "main", {k: Node.leaf(v) for k, v in date.items()}, ctx).value == 3
+        got["weekday"] = counts(ctx)
+        heap, ctx = lib.resolve("heap"), EvalContext(lib)
+        for key in (5, 3, 9, 1, 7, 2, 8):
+            heap_put(heap, Node.leaf(key), ctx)
+        assert [heap_get(heap, ctx).value for _ in range(7)] == [1, 2, 3, 5, 7, 8, 9]
+        got["heap"] = counts(ctx)
+        assert got == {
+            "gcd": ({"deref": 2, "firing": 3, "op": 2}, 8),
+            "fact": ({"deref": 46, "instruction": 47, "op": 38}, 141),
+            "div": ({"deref": 2, "firing": 5, "op": 18}, 26),
+            "weekday": (
+                {"call": 4, "deref": 27, "firing": 68, "instruction": 12, "op": 282},
+                395,
+            ),
+            "heap": ({"deref": 42, "instruction": 21, "op": 21}, 105),
+        }
 
 
 class TestFuel:

@@ -33,6 +33,54 @@ paths = st.builds(
 label_paths = st.lists(st.sampled_from(LABELS), max_size=6).map(tuple).map(Path)
 
 
+def _set_of(op, entries):
+    """A set node from (label or None, child) pairs, dropping repeated labels."""
+    seen = set()
+    node = Node.set_node(op=op)
+    for label, child in entries:
+        if label is None or label not in seen:
+            seen.add(label)
+            node.add_child(label, child)
+    return node
+
+
+# trees of all five node kinds, with labelled and unlabelled children
+any_trees = st.recursive(
+    st.one_of(
+        st.integers(0, 10**30).map(Node.leaf),
+        paths.map(Node.ref_node),
+        st.sampled_from(LABELS).map(Node.var_node),
+        st.builds(Node.hole),
+    ),
+    lambda kids: st.builds(
+        _set_of,
+        st.none() | st.sampled_from(["sum", "if", "$f", "gcd"]),
+        st.lists(st.tuples(st.none() | st.sampled_from(LABELS), kids), max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+def chain(depth: int, bottom: Node) -> Node:
+    """``bottom`` under ``depth`` nested sets, alternately labelled ``a``
+    and unlabelled, built without recursion."""
+    node = bottom
+    for i in range(depth):
+        node = Node.set_node([("a" if i % 2 else None, node)])
+    return node
+
+
+def snapshot(root: Node) -> list:
+    """Every node's depth, label and payload in preorder, taken without
+    recursion, so that a deep tree can be compared before and after."""
+    out, stack = [], [(0, None, root)]
+    while stack:
+        depth, label, node = stack.pop()
+        out.append((depth, label, node.kind, node.value, node.op, node.ref, node.var))
+        stack.extend((depth + 1, lab, kid) for lab, kid in reversed(node.children))
+    return out
+
+
 def T(src: str) -> Node:
     return parse(src)
 
@@ -188,6 +236,41 @@ class TestReplace:
         # hoisting a subtree's contents upward is fine
         t.replace("a", t.resolve("a.b"))
         assert t.resolve("a").value == 1
+
+    def test_deep_replacement_value(self):
+        # the cycle guard walks every adopted value, at any depth
+        t = T("a = 1 b = 2")
+        t.replace("a", chain(5000, Node.leaf(7)))
+        assert node_equal(t.resolve("a"), chain(5000, Node.leaf(7)))
+        assert t.resolve("b").value == 2
+        slot = t.resolve("b")
+        with pytest.raises(PathUnresolvable):
+            t.replace("b", chain(5000, slot))
+        assert t.resolve("b") is slot and slot.value == 2
+
+
+class TestCopy:
+    @given(any_trees)
+    @settings(max_examples=100, deadline=None)
+    def test_copy_is_equal_disjoint_and_leaves_the_source(self, tree):
+        self.check_copy(tree)
+
+    def test_deep_chain(self):
+        self.check_copy(chain(5000, Node.ref_node("x.#2")))
+
+    @staticmethod
+    def check_copy(tree):
+        before = snapshot(tree)
+        dup = tree.copy()
+        assert node_equal(dup, tree)
+        assert not node_ids(dup) & node_ids(tree)
+        assert snapshot(tree) == before
+        assert snapshot(dup) == before  # payloads, ``ref`` paths included
+
+    def test_node_equal_tells_deep_chains_apart(self):
+        assert node_equal(chain(5000, Node.leaf(1)), chain(5000, Node.leaf(1)))
+        assert not node_equal(chain(5000, Node.leaf(1)), chain(5000, Node.leaf(2)))
+        assert not node_equal(chain(5000, Node.leaf(1)), chain(4999, Node.leaf(1)))
 
 
 class TestView:
