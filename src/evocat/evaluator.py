@@ -207,11 +207,12 @@ def _force_at(scope_stack: list[Node], path: Path, ctx: EvalContext) -> Optional
     """Resolve ``path`` from ``scope_stack[0]`` and force the target: call it
     if it is a filled function instance, evaluate it if it is a term.
     A leaf, variable or hole target is returned without forcing.
-    Returns the in-tree node, or None when the path does not resolve."""
+    Returns the in-tree node, or None when the path does not resolve; the
+    identity path addresses the scope itself."""
     chain = resolve_chain(scope_stack[0], path)
     if chain is None:
         return None
-    target = chain[-1]
+    target = chain[-1] if chain else scope_stack[0]
     key = (id(scope_stack[0]), path)
     if key in ctx.in_progress:
         raise CyclicReference(f"reference cycle through {path}")

@@ -19,6 +19,21 @@ Grammar::
 A whole file may also consist of a single unlabeled body, so that trees
 whose root is not a set (a bare leaf, say) still round-trip.
 
+Scanning is one ``findall`` of a compiled regex.  Each match is a token
+or a comment, with the whitespace after it; comments are then dropped, and
+the empty match at the end of the text is the end marker ``""``.  Where no
+token fits, a last alternative takes the rest of the text: that is how a
+lexical error shows, and only then is the text read again to name the
+fault.  Tokens are plain strings without positions.  An error finds the
+offset of its token by scanning again and turns it into ``line:col``
+(both 1-based, counted in ``\\n``-separated lines).
+
+The parser is one loop over the tokens with an explicit stack of the open
+sets; it tells a token's kind from its text alone.  The renderer walks
+the tree with an explicit stack too, so neither recurses.  Both stop past
+``MAX_DEPTH`` nested sets, numbered the same way, so render never writes
+text that parse rejects as nesting too deep.
+
 The renderer is canonical: 2-space indentation, one entry per line,
 children in stored order, positional labels printed as ``#k``, string
 sugar re-applied whenever every child is an unlabeled leaf with a
@@ -28,270 +43,91 @@ printable code point.  Equal trees render to identical text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import islice
+from typing import Optional
 
 from .errors import DepthExceeded, DuplicateSibling, ParseError, VariablesOutsideRules
 from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path
 
 MAX_DEPTH = 200
 
-# token types
-T_IDENT = "ident"
-T_NAT = "nat"
-T_STRING = "string"
-T_VAR = "var"
-T_HASHNAT = "hashnat"
-T_PUNCT = "punct"  # one of { } [ ] : = .
-T_EOF = "eof"
-
-_PUNCT = "{}[]:=."
+# ASCII only, as in the grammar: '²' and '٣' are not digits, 'é' starts no
+# identifier.  ``\s`` is exactly ``str.isspace``.  Past the scan, a token
+# is a natural exactly when ``isdigit`` holds for it and an identifier
+# exactly when ``isidentifier`` does.
+_STRING = r'"[^"\\\n]*(?:\\["\\n][^"\\\n]*)*'
+_TOKEN = re.compile(
+    r"[{}\[\]:=.]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|#[0-9]+|\$[A-Za-z_][A-Za-z0-9_]*|" + _STRING + '"'
+)
+# A token, a comment or the end marker, then the whitespace after it;
+# anything else takes the rest of the text.
+_SCAN = re.compile(rf"({_TOKEN.pattern}|//[^\n]*|\Z|[\s\S]+)\s*")
+_LEADING = re.compile(r"\s*")
+_STRING_PREFIX = re.compile(_STRING)
+_ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
-# ASCII only, as in the grammar: str.isdigit would also take '²' and '٣'
-_DIGITS = re.compile(r"[0-9]*")
-_IDENT_REST = re.compile(r"[A-Za-z0-9_]*")
+_VALUE_START = frozenset('"$[')
 
 
-@dataclass
-class Token:
-    type: str
-    value: object
-    line: int
-    col: int
-
-
-def _is_ident_start(c: str) -> bool:
-    return c.isascii() and (c.isalpha() or c == "_")
-
-
-def tokenize(src: str) -> list[Token]:
-    # Columns are 1-based offsets from the start of the current line.
-    tokens: list[Token] = []
-    i, line, line_start = 0, 1, 0
-    n = len(src)
-
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            line_start = i
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        if c == "/" and i + 1 < n and src[i + 1] == "/":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        col = i - line_start + 1
-        if c in _PUNCT:
-            tokens.append(Token(T_PUNCT, c, line, col))
-            i += 1
-            continue
-        if c == "#":
-            j = _DIGITS.match(src, i + 1).end()
-            if j == i + 1:
-                raise ParseError("'#' must be followed by digits", line, col)
-            tokens.append(Token(T_HASHNAT, _to_nat(src[i + 1 : j], line, col), line, col))
-            i = j
-            continue
-        if c == "$":
-            if i + 1 >= n or not _is_ident_start(src[i + 1]):
-                raise ParseError("'$' must be followed by an identifier", line, col)
-            j = _IDENT_REST.match(src, i + 1).end()
-            tokens.append(Token(T_VAR, src[i + 1 : j], line, col))
-            i = j
-            continue
-        if "0" <= c <= "9":
-            j = _DIGITS.match(src, i).end()
-            tokens.append(Token(T_NAT, _to_nat(src[i:j], line, col), line, col))
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = _IDENT_REST.match(src, i).end()
-            tokens.append(Token(T_IDENT, src[i:j], line, col))
-            i = j
-            continue
-        if c == '"':
-            chars: list[str] = []
-            j = i + 1
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string", line, col)
-                ch = src[j]
-                if ch == "\n":
-                    raise ParseError("newline in string (use \\n)", line, j - line_start + 1)
-                if ch == '"':
-                    j += 1
-                    break
-                if ch == "\\":
-                    if j + 1 >= n:
-                        raise ParseError("unterminated escape", line, j - line_start + 1)
-                    esc = _ESCAPES.get(src[j + 1])
-                    if esc is None:
-                        raise ParseError(f"unknown escape \\{src[j + 1]}", line, j - line_start + 1)
-                    chars.append(esc)
-                    j += 2
-                    continue
-                chars.append(ch)
-                j += 1
-            tokens.append(Token(T_STRING, "".join(chars), line, col))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token(T_EOF, None, line, i - line_start + 1))
+def tokenize(src: str) -> list[str]:
+    """The token texts of ``src`` in order, comments dropped, followed by
+    the end marker ``""``."""
+    tokens = _SCAN.findall(src, _LEADING.match(src).end())
+    if "//" in src:
+        tokens = [tok for tok in tokens if tok[:2] != "//"]
+    if len(tokens) > 1 and not _TOKEN.fullmatch(tokens[-2]):
+        _check_naturals(src, tokens[:-2])
+        raise _lexical_error(src, len(src) - len(tokens[-2]))
     return tokens
 
 
-def _to_nat(digits: str, line: int, col: int) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # CPython guards huge str->int conversions
-        raise ParseError("integer literal too long", line, col) from None
+def _at(cls: type, message: str, src: str, offset: int) -> ParseError:
+    line = src.count("\n", 0, offset) + 1
+    return cls(message, line, offset - src.rfind("\n", 0, offset))
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], allow_vars: bool):
-        self.tokens = tokens
-        self.pos = 0
-        self.allow_vars = allow_vars
+def _error(cls: type, message: str, src: str, index: int) -> ParseError:
+    """``cls`` raised at the ``index``-th token of ``src``."""
+    scan = _SCAN.finditer(src, _LEADING.match(src).end())
+    starts = (m.start() for m in scan if m[1][:2] != "//")
+    return _at(cls, message, src, next(islice(starts, index, None)))
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _lexical_error(src: str, at: int) -> ParseError:
+    """The error for the text at offset ``at``, where no token starts."""
+    c = src[at]
+    if c == "#":
+        message = "'#' must be followed by digits"
+    elif c == "$":
+        message = "'$' must be followed by an identifier"
+    elif c == '"':
+        end = _STRING_PREFIX.match(src, at).end()
+        if end == len(src):
+            message = "unterminated string"
+        elif src[end] == "\n":
+            message, at = "newline in string (use \\n)", end
+        elif end + 1 == len(src):
+            message, at = "unterminated escape", end
+        else:
+            message, at = f"unknown escape \\{src[end + 1]}", end
+    else:
+        message = f"unexpected character {c!r}"
+    return _at(ParseError, message, src, at)
 
-    def expect_punct(self, char: str) -> Token:
-        tok = self.next()
-        if tok.type != T_PUNCT or tok.value != char:
-            raise ParseError(f"expected {char!r}", tok.line, tok.col)
-        return tok
 
-    def err(self, msg: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(msg, tok.line, tok.col)
+def _check_naturals(src: str, tokens: list[str]) -> None:
+    # CPython guards huge str->int conversions.  This is a scanning error,
+    # so the first such literal is reported before any error after it.
+    for index, tok in enumerate(tokens):
+        if tok[:1] == "#" or tok.isdigit():
+            try:
+                int(tok.lstrip("#"))
+            except ValueError:
+                raise _error(ParseError, "integer literal too long", src, index) from None
 
-    # --- grammar ---
 
-    def document(self) -> Node:
-        tok = self.peek()
-        # A file may be one bare body (leaf-only trees print with no braces).
-        if tok.type in (T_NAT, T_STRING, T_VAR) or (
-            tok.type == T_PUNCT and tok.value in "[{:"
-        ):
-            node = self.bare_body(0)
-            end = self.next()
-            if end.type != T_EOF:
-                raise ParseError("trailing input after document body", end.line, end.col)
-            return node
-        root = Node(SET, children=self.entries(0))
-        end = self.next()
-        if end.type != T_EOF:
-            raise ParseError("expected an entry", end.line, end.col)
-        return root
-
-    def entries(self, depth: int) -> list[tuple[Optional[str], Node]]:
-        if depth > MAX_DEPTH:
-            tok = self.peek()
-            raise ParseError("nesting too deep", tok.line, tok.col)
-        children: list[tuple[Optional[str], Node]] = []
-        seen: set[str] = set()
-        while True:
-            tok = self.peek()
-            if tok.type == T_IDENT:
-                self.next()
-                label: Optional[str] = tok.value
-                if label in seen:
-                    raise DuplicateSibling(f"duplicate sibling label {label!r}", tok.line, tok.col)
-                seen.add(label)
-            elif tok.type == T_HASHNAT:
-                self.next()
-                if tok.value != len(children):
-                    raise ParseError(
-                        f"positional label #{tok.value} at position {len(children)}",
-                        tok.line,
-                        tok.col,
-                    )
-                label = None
-            else:
-                return children
-            children.append((label, self.body(depth)))
-
-    def bare_body(self, depth: int) -> Node:
-        tok = self.peek()
-        if tok.type == T_PUNCT and tok.value in "{:":
-            return self.block(depth)
-        return self.assigned_value()
-
-    def body(self, depth: int) -> Node:
-        tok = self.peek()
-        if tok.type == T_PUNCT and tok.value == "=":
-            self.next()
-            return self.assigned_value()
-        if tok.type == T_PUNCT and tok.value in "{:":
-            return self.block(depth)
-        raise self.err("expected '=', ':' or '{' after label")
-
-    def assigned_value(self) -> Node:
-        tok = self.next()
-        if tok.type == T_NAT:
-            return Node.leaf(tok.value)
-        if tok.type == T_STRING:
-            return encode_text(tok.value)
-        if tok.type == T_VAR:
-            if not self.allow_vars:
-                raise VariablesOutsideRules(
-                    f"variable ${tok.value} in a plain state file", tok.line, tok.col
-                )
-            return Node.var_node(tok.value)
-        if tok.type == T_PUNCT and tok.value == "[":
-            path = self.path()
-            self.expect_punct("]")
-            return Node.ref_node(path)
-        raise ParseError("expected a value", tok.line, tok.col)
-
-    def block(self, depth: int) -> Node:
-        tok = self.peek()
-        op: Optional[str] = None
-        if tok.type == T_PUNCT and tok.value == ":":
-            self.next()
-            op_tok = self.next()
-            if op_tok.type == T_IDENT:
-                op = op_tok.value
-            elif op_tok.type == T_VAR:
-                if not self.allow_vars:
-                    raise VariablesOutsideRules(
-                        f"function variable ${op_tok.value} in a plain state file",
-                        op_tok.line,
-                        op_tok.col,
-                    )
-                op = "$" + op_tok.value
-            else:
-                raise ParseError("expected operation identifier", op_tok.line, op_tok.col)
-        self.expect_punct("{")
-        children = self.entries(depth + 1)
-        self.expect_punct("}")
-        return Node(SET, op=op, children=children)
-
-    def path(self) -> Path:
-        segs: list[Union[str, int]] = []
-        while True:
-            tok = self.next()
-            if tok.type == T_IDENT:
-                segs.append(tok.value)
-            elif tok.type == T_HASHNAT:
-                segs.append(tok.value)
-            else:
-                raise ParseError("expected path segment", tok.line, tok.col)
-            nxt = self.peek()
-            if nxt.type == T_PUNCT and nxt.value == ".":
-                self.next()
-                continue
-            return Path(tuple(segs))
+class _Fault(Exception):
+    """A parse error as (class, message, token index), placed by ``parse``."""
 
 
 def parse(src: str, allow_vars: bool = True) -> Node:
@@ -301,7 +137,134 @@ def parse(src: str, allow_vars: bool = True) -> Node:
     rejected with VariablesOutsideRules.
     """
     tokens = tokenize(src)
-    return _Parser(tokens, allow_vars).document()
+    try:
+        return _parse(tokens, allow_vars)
+    except _Fault as fault:
+        _check_naturals(src, tokens)
+        cls, message, index = fault.args
+        raise _error(cls, message, src, index) from None
+    except ValueError:  # from int(): a natural too long to convert
+        _check_naturals(src, tokens)
+        raise
+
+
+def _parse(tokens: list[str], allow_vars: bool) -> Node:
+    first = tokens[0]
+    if first.isdigit() or first[:1] in _VALUE_START:
+        node, i = _value(tokens, 0, allow_vars)
+        if tokens[i]:
+            raise _Fault(ParseError, "trailing input after document body", i)
+        return node
+    # The open sets enclosing the current one, as (children, labels seen,
+    # op, label in its parent); a bare set document is held by a sentinel.
+    stack: list[tuple] = []
+    kids: list[tuple[Optional[str], Node]] = []
+    seen: set[str] = set()
+    op: Optional[str] = None
+    i = 0
+    if first == "{" or first == ":":
+        stack.append((None, None, None, None))
+        op, i = _open(tokens, 0, allow_vars)
+    while True:
+        tok = tokens[i]
+        if tok.isidentifier():
+            if tok in seen:
+                raise _Fault(DuplicateSibling, f"duplicate sibling label {tok!r}", i)
+            seen.add(tok)
+            label = tok
+        elif tok[:1] == "#":
+            k = int(tok[1:])
+            if k != len(kids):
+                raise _Fault(ParseError, f"positional label #{k} at position {len(kids)}", i)
+            label = None
+        elif not stack:
+            if tok:
+                raise _Fault(ParseError, "expected an entry", i)
+            return Node(SET, children=kids)
+        else:
+            if tok != "}":
+                raise _Fault(ParseError, "expected '}'", i)
+            node = Node(SET, op=op, children=kids)
+            kids, seen, op, label = stack.pop()
+            i += 1
+            if kids is None:
+                if tokens[i]:
+                    raise _Fault(ParseError, "trailing input after document body", i)
+                return node
+            kids.append((label, node))
+            continue
+        tok = tokens[i + 1]
+        if tok == "=":
+            tok = tokens[i + 2]
+            if tok.isdigit():
+                kids.append((label, Node(LEAF, value=int(tok))))
+                i += 3
+            else:
+                node, i = _value(tokens, i + 2, allow_vars)
+                kids.append((label, node))
+        elif tok == "{" or tok == ":":
+            stack.append((kids, seen, op, label))
+            op, i = _open(tokens, i + 1, allow_vars)
+            kids, seen = [], set()
+            if len(stack) > MAX_DEPTH:
+                raise _Fault(ParseError, "nesting too deep", i)
+        else:
+            raise _Fault(ParseError, "expected '=', ':' or '{' after label", i + 1)
+
+
+def _open(tokens: list[str], i: int, allow_vars: bool) -> tuple[Optional[str], int]:
+    """The operation of the set that opens at ``tokens[i]``, or None, and
+    the index after its '{'."""
+    op = None
+    if tokens[i] == ":":
+        op = tokens[i + 1]
+        if op[:1] == "$":
+            if not allow_vars:
+                raise _Fault(
+                    VariablesOutsideRules, f"function variable {op} in a plain state file", i + 1
+                )
+        elif not op.isidentifier():
+            raise _Fault(ParseError, "expected operation identifier", i + 1)
+        i += 2
+    if tokens[i] != "{":
+        raise _Fault(ParseError, "expected '{'", i)
+    return op, i + 1
+
+
+def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
+    """The value at ``tokens[i]`` (after '=' or as a bare document) and the
+    index after it."""
+    tok = tokens[i]
+    if tok.isdigit():
+        return Node(LEAF, value=int(tok)), i + 1
+    c = tok[:1]
+    if c == '"':
+        text = tok[1:-1]
+        if "\\" in text:
+            text = _ESCAPE.sub(lambda m: _ESCAPES[m.group(1)], text)
+        return encode_text(text), i + 1
+    if c == "$":
+        if not allow_vars:
+            raise _Fault(VariablesOutsideRules, f"variable {tok} in a plain state file", i)
+        return Node(VAR, var=tok[1:]), i + 1
+    if tok != "[":
+        raise _Fault(ParseError, "expected a value", i)
+    segs: list = []
+    while True:
+        i += 1
+        tok = tokens[i]
+        if tok.isidentifier():
+            segs.append(tok)
+        elif tok[:1] == "#":
+            segs.append(int(tok[1:]))
+        else:
+            raise _Fault(ParseError, "expected path segment", i)
+        if tokens[i + 1] != ".":
+            break
+        i += 1
+    if tokens[i + 1] != "]":
+        raise _Fault(ParseError, "expected ']'", i + 1)
+    return Node(REF, ref=Path(tuple(segs))), i + 2
 
 
 # --- string sugar ---------------------------------------------------------
@@ -309,7 +272,7 @@ def parse(src: str, allow_vars: bool = True) -> Node:
 
 def encode_text(text: str) -> Node:
     """A string as a set node of unlabeled code-point leaves."""
-    return Node(SET, children=[(None, Node.leaf(ord(ch))) for ch in text])
+    return Node(SET, children=[(None, Node(LEAF, value=ord(ch))) for ch in text])
 
 
 def decode_text(node: Node) -> Optional[str]:
@@ -354,66 +317,56 @@ def _escape(text: str) -> str:
 # --- renderer --------------------------------------------------------------
 
 
+def _atom(node: Node) -> Optional[str]:
+    """The text of a node written without braces; None for a set that
+    needs them."""
+    kind = node.kind
+    if kind == LEAF:
+        return str(node.value)
+    if kind == REF:
+        return f"[{node.ref}]"
+    if kind == VAR:
+        return f"${node.var}"
+    if kind == HOLE:
+        return "$__hole__"
+    sugar = _sugar_text(node)
+    return None if sugar is None else f'"{_escape(sugar)}"'
+
+
 def render(root: Node) -> str:
     """Canonical text for a tree; equal trees render bit-identically."""
-    out: list[str] = []
-    if root.kind == SET and root.op is None and _sugar_text(root) is None:
-        _render_entries(root, 0, out)
+    atom = _atom(root)
+    if atom is not None:
+        return atom + "\n"
+    # A root set without an op is written as its bare entries (depth 0);
+    # a root term as a braced body whose entries are at depth 1, as parse
+    # numbers them.
+    if root.op is None:
+        out, depth, close = [], 0, ""
     else:
-        _render_bare(root, out)
-    return "".join(out)
-
-
-def _render_bare(node: Node, out: list[str]) -> None:
-    sugar = _sugar_text(node) if node.kind == SET else None
-    if node.kind == LEAF:
-        out.append(f"{node.value}\n")
-    elif node.kind == REF:
-        out.append(f"[{node.ref}]\n")
-    elif node.kind == VAR:
-        out.append(f"${node.var}\n")
-    elif node.kind == HOLE:
-        out.append("$__hole__\n")
-    elif sugar is not None:
-        out.append(f'"{_escape(sugar)}"\n')
-    else:
-        op = f": {node.op} " if node.op is not None else ""
-        out.append(op + "{\n")
-        _render_entries(node, 1, out)
-        out.append("}\n")
-
-
-def _render_entries(node: Node, depth: int, out: list[str]) -> None:
-    # Depth is numbered as in ``_Parser.entries``, so render never writes
-    # text that parse rejects as nesting too deep.
-    if depth > MAX_DEPTH:
-        raise DepthExceeded(f"tree nested deeper than {MAX_DEPTH} sets cannot be rendered")
-    pad = "  " * depth
-    for index, (label, child) in enumerate(node.children):
-        name = label if label is not None else f"#{index}"
-        out.append(pad + name)
-        _render_body(child, depth, out)
-
-
-def _render_body(node: Node, depth: int, out: list[str]) -> None:
-    if node.kind == LEAF:
-        out.append(f" = {node.value}\n")
-        return
-    if node.kind == REF:
-        out.append(f" = [{node.ref}]\n")
-        return
-    if node.kind == VAR:
-        out.append(f" = ${node.var}\n")
-        return
-    if node.kind == HOLE:
-        out.append(" = $__hole__\n")
-        return
-    sugar = _sugar_text(node)
-    if sugar is not None:
-        out.append(f' = "{_escape(sugar)}"\n')
-        return
-    if node.op is not None:
-        out.append(f" : {node.op}")
-    out.append(" {\n")
-    _render_entries(node, depth + 1, out)
-    out.append("  " * depth + "}\n")
+        out, depth, close = [f": {root.op} {{\n"], 1, "}\n"
+    # The set being written is (children left, indent, closing line); the
+    # stack holds the same for each set that encloses it.
+    children, pad = enumerate(root.children), "  " * depth
+    stack: list[tuple] = []
+    while True:
+        for index, (label, child) in children:
+            name = pad + label if label is not None else f"{pad}#{index}"
+            if child.kind == LEAF:  # the common case, without the call
+                out.append(f"{name} = {child.value}\n")
+                continue
+            atom = _atom(child)
+            if atom is not None:
+                out.append(f"{name} = {atom}\n")
+                continue
+            out.append(name + " {\n" if child.op is None else f"{name} : {child.op} {{\n")
+            if depth + len(stack) + 1 > MAX_DEPTH:  # the depth of the set opened here
+                raise DepthExceeded(f"tree nested deeper than {MAX_DEPTH} sets cannot be rendered")
+            stack.append((children, pad, close))
+            children, pad, close = enumerate(child.children), pad + "  ", pad + "}\n"
+            break
+        else:
+            out.append(close)
+            if not stack:
+                return "".join(out)
+            children, pad, close = stack.pop()

@@ -334,14 +334,27 @@ def node_equal(a: Node, b: Node) -> bool:
 def rebuild(node: Node, swap: Callable[[Node], Optional[Node]]) -> Node:
     """A fresh copy of ``node`` in which each subtree for which ``swap``
     returns a node is replaced by that node.  The replacement is adopted as
-    it is and not descended into; ``node`` itself is never written."""
-    new = swap(node)
-    if new is not None:
-        return new
-    return Node(
-        node.kind, value=node.value, op=node.op, ref=node.ref, var=node.var,
-        children=[(label, rebuild(child, swap)) for label, child in node.children],
-    )
+    it is and not descended into; ``node`` itself is never written.  ``swap``
+    sees the nodes in preorder.  As in ``copy``, the walk is a work list of
+    (source, the children list its copy joins, label), not recursion;
+    siblings are popped in order, so each copy joins its list in order."""
+    top: list = []
+    work = [(node, top, None)]
+    while work:
+        src, kids, label = work.pop()
+        new = swap(src)
+        if new is None:
+            new = object.__new__(Node)
+            new.kind = src.kind
+            new.value = src.value
+            new.op = src.op
+            new.ref = src.ref
+            new.var = src.var
+            new.children = into = []
+            for lab, child in reversed(src.children):
+                work.append((child, into, lab))
+        kids.append((label, new))
+    return top[0][1]
 
 
 def resolve(context: Node, path: Path) -> Optional[Node]:

@@ -97,6 +97,16 @@ class TestMatch:
         assert binding.funcs["f"].body.kind == "leaf"
         assert node_equal(substitute(rule, binding), subject)
 
+    def test_function_variable_over_a_deep_subject(self):
+        rule = pat("p : d { #0 : $f { #0 = $x } #1 = $x }")
+        body = leaf(1)
+        for _ in range(3000):
+            body = setn(body, op="g")
+        binding = match(rule, setn(body, setn(op="x"), op="d"))
+        assert binding is not None
+        assert node_equal(binding.funcs["f"].body, body)
+        assert not node_ids(binding.funcs["f"].body) & node_ids(body)
+
 
 class TestAbstraction:
     def test_plug_twice_gives_fresh_equal_trees(self):

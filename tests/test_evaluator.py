@@ -160,6 +160,14 @@ class TestFinalTargets:
             assert ctx.fuel == DEFAULT_FUEL and not ctx.stats
             assert not ctx.in_progress
 
+    def test_identity_path_addresses_the_scope(self):
+        t = parse("a = 1")
+        assert t.data_of(".") is t
+        assert tree_data_of(t, Path(()), EvalContext(t)) is t
+        term = parse(": sum { #0 = 1 #1 = 2 }")
+        assert term.data_of(".").value == 3
+        assert term.kind == "leaf" and term.value == 3
+
     def test_device_wins_over_a_tree_leaf(self):
         devices = DeviceTable.standard(clock=scripted_clock(100), stdin=[], stdout=lambda s: None)
         t = parse("dev { clock = 7 }")

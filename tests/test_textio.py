@@ -1,6 +1,7 @@
 """Compiler/de-compiler: grammar cases, round-trip, canonical form, fuzz."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,41 @@ class TestDepth:
             render(chain(depth))
         with pytest.raises(ParseError):
             parse("a {" * depth + "}" * depth)
+
+
+def cli_state_text(records: int = 160, seed: int = 1) -> str:
+    """A plain state shaped like the ``cli_state`` benchmark's 36 KB file:
+    records holding a string, nested sets, a score and a ``sum`` term over
+    a reference into another record."""
+    rng = random.Random(seed)
+    lines = []
+    for r in range(records):
+        name = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(8))
+        lines.append(f'r{r} {{\n  name = "{name}"\n  tags {{')
+        for t in range(3):
+            k, lo, hi = rng.randint(100, 999), rng.randint(10, 99), rng.randint(100, 999)
+            lines.append(f"    #{t} {{ k = {k} v {{ lo = {lo} hi = {hi} }} }}")
+        lines.append(f"  }}\n  score = {rng.randint(1000, 9999)}")
+        lines.append(f"  bonus : sum {{ #0 = [r{rng.randrange(records)}.score] #1 = {rng.randint(1, 9)} }}\n}}")
+    return "\n".join(lines) + "\n"
+
+
+class TestNoRecursion:
+    def test_parse_and_render_under_a_small_recursion_limit(self):
+        deep_text = render(chain(200))
+        state_text = cli_state_text()
+        state_canonical = render(parse(state_text))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(120)
+        try:
+            deep = parse(deep_text)
+            assert render(deep) == deep_text
+            state = parse(state_text, allow_vars=False)
+            assert render(state) == state_canonical
+        finally:
+            sys.setrecursionlimit(limit)
+        assert node_equal(deep, chain(200))
+        assert len(state_text) > 30_000 and len(state.children) == 160
 
 
 class TestRoundTrip:

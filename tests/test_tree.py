@@ -394,6 +394,45 @@ class TestOneWriter:
         assert seen == [t, t.resolve("a")]
         assert rebuild(t, lambda n: replacement) is replacement
 
+    @pytest.mark.parametrize("depth", [3000, 5000])
+    def test_rebuild_deep_chain(self, depth):
+        source = chain(depth, Node.leaf(1))
+        before = snapshot(source)
+        seen = []
+
+        def never(n):
+            seen.append(n)
+            return None
+
+        out = rebuild(source, never)
+        assert node_equal(out, source) and not node_ids(out) & node_ids(source)
+        assert snapshot(source) == before
+        assert len(seen) == depth + 1
+        bottom = rebuild(source, lambda n: Node.leaf(2) if n.kind == "leaf" else None)
+        assert node_equal(bottom, chain(depth, Node.leaf(2)))
+
+    @given(any_trees)
+    @settings(max_examples=50, deadline=None)
+    def test_rebuild_swaps_in_preorder(self, tree):
+        order = []
+        swapped = Node.leaf(7)
+
+        def swap(n):
+            order.append(n)
+            return swapped if n.kind == "leaf" and n.value % 2 else None
+
+        out = rebuild(tree, swap)
+        # preorder, left to right, not descending below a swapped node
+        want, stack = [], [tree]
+        while stack:
+            n = stack.pop()
+            want.append(n)
+            if not (n.kind == "leaf" and n.value % 2):
+                stack.extend(child for _, child in reversed(n.children))
+        assert [id(n) for n in order] == [id(n) for n in want]
+        odd = lambda row: row[2] == "leaf" and row[3] % 2  # noqa: E731
+        assert snapshot(out) == [row[:3] + (7,) + row[4:] if odd(row) else row for row in snapshot(tree)]
+
     def test_swap_and_pop_children(self):
         t = T("a = 1 b = 2 c = 3")
         t.swap_children(0, 2)
