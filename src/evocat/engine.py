@@ -20,8 +20,10 @@ formula the key of its lhs root: the node kind, and for a set also its
 operation and arity.  A variable or ``$f`` root has no key and admits any
 subject.  The scan calls ``match`` only on nodes whose root agrees with
 the key, so only those allocate a ``Binding``, and it builds a ``Path``
-only for a hit.  Patterns are checked when the rules load, so the nodes
-the scan skips cannot change which error a run raises.
+only for a hit.  A rule is checked when it loads, by matching its lhs
+against itself and instantiating its rhs with the binding that gives, so
+``match`` and ``substitute`` raise their errors before any rule fires and
+the nodes the scan skips cannot change which error a run raises.
 """
 
 from __future__ import annotations
@@ -100,22 +102,8 @@ def match(pattern: Node, subject: Node) -> Optional[Binding]:
     """Match ``subject`` against ``pattern``; None when they disagree."""
     binding = Binding()
     deferred: list[tuple[str, str, Node]] = []
-    if not _walk(pattern, subject, binding, deferred):
+    if not _walk(pattern, subject, binding, deferred) or not _abstract(deferred, binding):
         return None
-    for fname, argname, node in deferred:
-        argval = binding.vars.get(argname)
-        if argval is None:
-            raise EvalError(
-                f"function variable ${fname} applied to ${argname}, which the pattern never binds"
-            )
-        # subtrees equal to the argument become holes (none: a constant function)
-        body = rebuild(node, lambda n: Node.hole() if node_equal(n, argval) else None)
-        seen = binding.funcs.get(fname)
-        if seen is not None:
-            if not node_equal(seen.body, body):
-                return None
-        else:
-            binding.funcs[fname] = Abstraction(body)
     return binding
 
 
@@ -150,37 +138,52 @@ def _walk(p: Node, t: Node, binding: Binding, deferred: list) -> bool:
     return True
 
 
+def _abstract(deferred: list[tuple[str, str, Node]], binding: Binding) -> bool:
+    """The ``$f`` step of ``match``: bind each ``$f`` to an abstraction of what
+    it met.  False when two bodies disagree, once every argument is checked."""
+    agree = True
+    for fname, argname, node in deferred:
+        argval = binding.vars.get(argname)
+        if argval is None:
+            raise EvalError(
+                f"function variable ${fname} applied to ${argname}, which the pattern never binds"
+            )
+        # subtrees equal to the argument become holes (none: a constant function)
+        body = rebuild(node, lambda n: Node.hole() if node_equal(n, argval) else None)
+        seen = binding.funcs.get(fname)
+        if seen is None:
+            binding.funcs[fname] = Abstraction(body)
+        elif not node_equal(seen.body, body):
+            agree = False
+    return agree
+
+
 # --- substitution ------------------------------------------------------------
 
 
 def substitute(template: Node, binding: Binding) -> Node:
     """Instantiate a template: variables become deep copies of their
     bindings, ``$f(s)`` becomes f's body with the hole replaced by s."""
-    if template.kind == VAR:
-        bound = binding.vars.get(template.var)
-        if bound is None:
-            raise UnboundVariable(f"${template.var} is not bound")
-        return bound.copy()
-    if template.kind in (LEAF, REF):
-        return template.copy()
-    if template.kind == HOLE:
-        raise EvalError("hole nodes cannot appear in templates")
-    if template.op is not None and template.op.startswith("$"):
-        name = template.op[1:]
+
+    def swap(node: Node) -> Optional[Node]:
+        if node.kind == VAR:
+            bound = binding.vars.get(node.var)
+            if bound is None:
+                raise UnboundVariable(f"${node.var} is not bound")
+            return bound.copy()
+        if node.kind == HOLE:
+            raise EvalError("hole nodes cannot appear in templates")
+        if node.op is None or not node.op.startswith("$"):
+            return None
+        name = node.op[1:]
         abstraction = binding.funcs.get(name)
         if abstraction is None:
             raise UnboundVariable(f"${name} is not bound")
-        if len(template.children) != 1:
-            raise EvalError(
-                f"function variable ${name} must be applied to exactly one argument"
-            )
-        argument = substitute(template.children[0][1], binding)
-        return abstraction.plug(argument)
-    return Node(
-        SET,
-        op=template.op,
-        children=[(label, substitute(child, binding)) for label, child in template.children],
-    )
+        if len(node.children) != 1:
+            raise EvalError(f"function variable ${name} must be applied to exactly one argument")
+        return abstraction.plug(substitute(node.children[0][1], binding))
+
+    return rebuild(template, swap)
 
 
 # --- program extraction -------------------------------------------------------
@@ -203,10 +206,9 @@ def instructions_from(body: Node) -> list[Instruction]:
 
 
 def formulas_from(rules: Node) -> list[Formula]:
-    """Read ``{ lhs ... rhs ... }`` entries out of a rules node and check
-    them: rhs variables must occur in the lhs, function variables take one
-    argument (in the lhs, a variable bound first-order elsewhere), and no
-    hole appears on either side.  Each formula carries its lhs root key."""
+    """Read ``{ lhs ... rhs ... }`` entries out of a rules node, check each
+    one as the module docstring says, and give it its lhs root key.  An
+    error keeps its class and its message names the formula and side."""
     formulas: list[Formula] = []
     for index, (_, node) in enumerate(rules.children):
         if node.kind != SET:
@@ -215,7 +217,16 @@ def formulas_from(rules: Node) -> list[Formula]:
         rhs = node.child("rhs")
         if lhs is None or rhs is None:
             raise EvalError(f"formula #{index} must have 'lhs' and 'rhs'")
-        _validate_formula(lhs, rhs, index)
+        side = "lhs"
+        try:
+            binding, deferred = Binding(), []
+            # the verdict is unused: a self-match fails only on $f argument labels
+            _walk(lhs, lhs, binding, deferred)
+            _abstract(deferred, binding)
+            side = "rhs"
+            substitute(rhs, binding)
+        except EvalError as err:
+            raise type(err)(f"formula #{index} {side}: {err}") from None
         formulas.append(Formula(lhs, rhs, index, _root_key(lhs)))
     return formulas
 
@@ -224,60 +235,6 @@ def _root_key(lhs: Node) -> Optional[tuple[str, Optional[str], int]]:
     if lhs.kind == VAR or (lhs.op is not None and lhs.op.startswith("$")):
         return None
     return (lhs.kind, lhs.op, len(lhs.children))
-
-
-def _collect_vars(
-    node: Node, index: int, side: str, first_order: set, funcs: set, fn_args: set
-) -> None:
-    if node.kind == VAR:
-        first_order.add(node.var)
-        return
-    if node.kind == HOLE:
-        raise EvalError(f"formula #{index}: hole nodes cannot appear in the {side}")
-    if node.kind != SET:
-        return
-    if node.op is not None and node.op.startswith("$"):
-        # a pattern applies $f to a variable; a template to any one term
-        argument = node.children[0][1] if len(node.children) == 1 else None
-        if argument is None or (side == "lhs" and argument.kind != VAR):
-            want = "variable" if side == "lhs" else "argument"
-            raise EvalError(
-                f"formula #{index}: function variable {node.op} in the {side} "
-                f"must be applied to exactly one {want}"
-            )
-        funcs.add(node.op[1:])
-        if argument.kind == VAR:
-            fn_args.add(argument.var)
-        else:
-            _collect_vars(argument, index, side, first_order, funcs, fn_args)
-        return
-    for _, child in node.children:
-        _collect_vars(child, index, side, first_order, funcs, fn_args)
-
-
-def _validate_formula(lhs: Node, rhs: Node, index: int) -> None:
-    lhs_vars: set[str] = set()
-    lhs_funcs: set[str] = set()
-    lhs_fn_args: set[str] = set()
-    _collect_vars(lhs, index, "lhs", lhs_vars, lhs_funcs, lhs_fn_args)
-    missing = lhs_fn_args - lhs_vars
-    if missing:
-        raise EvalError(
-            f"formula #{index}: function-variable arguments {sorted(missing)} "
-            "are never bound first-order in the lhs"
-        )
-    rhs_vars: set[str] = set()
-    rhs_funcs: set[str] = set()
-    rhs_fn_args: set[str] = set()
-    _collect_vars(rhs, index, "rhs", rhs_vars, rhs_funcs, rhs_fn_args)
-    free = (rhs_vars | rhs_fn_args) - lhs_vars - lhs_fn_args
-    if free:
-        raise EvalError(f"formula #{index}: rhs variables {sorted(free)} not bound by lhs")
-    free_funcs = rhs_funcs - lhs_funcs
-    if free_funcs:
-        raise EvalError(
-            f"formula #{index}: rhs function variables {sorted(free_funcs)} not bound by lhs"
-        )
 
 
 # --- sequential execution -----------------------------------------------------

@@ -86,7 +86,8 @@ class EvalContext:
     subtree replacement and exhaustion raises instead of hanging.
     ``strict`` distinguishes eager evaluation (unknown operations are
     errors, templates are called) from the rewrite engine's ready-term
-    sweep (anything not ready is left in place).
+    sweep (anything not ready is left in place); it is off only inside
+    ``lenient()``.
     """
 
     def __init__(
@@ -97,7 +98,6 @@ class EvalContext:
         fuel: int = DEFAULT_FUEL,
         devices=None,
         trace: Optional[TraceSink] = None,
-        strict: bool = True,
     ):
         if scopes is not None:
             self.scopes = scopes
@@ -108,7 +108,7 @@ class EvalContext:
         self.fuel = fuel
         self.devices = devices
         self.trace = trace
-        self.strict = strict
+        self.strict = True
         self.stats: Counter = Counter()
         self.in_progress: set[tuple[int, Path]] = set()
 

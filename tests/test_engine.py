@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from evocat import EvalContext, StateTree, TraceSink, load_stdlib, parse, render, run_entry
 from evocat.engine import (
     Abstraction,
+    Binding,
     formulas_from,
     instructions_from,
     match,
@@ -142,6 +143,18 @@ class TestSubstitute:
         out = substitute(pat("p = $X"), binding)
         out.child("a").value = 9
         assert binding.vars["X"].child("a").value == 1
+
+    def test_deep_template(self):
+        template = Node.var_node("x")
+        for _ in range(5000):
+            template = setn(template, op="g")
+        binding = Binding(vars={"x": setn(leaf(1), leaf(2), op="f")})
+        out = substitute(template, binding)
+        want = setn(leaf(1), leaf(2), op="f")
+        for _ in range(5000):
+            want = setn(want, op="g")
+        assert node_equal(out, want)
+        assert not node_ids(out) & (node_ids(template) | node_ids(binding.vars["x"]))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
