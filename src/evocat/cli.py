@@ -27,6 +27,7 @@ from .errors import (
     EvoError,
     MissingArgument,
     NotASet,
+    NotEncodable,
     ParseError,
     PathUnresolvable,
 )
@@ -164,7 +165,7 @@ def _cmd_run(args, traced: bool) -> int:
     try:
         sys.stdout.write(textio.render(result))
         text = textio.render(machine) if args.dump is not None else None
-    except DepthExceeded as err:
+    except (DepthExceeded, NotEncodable) as err:
         print(f"evocat: render error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     if text is not None:

@@ -6,7 +6,8 @@ A device is mounted at a reserved address (``dev.clock``, ``dev.stdin``,
 address.  Reads and writes addressed to a mount are intercepted before the
 tree is touched: an input device produces a fresh value on every access
 (never memoized), an output device turns the written value into an effect.
-``DeviceTable.lookup`` is the one place that checks a mount's direction.
+``DeviceTable.lookup`` is one dictionary lookup (a ``Path`` hashes as the
+tuple of its segments) and the one place that checks a mount's direction.
 The table is injected at machine construction, so tests run against
 scripted fakes and stay deterministic.
 """
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .errors import EndOfInput, NotEncodable, UnboundDevice
 from .textio import decode_text, encode_text
-from .tree import LEAF, SET, Node, Path, Segment, _as_path
+from .tree import LEAF, SET, Node, Path, _as_path
 
 IN = "in"
 OUT = "out"
@@ -98,7 +99,10 @@ class TextOutputDevice(Device):
 
     def write(self, value: Node) -> None:
         if value.kind == LEAF:
-            text = str(value.value)
+            try:
+                text = str(value.value)
+            except ValueError:  # more digits than this interpreter converts
+                raise NotEncodable("a natural has too many digits to be written as text") from None
         elif value.kind == SET:
             decoded = decode_text(value)
             if decoded is None:
@@ -114,24 +118,17 @@ class DeviceTable:
 
     def __init__(self):
         self._mounts: dict[Path, Device] = {}
-        # the first segment of every mount (None for the empty path), so
-        # that lookup turns most addresses away without hashing them
-        self._heads: frozenset[Optional[Segment]] = frozenset()
 
     def mount(self, path: Union[Path, str], device: Device) -> "DeviceTable":
         path = _as_path(path)
         if any(k.is_prefix_of(path) or path.is_prefix_of(k) for k in self._mounts):
             raise UnboundDevice(f"overlapping mount {path}")
         self._mounts[path] = device
-        self._heads = self._heads | {path.segments[0] if path else None}
         return self
 
     def lookup(self, path: Path, direction: str) -> Optional[Device]:
         """The device mounted at ``path``, or None when there is none; a
         mount of the other direction (IN or OUT) is an UnboundDevice."""
-        segs = path.segments
-        if (segs[0] if segs else None) not in self._heads:
-            return None
         device = self._mounts.get(path)
         if device is not None and device.direction != direction:
             verb = "read from output" if direction == IN else "write to input"

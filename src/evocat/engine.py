@@ -34,7 +34,6 @@ from typing import Optional
 from .devices import OUT
 from .errors import EvalError, EvoError, UnboundVariable
 from .evaluator import (
-    DEFAULT_FUEL,
     EvalContext,
     evaluate,
     is_function_instance,
@@ -240,20 +239,7 @@ def _root_key(lhs: Node) -> Optional[tuple[str, Optional[str], int]]:
 # --- sequential execution -----------------------------------------------------
 
 
-def _context_for(frame: Node, ctx: Optional[EvalContext], fuel: Optional[int]) -> EvalContext:
-    if ctx is None:
-        ctx = EvalContext(frame, fuel=fuel if fuel is not None else DEFAULT_FUEL)
-    elif fuel is not None:
-        ctx.fuel = fuel
-    return ctx
-
-
-def run_sequential(
-    body: Node,
-    frame: Node,
-    ctx: Optional[EvalContext] = None,
-    fuel: Optional[int] = None,
-) -> Node:
+def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None) -> Node:
     """Execute an instruction list against a frame.
 
     The reserved child ``ip`` starts at 0; each step evaluates the
@@ -263,7 +249,8 @@ def run_sequential(
     """
     if frame.kind != SET:
         raise EvalError("a sequential frame must be a set node")
-    ctx = _context_for(frame, ctx, fuel)
+    if ctx is None:
+        ctx = EvalContext(frame)
     program = instructions_from(body)
     frame.set_child("ip", Node.leaf(0))
     while True:
@@ -301,12 +288,7 @@ def _apply_write(root: Node, at: Path, value: Node, ctx: EvalContext) -> None:
 # --- rewriting ------------------------------------------------------------------
 
 
-def run_rewrite(
-    rules: Node,
-    frame: Node,
-    ctx: Optional[EvalContext] = None,
-    fuel: Optional[int] = None,
-) -> Node:
+def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> Node:
     """Rewrite the frame's data children to a normal form under the rules.
 
     Loop: (1) evaluate every ready sub-term (built-in operations with fully
@@ -317,13 +299,17 @@ def run_rewrite(
     """
     if frame.kind != SET:
         raise EvalError("a rewrite frame must be a set node")
-    ctx = _context_for(frame, ctx, fuel)
+    if ctx is None:
+        ctx = EvalContext(frame)
     formulas = formulas_from(rules)
     while True:
-        with ctx.lenient():
+        strict, ctx.strict = ctx.strict, False
+        try:
             for label, child in frame.children:
                 if label not in RESERVED_FRAME_LABELS:
                     evaluate(child, ctx)
+        finally:
+            ctx.strict = strict
         hits: list[tuple[Node, Path, Binding]] = []
         fired: Optional[Formula] = None
         for formula in formulas:
@@ -361,7 +347,7 @@ def _collect_matches(
     ):
         binding = match(formula.lhs, node)
         if binding is not None:
-            hits.append((node, Path(tuple(segs)), binding))
+            hits.append((node, Path(segs), binding))
             return
     # only an op-less set can be a function instance; the scan stops there
     if node.kind != SET or (node.op is None and is_function_instance(node)):

@@ -16,6 +16,12 @@ shared fuel budget bounds every run; a set of in-progress paths turns
 reference cycles into errors instead of hangs.  Forcing a reference whose
 target is a leaf, variable or hole is skipped, since evaluation would leave
 that target as it is.
+
+The rewrite engine's ready-term sweep evaluates leniently, and so does a
+reference it forces whose target is a term: ``deriv`` reads its symbolic
+argument that way, and forcing it strictly would raise UnknownOperation
+for the symbol ``x``.  A function instance the sweep forces is called,
+and a call always runs its body strictly.
 """
 
 from __future__ import annotations
@@ -86,25 +92,19 @@ class EvalContext:
     subtree replacement and exhaustion raises instead of hanging.
     ``strict`` distinguishes eager evaluation (unknown operations are
     errors, templates are called) from the rewrite engine's ready-term
-    sweep (anything not ready is left in place); it is off only inside
-    ``lenient()``.
+    sweep (anything not ready is left in place); it is off only during
+    ``run_rewrite``'s sweep, and ``templates.call`` turns it on for a body.
     """
 
     def __init__(
         self,
         root: Optional[Node] = None,
         *,
-        scopes: Optional[list[Node]] = None,
         fuel: int = DEFAULT_FUEL,
         devices=None,
         trace: Optional[TraceSink] = None,
     ):
-        if scopes is not None:
-            self.scopes = scopes
-        elif root is not None:
-            self.scopes = [root]
-        else:
-            self.scopes = []
+        self.scopes = [root] if root is not None else []
         self.fuel = fuel
         self.devices = devices
         self.trace = trace
@@ -135,15 +135,6 @@ class EvalContext:
         finally:
             self.scopes = saved
 
-    @contextmanager
-    def lenient(self):
-        saved = self.strict
-        self.strict = False
-        try:
-            yield self
-        finally:
-            self.strict = saved
-
 
 def is_function_instance(node: Node) -> bool:
     """A set shaped like a function/appliance frame: args, mode, result,
@@ -160,20 +151,13 @@ def is_function_instance(node: Node) -> bool:
 
 
 def instance_args_ready(node: Node) -> Optional[str]:
-    """Name of the first argument slot still holding a placeholder, else None."""
+    """Name of the first argument slot that is still a ``$`` placeholder,
+    else None.  A filled slot may hold a template, placeholders and all."""
     args = node.child("args")
     for index, (label, slot) in enumerate(args.children):
-        if _contains_var(slot):
+        if slot.kind == VAR:
             return label if label is not None else f"#{index}"
     return None
-
-
-def _contains_var(node: Node) -> bool:
-    if node.kind == VAR:
-        return True
-    if node.kind == SET:
-        return any(_contains_var(child) for _, child in node.children)
-    return False
 
 
 def is_value(node: Node) -> bool:

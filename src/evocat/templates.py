@@ -93,8 +93,10 @@ def call(instance: Node, ctx: EvalContext) -> Node:
     """Run a filled instance and replace it with its result value.
 
     The instance frame becomes the innermost reference scope; its body
-    executes under the engine selected by ``mode``.  Afterwards the value
-    of the ``result`` slot takes the instance node's place and is returned.
+    executes under the engine selected by ``mode``, evaluating strictly
+    even when the call was forced from the rewrite engine's lenient
+    ready-term sweep.  Afterwards the value of the ``result`` slot takes
+    the instance node's place and is returned.
     """
     if not is_function_instance(instance):
         raise EvalError("call target is not a function instance")
@@ -103,11 +105,15 @@ def call(instance: Node, ctx: EvalContext) -> Node:
         raise MissingArgument(f"argument slot {unfilled!r} is still empty")
     ctx.spend()
     mode = instance.child("mode").value
-    with ctx.scoped([instance] + ctx.scopes):
-        if mode == MODE_SEQUENTIAL:
-            run_sequential(instance.child("body"), instance, ctx)
-        else:
-            run_rewrite(instance.child("rules"), instance, ctx)
+    strict, ctx.strict = ctx.strict, True
+    try:
+        with ctx.scoped([instance] + ctx.scopes):
+            if mode == MODE_SEQUENTIAL:
+                run_sequential(instance.child("body"), instance, ctx)
+            else:
+                run_rewrite(instance.child("rules"), instance, ctx)
+    finally:
+        ctx.strict = strict
     result = instance.child("result")
     if result is None:
         raise EvalError("instance lost its result slot")

@@ -46,7 +46,7 @@ import re
 from itertools import islice
 from typing import Optional
 
-from .errors import DepthExceeded, DuplicateSibling, ParseError, VariablesOutsideRules
+from .errors import DepthExceeded, DuplicateSibling, NotEncodable, ParseError, VariablesOutsideRules
 from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path
 
 MAX_DEPTH = 200
@@ -264,7 +264,7 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
         i += 1
     if tokens[i + 1] != "]":
         raise _Fault(ParseError, "expected ']'", i + 1)
-    return Node(REF, ref=Path(tuple(segs))), i + 2
+    return Node(REF, ref=Path(segs)), i + 2
 
 
 # --- string sugar ---------------------------------------------------------
@@ -334,7 +334,15 @@ def _atom(node: Node) -> Optional[str]:
 
 
 def render(root: Node) -> str:
-    """Canonical text for a tree; equal trees render bit-identically."""
+    """Canonical text for a tree; equal trees render bit-identically.  A
+    natural too long for ``str`` (``parse`` rejects it too) is NotEncodable."""
+    try:
+        return _render(root)
+    except ValueError:  # from str(int)
+        raise NotEncodable("a natural has too many digits to be written as text") from None
+
+
+def _render(root: Node) -> str:
     atom = _atom(root)
     if atom is not None:
         return atom + "\n"

@@ -10,11 +10,11 @@ function-variable abstraction and never appears in files.
 Addressing follows the usual path discipline: the empty path is the
 identity, composition is concatenation, a label segment selects the child
 with that label and an ordinal segment ``#k`` selects the k-th child by
-position.  Every address below the text boundary is a ``Path``; entry
-points that also accept dotted text such as ``"a.#1"`` convert it with
-``_as_path``.  The one mutation primitive is subtree replacement, implemented
-as in-place "becoming" so that views into a tree stay valid across
-transitions.  A machine state is just its root ``Node``, and a view is the
+position.  Every address below the text boundary is a ``Path``, a tuple
+of segments; entry points that also accept dotted text such as ``"a.#1"``
+convert it with ``_as_path``.  The one mutation primitive is subtree
+replacement, implemented as in-place "becoming" so that views into a tree
+stay valid across transitions.  A machine state is just its root ``Node``, and a view is the
 subtree node itself, so a replacement through a view is seen outside it.
 
 This module is the only writer of a node's children: outside it
@@ -26,8 +26,7 @@ This module is the only writer of a node's children: outside it
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import (
     DuplicateSibling,
@@ -50,17 +49,21 @@ _ORDINAL_RE = re.compile(r"#([0-9]+)\Z")
 Segment = Union[str, int]
 
 
-@dataclass(frozen=True)
-class Path:
-    """A composition of edge labels; the empty path is the identity."""
+class Path(tuple):
+    """A composition of edge labels; the empty path is the identity.
 
-    segments: tuple[Segment, ...] = ()
+    A ``Path`` is the tuple of its segments: it equals and hashes as that
+    plain tuple.  ``+`` and slicing give plain tuples, so compose paths
+    with ``join``, ``child`` and ``parent``.  Text becomes a ``Path`` only
+    through ``Path.parse`` or ``_as_path``: ``Path("ab")`` is not a parse."""
+
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text: str) -> "Path":
         """Parse dot notation: ``a.b.#1``.  ``""`` and ``"."`` are identity."""
         if text in ("", "."):
-            return cls(())
+            return cls()
         segs: list[Segment] = []
         for piece in text.split("."):
             m = _ORDINAL_RE.match(piece)
@@ -70,43 +73,38 @@ class Path:
                 segs.append(piece)
             else:
                 raise ParseError(f"invalid path segment {piece!r}")
-        return cls(tuple(segs))
+        return cls(segs)
 
     @classmethod
     def of(cls, *segments: Segment) -> "Path":
-        return cls(tuple(segments))
+        return cls(segments)
+
+    @property
+    def segments(self) -> "Path":
+        return self
 
     def join(self, other: "Path") -> "Path":
-        return Path(self.segments + other.segments)
+        return Path(self + other)
 
     def child(self, seg: Segment) -> "Path":
-        return Path(self.segments + (seg,))
+        return Path(self + (seg,))
 
     def parent(self) -> "Path":
-        return Path(self.segments[:-1])
+        return Path(self[:-1])
 
     def last(self) -> Segment:
-        return self.segments[-1]
+        return self[-1]
 
     def is_prefix_of(self, other: "Path") -> bool:
-        return self.segments == other.segments[: len(self.segments)]
+        return self == other[: len(self)]
 
     def has_ordinals(self) -> bool:
-        return any(isinstance(s, int) for s in self.segments)
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    def __bool__(self) -> bool:
-        return bool(self.segments)
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self.segments)
+        return any(isinstance(s, int) for s in self)
 
     def __str__(self) -> str:
-        if not self.segments:
+        if not self:
             return "."
-        return ".".join(s if isinstance(s, str) else f"#{s}" for s in self.segments)
+        return ".".join(s if isinstance(s, str) else f"#{s}" for s in self)
 
 
 def compose(f: Path, g: Path) -> Path:
@@ -119,11 +117,11 @@ def meet(e: Path, c: Path) -> Path:
     if e.has_ordinals() or c.has_ordinals():
         raise OrdinalInMeet("meet is defined on label-only paths")
     common: list[Segment] = []
-    for a, b in zip(e.segments, c.segments):
+    for a, b in zip(e, c):
         if a != b:
             break
         common.append(a)
-    return Path(tuple(common))
+    return Path(common)
 
 
 class Node:
@@ -290,7 +288,10 @@ class Node:
 
     def __repr__(self) -> str:  # debugging aid only
         if self.kind == LEAF:
-            return f"<leaf {self.value}>"
+            try:
+                return f"<leaf {self.value}>"
+            except ValueError:  # more digits than this interpreter converts
+                return f"<leaf of {self.value.bit_length()} bits>"
         if self.kind == REF:
             return f"<ref [{self.ref}]>"
         if self.kind == VAR:

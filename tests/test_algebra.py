@@ -260,6 +260,9 @@ class TestSelect:
         pred = self.predicate("p : lt { #0 = $x #1 = $y }")
         with pytest.raises(EvalError):
             select(m, pred, EvalContext(StateTree()))
+        applied = self.predicate("p : lt { #0 : $f { #0 = $x } #1 = 3 }")
+        with pytest.raises(EvalError, match="function variables"):
+            select(m, applied, EvalContext(StateTree()))
 
     def test_predicate_errors_propagate(self):
         m = parse("a = 1").root

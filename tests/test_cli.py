@@ -70,6 +70,22 @@ nest {
 }
 """
 
+# 10**n, one digit at a time
+BIG = """
+big {
+  args { n = $n }
+  mode = 0
+  body {
+    #0 { at = [result] to = 1 }
+    #1 { at = [ip] to : if { #0 : eq { #0 = [args.n] #1 = 0 } #1 = 5 #2 = 2 } }
+    #2 { at = [result] to : prod { #0 = [result] #1 = 10 } }
+    #3 { at = [args.n] to : monus { #0 = [args.n] #1 = 1 } }
+    #4 { at = [ip] to = 1 }
+  }
+  result = 0
+}
+"""
+
 
 def evocat(*args, stdin=""):
     return subprocess.run(
@@ -130,6 +146,18 @@ class TestRun:
         assert out == ""
         assert "DepthExceeded" in err and "Traceback" not in err
         assert len(err.splitlines()) == 1
+
+    def test_natural_too_long_to_print(self, tmp_path, capsys):
+        program = tmp_path / "big.evo"
+        program.write_text(BIG)
+        status = cli.main(["run", str(program), "--entry", "big", "--arg", "n=4400"])
+        out, err = capsys.readouterr()
+        if status == 0:  # an interpreter without an int-to-text limit
+            assert textio.parse(out).value == 10**4400
+        else:
+            assert status == 3 and out == ""
+            assert err.startswith("evocat: render error: NotEncodable")
+            assert len(err.splitlines()) == 1
 
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.evo"

@@ -70,6 +70,15 @@ class TestWrites:
         with pytest.raises(NotEncodable):
             write_device(t, "dev.stdout", parse("a = 1 b { c = 2 }").root)
 
+    def test_natural_with_too_many_digits(self):
+        t, out = table()
+        try:
+            write_device(t, "dev.stdout", leaf(10**4400))
+        except NotEncodable:
+            assert out.lines == []
+        else:
+            assert out.lines == ["1" + "0" * 4400]
+
     def test_write_on_input_mount(self):
         t, _ = table()
         with pytest.raises(UnboundDevice):

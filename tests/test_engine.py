@@ -250,6 +250,14 @@ class TestValidation:
         body2 = parse("b { #0 { at = 5 to = 1 } }").resolve("b")
         with pytest.raises(EvalError):
             instructions_from(body2)
+        with pytest.raises(EvalError, match="instruction #0 is not a set"):
+            instructions_from(parse("b { #0 = 1 }").resolve("b"))
+
+    def test_malformed_formula(self):
+        with pytest.raises(EvalError, match="formula #0 is not a set"):
+            formulas_from(parse("r { #0 = 1 }").resolve("r"))
+        with pytest.raises(EvalError, match="formula #0 must have"):
+            formulas_from(parse("r { #0 { lhs = 1 } }").resolve("r"))
 
 
 class TestSequential:
@@ -271,6 +279,16 @@ class TestSequential:
         run_sequential(body, frame)
         assert frame.resolve("x").value == 3
         assert frame.resolve("ip").value == 3
+
+    def test_malformed_frame(self):
+        body = parse("b { #0 { at = [x] to = 1 } }").resolve("b")
+        with pytest.raises(EvalError, match="sequential frame"):
+            run_sequential(body, leaf(1))
+        with pytest.raises(EvalError, match="rewrite frame"):
+            run_rewrite(parse("r { }").resolve("r"), leaf(1))
+        jump = parse("b { #0 { at = [ip] to { a = 1 } } }").resolve("b")
+        with pytest.raises(EvalError, match="'ip' must be a natural-number leaf"):
+            run_sequential(jump, StateTree())
 
     def test_error_carries_instruction_index(self):
         body = parse(
@@ -403,7 +421,16 @@ class TestRewrite:
         )
         frame.root.add_child("goal", setn(leaf(0), op="loop"))
         with pytest.raises(FuelExhausted):
-            run_rewrite(frame.resolve("rules"), frame, fuel=30)
+            run_rewrite(frame.resolve("rules"), frame, EvalContext(frame, fuel=30))
+
+    def test_sweep_leaves_if_and_select_on_an_operand_that_is_not_a_value(self):
+        src = """
+        c : if { #0 : later { #0 = 1 } #1 = 2 #2 = 3 }
+        s : select { #0 : later { #0 = 1 } #1 : lt { #0 = $x #1 = 3 } }
+        """
+        frame = parse(src)
+        run_rewrite(parse("r { }").resolve("r"), frame)
+        assert render(frame) == render(parse(src))
 
     def test_ready_subterms_evaluated_before_matching(self):
         frame = parse(

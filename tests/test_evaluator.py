@@ -15,9 +15,11 @@ from evocat import (
 from evocat.errors import (
     CyclicReference,
     DivisionByZero,
+    EvalError,
     FuelExhausted,
     NotBoolean,
     PathUnresolvable,
+    UnboundVariable,
     UnknownOperation,
 )
 from evocat.evaluator import DEFAULT_FUEL, deref, evaluate, is_value, tree_data_of
@@ -83,6 +85,13 @@ class TestEvaluate:
     def test_unknown_operation(self):
         with pytest.raises(UnknownOperation):
             evaluate(detached("t : mystery { a = 1 }"), EvalContext(Node.set_node()))
+        with pytest.raises(UnboundVariable):
+            evaluate(detached("t : $f { a = 1 }"), EvalContext(Node.set_node()))
+
+    def test_if_and_select_operand_counts(self):
+        for src in ("t : if { c = 1 a = 2 }", "t : select { s { } p = $x q = 1 }"):
+            with pytest.raises(EvalError, match="expects"):
+                evaluate(detached(src), EvalContext(Node.set_node()))
 
     def test_condition_must_be_boolean(self):
         with pytest.raises(NotBoolean):

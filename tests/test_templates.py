@@ -45,6 +45,42 @@ main {
 }
 """
 
+# a template passed as an operand and called from the body
+APPLY = """
+apply {
+  args { g = $g x = $x }
+  mode = 0
+  body {
+    #0 { at = [h] to = [args.g] }
+    #1 { at = [h.args.n] to = [args.x] }
+    #2 { at = [result] to = [h] }
+  }
+  result = 0
+}
+main {
+  args { }
+  mode = 0
+  body { #0 { at = [result] to : apply { #0 = [fact] #1 = 4 } } }
+  result = 0
+}
+"""
+
+# d.weekday is a function instance whose body calls the div template; the
+# rewrite frame forces it during its ready-term sweep
+LATE_WEEKDAY = """
+d {
+  day = 5 month = 2 year = 2004
+  weekday {
+    args { }
+    mode = 0
+    body { #0 { at = [result] to : div { #0 = [year] #1 = 100 } } }
+    result = 0
+  }
+}
+from_rules { args { } mode = 1 rules { } result = [d.weekday] }
+from_body { args { } mode = 0 body { #0 { at = [result] to = [d.weekday] } } result = 0 }
+"""
+
 
 def weekday_machine():
     lib = load_stdlib()
@@ -96,6 +132,20 @@ class TestCall:
         with pytest.raises(MissingArgument) as info:
             call(instance, EvalContext(lib))
         assert "arg2" in str(info.value)
+
+    def test_a_slot_holding_a_template_is_filled(self):
+        # the operand [fact] keeps its own `n = $n`; only a slot that is
+        # itself a placeholder is empty
+        lib = load_stdlib()
+        merge_program(lib, parse(APPLY))
+        assert run_entry(lib, "main").value == 24
+
+    def test_a_call_forced_from_the_sweep_runs_its_body_strictly(self):
+        for entry in ("from_rules", "from_body"):
+            lib = load_stdlib()
+            merge_program(lib, parse(LATE_WEEKDAY))
+            assert run_entry(lib, entry).value == 20
+            assert render(lib.resolve("d.weekday")) == "20\n"
 
     def test_weekday_2004_02_05_is_thursday(self):
         result = run_entry(
@@ -204,6 +254,10 @@ class TestHeap:
         for v in (5, 3, 8):
             heap_put(heap, leaf(v), ctx)
         assert [heap_get(heap, ctx).value for _ in range(3)] == [3, 5, 8]
+        bare = parse("heap { data { } }").resolve("heap")  # no compare: ordered by <
+        for v in (5, 3, 8):
+            heap_put(bare, leaf(v), ctx)
+        assert [heap_get(bare, ctx).value for _ in range(3)] == [3, 5, 8]
 
     def test_heap_order_invariant(self, rng):
         heap, ctx = self.fresh_heap()
@@ -259,6 +313,17 @@ class TestHeap:
         heap_put(heap, leaf(1), ctx)
         with pytest.raises(CompareFailed):
             heap_put(heap, setn(leaf(1)), ctx)
+        bare = parse("heap { data { } }").resolve("heap")  # no compare: leaves only
+        heap_put(bare, leaf(1), ctx)
+        with pytest.raises(CompareFailed):
+            heap_put(bare, setn(leaf(1)), ctx)
+        seven = parse(
+            "compare { args { arg1 = $arg1 arg2 = $arg2 } mode = 0"
+            " body { #0 { at = [result] to = 7 } } result = 0 }"
+        ).resolve("compare")
+        heap.set_child("compare", seven)
+        with pytest.raises(CompareFailed, match="boolean"):
+            heap_put(heap, leaf(2), ctx)
 
     def test_not_a_heap(self):
         with pytest.raises(EvalError):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evocat import parse, render
-from evocat.errors import DepthExceeded, DuplicateSibling, ParseError, VariablesOutsideRules
+from evocat.errors import (
+    DepthExceeded,
+    DuplicateSibling,
+    NotEncodable,
+    ParseError,
+    VariablesOutsideRules,
+)
 from evocat.tree import Node, Path, node_equal
 
 from helpers import gen_any_tree
@@ -163,6 +169,17 @@ class TestRender:
         for _ in range(40):
             tree = gen_any_tree(rng, depth=4)
             assert render(tree) == render(tree.copy())
+
+    def test_natural_with_too_many_digits(self):
+        # 4401 digits: past the int-to-text limit of interpreters that have one
+        big = Node.leaf(10**4400)
+        for tree in (big, Node.set_node([("n", big)])):
+            try:
+                text = render(tree)
+            except NotEncodable:
+                continue
+            assert node_equal(parse(text), tree)
+        assert repr(big).startswith("<leaf ")
 
 
 def chain(depth: int) -> Node:
