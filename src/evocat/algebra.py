@@ -139,8 +139,11 @@ def select(m: Node, predicate: Node, ctx) -> Node:
     for label, child in m.children:
         # the predicate's one variable, if any, is every VAR node in it
         pred = rebuild(predicate, lambda n: child.copy() if n.kind == VAR else None)
-        with ctx.scoped([child] + ctx.scopes):
+        scope, ctx.scope = ctx.scope, (child, ctx.scope)
+        try:
             result = evaluate(pred, ctx)
+        finally:
+            ctx.scope = scope
         if _bool(result, "select predicate"):
             kept.append((label, child.copy()))
     return Node(SET, children=kept)

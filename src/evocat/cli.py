@@ -24,6 +24,7 @@ from . import textio
 from .devices import DeviceTable, scripted_clock
 from .errors import (
     DepthExceeded,
+    DuplicateSibling,
     EvoError,
     MissingArgument,
     NotASet,
@@ -70,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             metavar="LABEL=VALUE",
-            help="fill an argument slot (repeatable)",
+            help="fill an argument slot (repeatable, once per label)",
         )
         p.add_argument("--fuel", type=_positive, default=DEFAULT_FUEL, metavar="N")
         p.add_argument("--dump", metavar="FILE", help="write the final state ('-' = stdout)")
@@ -141,6 +142,8 @@ def _cmd_run(args, traced: bool) -> int:
             label, eq, value = item.partition("=")
             if not eq:
                 raise MissingArgument(f"--arg needs LABEL=VALUE, got {item!r}")
+            if label in arguments:
+                raise DuplicateSibling(f"--arg {label!r} is given more than once")
             arguments[label] = _parse_arg_value(value)
     except (ParseError, EvoError) as err:
         print(f"evocat: argument error: {err}", file=sys.stderr)

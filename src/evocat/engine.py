@@ -106,34 +106,40 @@ def match(pattern: Node, subject: Node) -> Optional[Binding]:
     return binding
 
 
-def _walk(p: Node, t: Node, binding: Binding, deferred: list) -> bool:
-    if p.kind == VAR:
-        seen = binding.vars.get(p.var)
-        if seen is not None:
-            return node_equal(seen, t)
-        binding.vars[p.var] = t
-        return True
-    if p.kind == LEAF:
-        return t.kind == LEAF and p.value == t.value
-    if p.kind == REF:
-        return t.kind == REF and p.ref == t.ref
-    if p.kind == HOLE:
-        raise EvalError("hole nodes cannot appear in patterns")
-    # p is a set
-    if p.op is not None and p.op.startswith("$"):
-        if len(p.children) != 1 or p.children[0][1].kind != VAR:
-            raise EvalError(
-                f"function variable {p.op} must be applied to exactly one variable"
-            )
-        deferred.append((p.op[1:], p.children[0][1].var, t))
-        return True
-    if t.kind != SET or p.op != t.op or len(p.children) != len(t.children):
-        return False
-    for (pl, pc), (tl, tc) in zip(p.children, t.children):
+def _walk(pattern: Node, subject: Node, binding: Binding, deferred: list) -> bool:
+    """The first-order step of ``match``, preorder and left to right on an
+    explicit stack of child pairs.  A pair's labels are compared when it is
+    popped, so the binding, ``deferred`` and the error raised are those of
+    a walk that compares each label just before visiting the child."""
+    work = [((None, pattern), (None, subject))]
+    while work:
+        (pl, p), (tl, t) = work.pop()
         if pl != tl:
             return False
-        if not _walk(pc, tc, binding, deferred):
+        if p.kind == VAR:
+            seen = binding.vars.get(p.var)
+            if seen is None:
+                binding.vars[p.var] = t
+            elif not node_equal(seen, t):
+                return False
+        elif p.kind == LEAF:
+            if t.kind != LEAF or p.value != t.value:
+                return False
+        elif p.kind == REF:
+            if t.kind != REF or p.ref != t.ref:
+                return False
+        elif p.kind == HOLE:
+            raise EvalError("hole nodes cannot appear in patterns")
+        elif p.op is not None and p.op.startswith("$"):
+            if len(p.children) != 1 or p.children[0][1].kind != VAR:
+                raise EvalError(
+                    f"function variable {p.op} must be applied to exactly one variable"
+                )
+            deferred.append((p.op[1:], p.children[0][1].var, t))
+        elif t.kind != SET or p.op != t.op or len(p.children) != len(t.children):
             return False
+        else:
+            work.extend(zip(reversed(p.children), reversed(t.children)))
     return True
 
 

@@ -27,7 +27,6 @@ and a call always runs its body strictly.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 from typing import Optional
 
 from . import algebra
@@ -87,8 +86,11 @@ class TraceSink:
 class EvalContext:
     """Everything one logical thread of evaluation needs.
 
-    ``scopes`` is the reference-resolution chain, innermost first; the last
-    entry is normally the machine root.  ``fuel`` decreases on every
+    ``scope`` is the reference-resolution chain, innermost first: a cell
+    ``(node, outer)`` whose ``outer`` is the next cell out, or None past
+    the outermost node, normally the machine root.  A frame is pushed as
+    ``(inner, ctx.scope)``, which shares the outer chain, and the saved
+    chain is restored in a ``finally``.  ``fuel`` decreases on every
     subtree replacement and exhaustion raises instead of hanging.
     ``strict`` distinguishes eager evaluation (unknown operations are
     errors, templates are called) from the rewrite engine's ready-term
@@ -104,7 +106,7 @@ class EvalContext:
         devices=None,
         trace: Optional[TraceSink] = None,
     ):
-        self.scopes = [root] if root is not None else []
+        self.scope = (root, None) if root is not None else None
         self.fuel = fuel
         self.devices = devices
         self.trace = trace
@@ -123,17 +125,6 @@ class EvalContext:
     def emit(self, mode: str, index: int, path: Path) -> None:
         if self.trace is not None:
             self.trace.emit(mode, index, path)
-
-    @contextmanager
-    def scoped(self, scopes: list[Node]):
-        """Resolve references through ``scopes`` until the block ends; push
-        a scope with ``ctx.scoped([inner] + ctx.scopes)``."""
-        saved = self.scopes
-        self.scopes = scopes
-        try:
-            yield self
-        finally:
-            self.scopes = saved
 
 
 def is_function_instance(node: Node) -> bool:
@@ -187,32 +178,36 @@ def _device_read(ctx: EvalContext, path: Path) -> Optional[Node]:
     return device.read()
 
 
-def _force_at(scope_stack: list[Node], path: Path, ctx: EvalContext) -> Optional[Node]:
-    """Resolve ``path`` from ``scope_stack[0]`` and force the target: call it
+def _force_at(scope: tuple, path: Path, ctx: EvalContext) -> Optional[Node]:
+    """Resolve ``path`` from ``scope[0]`` and force the target: call it
     if it is a filled function instance, evaluate it if it is a term.
     A leaf, variable or hole target is returned without forcing.
     Returns the in-tree node, or None when the path does not resolve; the
     identity path addresses the scope itself."""
-    chain = resolve_chain(scope_stack[0], path)
+    node = scope[0]
+    chain = resolve_chain(node, path)
     if chain is None:
         return None
-    target = chain[-1] if chain else scope_stack[0]
-    key = (id(scope_stack[0]), path)
+    target = chain[-1] if chain else node
+    key = (id(node), path)
     if key in ctx.in_progress:
         raise CyclicReference(f"reference cycle through {path}")
     if target.kind in (LEAF, VAR, HOLE):
         return target
     ctx.in_progress.add(key)
+    saved = ctx.scope
     try:
-        enclosing = list(reversed(chain[:-1])) + list(scope_stack)
-        with ctx.scoped(enclosing):
-            if is_function_instance(target) and instance_args_ready(target) is None:
-                from .templates import call
+        for ancestor in chain[:-1]:
+            scope = (ancestor, scope)
+        ctx.scope = scope
+        if is_function_instance(target) and instance_args_ready(target) is None:
+            from .templates import call
 
-                call(target, ctx)
-            else:
-                evaluate(target, ctx)
+            call(target, ctx)
+        else:
+            evaluate(target, ctx)
     finally:
+        ctx.scope = saved
         ctx.in_progress.discard(key)
     return target
 
@@ -225,11 +220,7 @@ def tree_data_of(root: Node, at: Path, ctx: Optional[EvalContext] = None) -> Nod
     device = _device_read(ctx, at)
     if device is not None:
         return device
-    if ctx.scopes and ctx.scopes[0] is root:
-        stack = list(ctx.scopes)
-    else:
-        stack = [root] + list(ctx.scopes)
-    target = _force_at(stack, at, ctx)
+    target = _force_at((root, ctx.scope), at, ctx)
     if target is None:
         raise PathUnresolvable(f"no node at {at}")
     return target
@@ -241,10 +232,12 @@ def deref(path: Path, ctx: EvalContext) -> Node:
     device = _device_read(ctx, path)
     if device is not None:
         return device
-    for i in range(len(ctx.scopes)):
-        target = _force_at(ctx.scopes[i:], path, ctx)
+    scope = ctx.scope
+    while scope is not None:
+        target = _force_at(scope, path, ctx)
         if target is not None:
             return target.copy()
+        scope = scope[1]
     raise PathUnresolvable(f"no node at {path}")
 
 

@@ -57,10 +57,12 @@ def instantiate(root: Node, path: Union[Path, str]) -> Node:
 
 def lookup_template(name: str, ctx: EvalContext) -> Optional[Node]:
     """Resolve an operation identifier to a template, innermost scope first."""
-    for scope in ctx.scopes:
-        if scope.kind != SET:
+    scope = ctx.scope
+    while scope is not None:
+        node, scope = scope
+        if node.kind != SET:
             continue
-        child = scope.child(name)
+        child = node.child(name)
         if child is not None and is_function_instance(child):
             return child
     return None
@@ -106,14 +108,15 @@ def call(instance: Node, ctx: EvalContext) -> Node:
     ctx.spend()
     mode = instance.child("mode").value
     strict, ctx.strict = ctx.strict, True
+    scope, ctx.scope = ctx.scope, (instance, ctx.scope)
     try:
-        with ctx.scoped([instance] + ctx.scopes):
-            if mode == MODE_SEQUENTIAL:
-                run_sequential(instance.child("body"), instance, ctx)
-            else:
-                run_rewrite(instance.child("rules"), instance, ctx)
+        if mode == MODE_SEQUENTIAL:
+            run_sequential(instance.child("body"), instance, ctx)
+        else:
+            run_rewrite(instance.child("rules"), instance, ctx)
     finally:
         ctx.strict = strict
+        ctx.scope = scope
     result = instance.child("result")
     if result is None:
         raise EvalError("instance lost its result slot")
@@ -136,13 +139,13 @@ def run_entry(
         raise NotASet(f"{entry} is not a function template")
     for label, value in (arguments or {}).items():
         assign_argument(instance, label, value)
+    scope, ctx.scope = ctx.scope, (root, ctx.scope)
     try:
-        if ctx.scopes and ctx.scopes[0] is root:
-            return call(instance, ctx)
-        with ctx.scoped([root] + ctx.scopes):
-            return call(instance, ctx)
+        return call(instance, ctx)
     except RecursionError:
         raise DepthExceeded(f"{entry} nested too deep for the interpreter stack") from None
+    finally:
+        ctx.scope = scope
 
 
 # --- program assembly ---------------------------------------------------------

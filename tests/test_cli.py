@@ -111,6 +111,11 @@ class TestRun:
         assert proc.returncode == 2
         assert "arg2" in proc.stderr
 
+    def test_repeated_argument_label_is_an_argument_error(self):
+        proc = evocat("run", str(STDLIB), "--entry", "fact", "--arg", "n=3", "--arg", "n=4")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "argument error" in proc.stderr and "'n'" in proc.stderr
+
     def test_unknown_entry(self):
         proc = evocat("run", str(STDLIB), "--entry", "nothing")
         assert proc.returncode == 2

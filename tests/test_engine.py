@@ -108,6 +108,21 @@ class TestMatch:
         assert node_equal(binding.funcs["f"].body, body)
         assert not node_ids(binding.funcs["f"].body) & node_ids(body)
 
+    def test_deep_pattern(self):
+        lhs = Node.var_node("x")
+        for _ in range(3000):
+            lhs = setn(lhs, op="f", labels=["a"])
+        rules = setn(setn(lhs, Node.var_node("x"), labels=["lhs", "rhs"]))
+        (formula,) = formulas_from(rules)
+        assert formula.lhs is lhs
+        subject = lhs.copy()
+        binding = match(lhs, subject)
+        assert binding is not None
+        inner = subject
+        for _ in range(3000):
+            inner = inner.child("a")
+        assert binding.vars["x"] is inner
+
 
 class TestAbstraction:
     def test_plug_twice_gives_fresh_equal_trees(self):

@@ -23,7 +23,7 @@ from evocat.errors import (
     UnknownOperation,
 )
 from evocat.evaluator import DEFAULT_FUEL, deref, evaluate, is_value, tree_data_of
-from evocat.templates import heap_get, heap_put
+from evocat.templates import bind_operands, call, heap_get, heap_put
 from evocat.tree import Node, Path, node_equal
 
 from helpers import expr_oracle, gen_expr
@@ -141,16 +141,50 @@ class TestReferences:
         with pytest.raises(PathUnresolvable):
             t.data_of("x")
 
-    def test_scoped_pushes_and_restores(self):
+    def test_scope_chain_pushes_and_restores(self):
         root, inner = parse("a = 1 b = 3"), parse("a = 2")
         ctx = EvalContext(root)
+        outer = ctx.scope
+        assert outer[0] is root and outer[1] is None
+        ctx.scope = (inner, outer)
+        assert deref(Path.parse("a"), ctx).value == 2  # the inner frame shadows
+        assert deref(Path.parse("b"), ctx).value == 3  # falls through to the root
         with pytest.raises(PathUnresolvable):
-            with ctx.scoped([inner] + ctx.scopes):
-                assert deref(Path.parse("a"), ctx).value == 2
-                assert deref(Path.parse("b"), ctx).value == 3
-                deref(Path.parse("c"), ctx)
-        assert ctx.scopes == [root]
+            deref(Path.parse("c"), ctx)
+        assert ctx.scope[0] is inner and ctx.scope[1] is outer
+        ctx.scope = outer
         assert deref(Path.parse("a"), ctx).value == 1
+
+    def test_falls_through_when_the_inner_frame_lacks_the_rest(self):
+        # t has a first segment 'a', but not a.b: the root's a.b answers
+        assert parse("a { b = 1 } t { a = 5 x = [a.b] }").data_of("t.x").value == 1
+
+    def test_scope_chain_is_restored_after_an_error(self):
+        root = parse(
+            """f { args { x = $x } mode = 0 result = 0
+                   body { #0 { at = [result] to : rem { #0 = [args.x] #1 = 0 } } } }
+               s : select { #0 { #0 { k = 2 } } #1 : not { #0 = [k] } }
+               r { a : rem { #0 = 1 #1 = 0 } }"""
+        )
+        ctx = EvalContext(root)
+        ctx.scope = (parse("z = 0"), ctx.scope)
+        before = ctx.scope
+
+        def body_error():
+            instance = root.child("f").copy()
+            bind_operands(instance, [Node.leaf(3)])
+            call(instance, ctx)
+
+        failing = {
+            "call": (body_error, DivisionByZero),
+            "select": (lambda: evaluate(root.child("s").copy(), ctx), NotBoolean),
+            "run_entry": (lambda: run_entry(root, "f", {"x": Node.leaf(3)}, ctx), DivisionByZero),
+            "forced reference": (lambda: deref(Path.parse("r.a"), ctx), DivisionByZero),
+        }
+        for site, (run, error) in failing.items():
+            with pytest.raises(error):
+                run()
+            assert ctx.scope is before, site
 
 
 class TestFinalTargets:

@@ -24,6 +24,7 @@ from evocat.errors import (
     MissingArgument,
     PathUnresolvable,
 )
+from evocat import templates
 from evocat.evaluator import evaluate
 from evocat.templates import bind_operands
 from evocat.tree import node_equal
@@ -172,6 +173,23 @@ class TestCall:
         for n in (0, 1, 5, 10):
             result = run_entry(load_stdlib(), "fact", {"n": leaf(n)})
             assert result.value == math.factorial(n)
+
+    def test_frames_share_their_outer_chain(self, monkeypatch):
+        # a call pushes one (frame, outer) cell onto the chain it was made
+        # in, so each recursive frame's tail is the caller's chain itself
+        chains = []
+        real = templates.run_sequential
+
+        def recording(body, frame, ctx):
+            assert ctx.scope[0] is frame
+            chains.append(ctx.scope)
+            return real(body, frame, ctx)
+
+        monkeypatch.setattr(templates, "run_sequential", recording)
+        assert run_entry(load_stdlib(), "fact", {"n": leaf(5)}).value == 120
+        assert len(chains) == 5  # n = 5, 4, 3, 2, 1
+        for caller, callee in zip(chains, chains[1:]):
+            assert callee[1] is caller
 
     def test_operation_identifier_calls_template(self):
         # a term whose op names a template resolves through the scopes
