@@ -126,7 +126,9 @@ def select(m: Node, predicate: Node, ctx) -> Node:
     The predicate is a term with at most one distinct variable; each child
     is substituted for that variable.  The child is also pushed as the
     innermost reference scope, so field access like ``[name]`` works on
-    record children.
+    record children.  The predicate is evaluated strictly, also when the
+    ``select`` was fired by the rewrite engine's lenient ready-term sweep:
+    it must reduce to a boolean leaf.
     """
     from .evaluator import evaluate  # local import: select drives evaluation
 
@@ -139,10 +141,12 @@ def select(m: Node, predicate: Node, ctx) -> Node:
     for label, child in m.children:
         # the predicate's one variable, if any, is every VAR node in it
         pred = rebuild(predicate, lambda n: child.copy() if n.kind == VAR else None)
+        strict, ctx.strict = ctx.strict, True
         scope, ctx.scope = ctx.scope, (child, ctx.scope)
         try:
             result = evaluate(pred, ctx)
         finally:
+            ctx.strict = strict
             ctx.scope = scope
         if _bool(result, "select predicate"):
             kept.append((label, child.copy()))
@@ -151,13 +155,15 @@ def select(m: Node, predicate: Node, ctx) -> Node:
 
 def _predicate_vars(node: Node) -> set[str]:
     names: set[str] = set()
-    if node.kind == VAR:
-        names.add(node.var)
-    elif node.kind == SET:
-        if node.op is not None and node.op.startswith("$"):
-            raise EvalError("function variables are not allowed in select predicates")
-        for _, child in node.children:
-            names |= _predicate_vars(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.kind == VAR:
+            names.add(node.var)
+        elif node.kind == SET:
+            if node.op is not None and node.op.startswith("$"):
+                raise EvalError("function variables are not allowed in select predicates")
+            stack.extend(child for _, child in node.children)
     return names
 
 

@@ -271,7 +271,9 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None) -
         try:
             ctx.spend()
             ctx.count("instruction")
-            value = evaluate(inst.to.copy(), ctx)
+            value = inst.to.copy()
+            if value.kind != LEAF:
+                evaluate(value, ctx)
             _apply_write(frame, inst.at, value, ctx)
         except EvoError as err:
             if err.instruction is None:
@@ -312,7 +314,7 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
         strict, ctx.strict = ctx.strict, False
         try:
             for label, child in frame.children:
-                if label not in RESERVED_FRAME_LABELS:
+                if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
                     evaluate(child, ctx)
         finally:
             ctx.strict = strict

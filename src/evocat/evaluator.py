@@ -21,7 +21,10 @@ The rewrite engine's ready-term sweep evaluates leniently, and so does a
 reference it forces whose target is a term: ``deriv`` reads its symbolic
 argument that way, and forcing it strictly would raise UnknownOperation
 for the symbol ``x``.  A function instance the sweep forces is called,
-and a call always runs its body strictly.
+and a call always runs its body strictly.  A ``select`` the sweep fires
+runs its predicate strictly too.  The sweep never enters a leaf: the
+frame loop and every operand loop skip one, since it is already a value,
+and only an op-less set is asked whether it is a function instance.
 """
 
 from __future__ import annotations
@@ -153,16 +156,28 @@ def instance_args_ready(node: Node) -> Optional[str]:
 
 def is_value(node: Node) -> bool:
     """Fully evaluated: no operation, reference or variable anywhere.
-    Function instances count as values (they are the machine's closures)."""
-    if node.kind == LEAF:
+    Function instances count as values (they are the machine's closures).
+
+    A leaf and a set with an operation are answered before the work list
+    is built; the walk itself is a loop, so depth costs no Python stack."""
+    kind = node.kind
+    if kind == LEAF:
         return True
-    if node.kind != SET:
+    if kind != SET or node.op is not None:
         return False
-    if is_function_instance(node):
-        return True
-    if node.op is not None:
-        return False
-    return all(is_value(child) for _, child in node.children)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if is_function_instance(node):
+            continue
+        for _, child in node.children:
+            kind = child.kind
+            if kind == LEAF:
+                continue
+            if kind != SET or child.op is not None:
+                return False
+            stack.append(child)
+    return True
 
 
 # --- access: data_of / deref ------------------------------------------------
@@ -250,22 +265,22 @@ def evaluate(node: Node, ctx: EvalContext) -> Node:
     Strict mode raises UnknownOperation for unresolvable identifiers and
     calls templates for known ones; lenient mode (the rewrite engine's
     ready-term sweep) fires built-ins whose operands are values and leaves
-    everything else untouched.
+    everything else untouched.  A leaf is returned as it is; the sweep and
+    the operand loops here test for one themselves and never pass it in.
     """
     kind = node.kind
-    if kind in (LEAF, VAR, HOLE):
-        return node
     if kind == REF:
         value = deref(node.ref, ctx)
         ctx.spend()
         ctx.count("deref")
         return node.become(value)
-    if is_function_instance(node):
+    if kind != SET:
         return node
     op = node.op
     if op is None:
-        for _, child in node.children:
-            evaluate(child, ctx)
+        # only an op-less set can be a function instance
+        if not is_function_instance(node):
+            _eval_children(node, ctx)
         return node
     if op == "if":
         return _eval_if(node, ctx)
@@ -276,10 +291,15 @@ def evaluate(node: Node, ctx: EvalContext) -> Node:
     if op.startswith("$"):
         raise UnboundVariable(f"function variable {op} outside a rewrite rule")
     if not ctx.strict:
-        for _, child in node.children:
-            evaluate(child, ctx)
+        _eval_children(node, ctx)
         return node
     return _eval_call(node, ctx)
+
+
+def _eval_children(node: Node, ctx: EvalContext) -> None:
+    for _, child in node.children:
+        if child.kind != LEAF:
+            evaluate(child, ctx)
 
 
 def _fire(node: Node, result: Node, ctx: EvalContext) -> Node:
@@ -291,31 +311,40 @@ def _fire(node: Node, result: Node, ctx: EvalContext) -> Node:
 def _eval_if(node: Node, ctx: EvalContext) -> Node:
     if len(node.children) != 3:
         raise EvalError(f"if expects 3 operands, got {len(node.children)}")
-    cond = evaluate(node.children[0][1], ctx)
-    if not ctx.strict and not is_value(cond):
-        return node
+    cond = node.children[0][1]
+    if cond.kind != LEAF:
+        evaluate(cond, ctx)
+        if not ctx.strict and cond.kind != LEAF and not is_value(cond):
+            return node
     branch = node.children[1][1] if algebra._bool(cond, "if") else node.children[2][1]
-    evaluate(branch, ctx)
-    if not ctx.strict and not is_value(branch):
-        return node
+    if branch.kind != LEAF:
+        evaluate(branch, ctx)
+        if not ctx.strict and branch.kind != LEAF and not is_value(branch):
+            return node
     return _fire(node, branch, ctx)
 
 
 def _eval_select(node: Node, ctx: EvalContext) -> Node:
     if len(node.children) != 2:
         raise EvalError(f"select expects 2 operands, got {len(node.children)}")
-    source = evaluate(node.children[0][1], ctx)
-    if not ctx.strict and not is_value(source):
-        return node
+    source = node.children[0][1]
+    if source.kind != LEAF:
+        evaluate(source, ctx)
+        if not ctx.strict and source.kind != LEAF and not is_value(source):
+            return node
     result = algebra.select(source, node.children[1][1], ctx)
     return _fire(node, result, ctx)
 
 
 def _eval_eager(node: Node, ctx: EvalContext) -> Node:
+    # the loop of _eval_children, inline: this is the sweep's hottest path
     for _, child in node.children:
-        evaluate(child, ctx)
-    if not ctx.strict and not all(is_value(child) for _, child in node.children):
-        return node
+        if child.kind != LEAF:
+            evaluate(child, ctx)
+    if not ctx.strict:
+        for _, child in node.children:
+            if child.kind != LEAF and not is_value(child):
+                return node
     result = algebra.apply_builtin(node.op, [child for _, child in node.children])
     return _fire(node, result, ctx)
 
@@ -326,8 +355,7 @@ def _eval_call(node: Node, ctx: EvalContext) -> Node:
     template = lookup_template(node.op, ctx)
     if template is None:
         raise UnknownOperation(f"unknown operation {node.op!r}")
-    for _, child in node.children:
-        evaluate(child, ctx)
+    _eval_children(node, ctx)
     instance = template.copy()
     bind_operands(instance, [child for _, child in node.children])
     call(instance, ctx)

@@ -14,6 +14,7 @@ from evocat.algebra import (
     pair,
     product,
     remainder,
+    _predicate_vars,
     select,
     struct_eq,
 )
@@ -25,7 +26,7 @@ from evocat.errors import (
     NotASet,
     NotBoolean,
 )
-from evocat.tree import node_equal
+from evocat.tree import Node, node_equal
 
 from helpers import gen_value_tree, leaf, setn
 
@@ -240,6 +241,15 @@ class TestSelect:
         pred = self.predicate('p : seteq { #0 = [name] #1 = "John" }')
         out = select(m, pred, EvalContext(StateTree()))
         assert [l for l, _ in out.children] == ["p0"]
+
+    def test_predicate_vars_on_a_deep_chain(self):
+        chain = Node.var_node("x")
+        for _ in range(3000):
+            chain = setn(chain, labels=["a"])
+        assert _predicate_vars(chain) == {"x"}
+        chain.set_child("b", setn(leaf(1), op="$f"))
+        with pytest.raises(EvalError):
+            _predicate_vars(chain)
 
     def test_order_and_labels_preserved_idempotent(self, rng):
         m = setn(*[leaf(rng.randrange(10)) for _ in range(8)],

@@ -2,6 +2,7 @@
 
 import pytest
 
+from evocat import engine, evaluator
 from evocat import (
     DeviceTable,
     EvalContext,
@@ -328,3 +329,56 @@ class TestTemplateValues:
         g = t.data_of("g")
         assert g.child("mode").value == 0
         assert g.child("args").child("n").var == "n"
+
+
+class TestLeanSweep:
+    """The sweep spends no evaluator call on a leaf; what it computes is
+    unchanged."""
+
+    def test_no_leaf_enters_evaluate_and_counts_are_pinned(self, monkeypatch):
+        seen = []
+        inner = evaluator.evaluate
+
+        def spy(node, ctx):
+            seen.append(node.kind)
+            return inner(node, ctx)
+
+        # the evaluator's own recursion looks the name up in its module;
+        # the engine holds the name it imported
+        monkeypatch.setattr(evaluator, "evaluate", spy)
+        monkeypatch.setattr(engine, "evaluate", spy)
+        e = parse(
+            "e : prod { #0 : sum { #0 : prod { #0 : x { } #1 = 2 } #1 = 3 }"
+            " #1 : sum { #0 = 1 #1 : prod { #0 = 4 #1 : x { } } } }"
+        ).resolve("e")
+        runs = {
+            "div": {"a": Node.leaf(200), "b": Node.leaf(7)},
+            "gcd": {"arg1": Node.leaf(832040), "arg2": Node.leaf(514229)},
+            "deriv": {"e": e},
+        }
+        got = {}
+        for entry, args in runs.items():
+            lib, seen[:] = load_stdlib(), []
+            ctx = EvalContext(lib)
+            out = run_entry(lib, entry, args, ctx)
+            assert seen and "leaf" not in seen, entry
+            got[entry] = (dict(ctx.stats), DEFAULT_FUEL - ctx.fuel)
+            if entry != "deriv":
+                assert out.value == {"div": 28, "gcd": 1}[entry]
+        # recorded while every leaf operand still passed through evaluate
+        assert got == {
+            "div": ({"deref": 2, "firing": 29, "op": 114}, 146),
+            "gcd": ({"deref": 2, "firing": 29, "op": 28}, 60),
+            "deriv": ({"deref": 1, "firing": 11, "op": 2}, 15),
+        }
+
+    def test_is_value_on_a_deep_chain(self):
+        chain = Node.leaf(1)
+        for _ in range(3000):
+            chain = Node.set_node([("a", chain)])
+        assert is_value(chain)
+        inner = chain
+        for _ in range(2999):
+            inner = inner.child("a")
+        inner.set_child("a", Node.ref_node("b"))
+        assert not is_value(chain)

@@ -82,6 +82,17 @@ from_rules { args { } mode = 1 rules { } result = [d.weekday] }
 from_body { args { } mode = 0 body { #0 { at = [result] to = [d.weekday] } } result = 0 }
 """
 
+# a select whose predicate calls a template, fired by a rewrite frame's
+# sweep (rwt) and by a sequential body (seq)
+SWEEP_SELECT = """
+isone { args { x = $x } mode = 0 body { #0 { at = [result] to : eq { #0 = [args.x] #1 = 1 } } } result = 0 }
+rwt { args { } mode = 1 rules { #0 { lhs : never { #0 = $z } rhs = 0 } }
+      result : select { #0 { a = 1 b = 2 } #1 : isone { #0 = $x } } }
+seq { args { } mode = 0
+      body { #0 { at = [result] to : select { #0 { a = 1 b = 2 } #1 : isone { #0 = $x } } } }
+      result = 0 }
+"""
+
 
 def weekday_machine():
     lib = load_stdlib()
@@ -147,6 +158,11 @@ class TestCall:
             merge_program(lib, parse(LATE_WEEKDAY))
             assert run_entry(lib, entry).value == 20
             assert render(lib.resolve("d.weekday")) == "20\n"
+
+    def test_a_select_fired_by_the_sweep_runs_its_predicate_strictly(self):
+        for entry in ("rwt", "seq"):
+            out = run_entry(parse(SWEEP_SELECT), entry)
+            assert render(out) == "a = 1\n", entry
 
     def test_weekday_2004_02_05_is_thursday(self):
         result = run_entry(
