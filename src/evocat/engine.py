@@ -257,37 +257,50 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None) -
         raise EvalError("a sequential frame must be a set node")
     if ctx is None:
         ctx = EvalContext(frame)
-    program = instructions_from(body)
-    frame.set_child("ip", Node.leaf(0))
-    while True:
-        ip_node = frame.child("ip")
-        if ip_node is None or ip_node.kind != LEAF:
-            raise EvalError("frame child 'ip' must be a natural-number leaf")
-        index = ip_node.value
-        if index >= len(program):
-            break
-        inst = program[index]
-        ctx.emit("seq", index, inst.at)
-        try:
-            ctx.spend()
-            ctx.count("instruction")
-            value = inst.to.copy()
-            if value.kind != LEAF:
-                evaluate(value, ctx)
-            _apply_write(frame, inst.at, value, ctx)
-        except EvoError as err:
-            if err.instruction is None:
-                err.instruction = index
-            raise
-        if inst.at != _IP:
-            frame.set_child("ip", Node.leaf(index + 1))
+    cell = _start(body, frame, instructions_from, ctx)
+    try:
+        frame.set_child("ip", Node.leaf(0))
+        while True:
+            ip_node = frame.child("ip")
+            if ip_node is None or ip_node.kind != LEAF:
+                raise EvalError("frame child 'ip' must be a natural-number leaf")
+            index = ip_node.value
+            if index >= len(cell[0]):
+                break
+            inst = cell[0][index]
+            ctx.emit("seq", index, inst.at)
+            try:
+                ctx.spend()
+                ctx.count("instruction")
+                value = inst.to.copy()
+                if value.kind != LEAF:
+                    evaluate(value, ctx)
+                _apply_write(frame, inst.at, value, ctx)
+            except EvoError as err:
+                if err.instruction is None:
+                    err.instruction = index
+                raise
+            if inst.at != _IP:
+                frame.set_child("ip", Node.leaf(index + 1))
+    finally:
+        ctx.running.pop()
     return frame
+
+
+def _start(code: Node, frame: Node, build, ctx: EvalContext) -> list:
+    """Register ``build(code)``, cached on frozen code, as run in ``frame``."""
+    cache = code.frozen
+    if cache and cache[0] is None:
+        cache[0] = build(code)
+    cell = [cache[0] if cache else build(code), frame, code, build]
+    ctx.running.append(cell)
+    return cell
 
 
 def _apply_write(root: Node, at: Path, value: Node, ctx: EvalContext) -> None:
     device = ctx.devices.lookup(at, OUT) if ctx.devices is not None else None
     if device is None:
-        replace_subtree(root, at, value)
+        replace_subtree(root, at, value, ctx)
     else:
         device.write(value)
         ctx.count("device_write")
@@ -309,33 +322,36 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
         raise EvalError("a rewrite frame must be a set node")
     if ctx is None:
         ctx = EvalContext(frame)
-    formulas = formulas_from(rules)
-    while True:
-        strict, ctx.strict = ctx.strict, False
-        try:
-            for label, child in frame.children:
-                if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
-                    evaluate(child, ctx)
-        finally:
-            ctx.strict = strict
-        hits: list[tuple[Node, Path, Binding]] = []
-        fired: Optional[Formula] = None
-        for formula in formulas:
-            for index, (label, child) in enumerate(frame.children):
-                if label in RESERVED_FRAME_LABELS:
-                    continue
-                _collect_matches(formula, child, [label if label is not None else index], hits)
-            if hits:
-                fired = formula
+    cell = _start(rules, frame, formulas_from, ctx)
+    try:
+        while True:
+            strict, ctx.strict = ctx.strict, False
+            try:
+                for label, child in frame.children:
+                    if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
+                        evaluate(child, ctx)
+            finally:
+                ctx.strict = strict
+            hits: list[tuple[Node, Path, Binding]] = []
+            fired: Optional[Formula] = None
+            for formula in cell[0]:
+                for index, (label, child) in enumerate(frame.children):
+                    if label in RESERVED_FRAME_LABELS:
+                        continue
+                    _collect_matches(formula, child, [label if label is not None else index], hits)
+                if hits:
+                    fired = formula
+                    break
+            if fired is None:
                 break
-        if fired is None:
-            break
-        for node, path, binding in hits:
-            replacement = substitute(fired.rhs, binding)
-            ctx.emit("rew", fired.index + 1, path)
-            ctx.spend()
-            ctx.count("firing")
-            node.become(replacement)
+            for node, path, binding in hits:
+                replacement = substitute(fired.rhs, binding)
+                ctx.emit("rew", fired.index + 1, path)
+                ctx.spend()
+                ctx.count("firing")
+                node.become(replacement)
+    finally:
+        ctx.running.pop()
     return frame
 
 

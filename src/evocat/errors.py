@@ -47,6 +47,10 @@ class NotASet(EvoError):
     """A set node was required but a leaf (or other node) was found."""
 
 
+class FrozenCode(EvoError):
+    """A node writer met frozen template code, which copies share."""
+
+
 class OrdinalInMeet(EvoError):
     """meet() is defined on label-only paths; normalize ordinals first."""
 

@@ -51,15 +51,14 @@ from .tree import (
     Node,
     Path,
     resolve_chain,
+    unshare_path,
 )
 
 DEFAULT_FUEL = 10**6
 
-#: labels every function instance carries
-_INSTANCE_REQUIRED = ("args", "mode", "result")
-
 MODE_SEQUENTIAL = 0
 MODE_REWRITE = 1
+_CODE_LABELS = {MODE_SEQUENTIAL: "body", MODE_REWRITE: "rules"}  # no label is ""
 
 
 class TraceSink:
@@ -116,6 +115,7 @@ class EvalContext:
         self.strict = True
         self.stats: Counter = Counter()
         self.in_progress: set[tuple[int, Path]] = set()
+        self.running: list[list] = []  # [program, frame, code, build] per engine run
 
     def spend(self, n: int = 1) -> None:
         if self.fuel < n:
@@ -129,19 +129,32 @@ class EvalContext:
         if self.trace is not None:
             self.trace.emit(mode, index, path)
 
+    def unshared(self, holder: Node, code: Node, twin: Node) -> None:
+        """Re-point a run in ``holder`` from frozen ``code`` to its copy ``twin``."""
+        for cell in self.running:
+            if cell[1] is holder and cell[2] is code:
+                cell[0], cell[2] = cell[3](twin), twin
 
-def is_function_instance(node: Node) -> bool:
+
+def is_function_instance(node: Node) -> Optional[Node]:
     """A set shaped like a function/appliance frame: args, mode, result,
-    and a body (sequential) or rules (rewrite) child."""
+    and a body (sequential) or rules (rewrite) child: that code node, or None."""
     if node.kind != SET or node.op is not None:
-        return False
-    if any(node.child(label) is None for label in _INSTANCE_REQUIRED):
-        return False
-    mode = node.child("mode")
-    if mode.kind != LEAF or mode.value not in (MODE_SEQUENTIAL, MODE_REWRITE):
-        return False
-    code = node.child("body") if mode.value == MODE_SEQUENTIAL else node.child("rules")
-    return code is not None and code.kind == SET
+        return None
+    kids = dict(node.children)
+    mode = kids.get("mode")
+    if "args" not in kids or "result" not in kids or mode is None or mode.kind != LEAF:
+        return None
+    code = kids.get(_CODE_LABELS.get(mode.value, ""))
+    return code if code is not None and code.kind == SET else None
+
+
+def freeze_code(template: Node) -> Optional[Node]:
+    """``is_function_instance(template)``, frozen: copies share a frozen root."""
+    code = is_function_instance(template)
+    if code is not None and code.frozen is None:
+        code.freeze()
+    return code
 
 
 def instance_args_ready(node: Node) -> Optional[str]:
@@ -209,16 +222,20 @@ def _force_at(scope: tuple, path: Path, ctx: EvalContext) -> Optional[Node]:
         raise CyclicReference(f"reference cycle through {path}")
     if target.kind in (LEAF, VAR, HOLE):
         return target
+    if target.frozen is not None:  # forcing writes: make the path private
+        target = unshare_path(node, path, ctx)
+        chain = resolve_chain(node, path)
     ctx.in_progress.add(key)
     saved = ctx.scope
     try:
         for ancestor in chain[:-1]:
             scope = (ancestor, scope)
         ctx.scope = scope
-        if is_function_instance(target) and instance_args_ready(target) is None:
+        code = is_function_instance(target)
+        if code is not None and instance_args_ready(target) is None:
             from .templates import call
 
-            call(target, ctx)
+            call(target, ctx, code)
         else:
             evaluate(target, ctx)
     finally:
@@ -251,6 +268,7 @@ def deref(path: Path, ctx: EvalContext) -> Node:
     while scope is not None:
         target = _force_at(scope, path, ctx)
         if target is not None:
+            freeze_code(target)
             return target.copy()
         scope = scope[1]
     raise PathUnresolvable(f"no node at {path}")
@@ -314,12 +332,12 @@ def _eval_if(node: Node, ctx: EvalContext) -> Node:
     cond = node.children[0][1]
     if cond.kind != LEAF:
         evaluate(cond, ctx)
-        if not ctx.strict and cond.kind != LEAF and not is_value(cond):
+        if not ctx.strict and cond.kind != LEAF and (cond.op or not is_value(cond)):
             return node
     branch = node.children[1][1] if algebra._bool(cond, "if") else node.children[2][1]
     if branch.kind != LEAF:
         evaluate(branch, ctx)
-        if not ctx.strict and branch.kind != LEAF and not is_value(branch):
+        if not ctx.strict and branch.kind != LEAF and (branch.op or not is_value(branch)):
             return node
     return _fire(node, branch, ctx)
 
@@ -330,7 +348,7 @@ def _eval_select(node: Node, ctx: EvalContext) -> Node:
     source = node.children[0][1]
     if source.kind != LEAF:
         evaluate(source, ctx)
-        if not ctx.strict and source.kind != LEAF and not is_value(source):
+        if not ctx.strict and source.kind != LEAF and (source.op or not is_value(source)):
             return node
     result = algebra.select(source, node.children[1][1], ctx)
     return _fire(node, result, ctx)
@@ -343,7 +361,7 @@ def _eval_eager(node: Node, ctx: EvalContext) -> Node:
             evaluate(child, ctx)
     if not ctx.strict:
         for _, child in node.children:
-            if child.kind != LEAF and not is_value(child):
+            if child.kind != LEAF and (child.op or not is_value(child)):
                 return node
     result = algebra.apply_builtin(node.op, [child for _, child in node.children])
     return _fire(node, result, ctx)
@@ -356,8 +374,9 @@ def _eval_call(node: Node, ctx: EvalContext) -> Node:
     if template is None:
         raise UnknownOperation(f"unknown operation {node.op!r}")
     _eval_children(node, ctx)
+    code = freeze_code(template)
     instance = template.copy()
     bind_operands(instance, [child for _, child in node.children])
-    call(instance, ctx)
+    call(instance, ctx, code if code.frozen else None)
     ctx.count("call")
     return node.become(instance)

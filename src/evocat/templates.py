@@ -3,11 +3,12 @@
 A template is an ordinary subtree shaped like a callable frame: ``args``
 (argument slots holding ``$`` placeholders), ``mode`` (0 sequential,
 1 rewrite), ``body`` or ``rules``, and a reserved ``result`` slot.  Use is
-always by copy: the instance is filled in and called, and the result value
-replaces the instance node; the template itself never changes.  A type
-template is the same idea for data: a set of field slots whose members may
-themselves be callable (the instance's member functions see the enclosing
-instance's fields through the reference scope chain).
+always by copy, copy-on-write for its frozen code (``freeze_code``): the
+instance is filled and called, and the result value replaces the instance
+node; the template itself never changes.  A type template is the same idea
+for data: a set of field slots whose members may themselves be callable
+(the instance's member functions see the enclosing instance's fields
+through the reference scope chain).
 
 The heap appliance stores items as the unlabeled children of its ``data``
 child in implicit binary-heap order (children of slot k live at 2k+1 and
@@ -35,6 +36,7 @@ from .errors import (
 from .evaluator import (
     MODE_SEQUENTIAL,
     EvalContext,
+    freeze_code,
     instance_args_ready,
     is_function_instance,
 )
@@ -44,14 +46,15 @@ from . import textio
 
 
 def instantiate(root: Node, path: Union[Path, str]) -> Node:
-    """Deep-copy the template subtree at ``path``; the copy is detached and
-    later writes to it never touch the template."""
+    """Copy the template subtree at ``path``, sharing its frozen code; the
+    copy is detached and later writes to it never touch the template."""
     path = _as_path(path)
     node = resolve(root, path)
     if node is None:
         raise PathUnresolvable(f"no node at {path}")
     if node.kind != SET:
         raise NotASet(f"{path} is not a template set node")
+    freeze_code(node)
     return node.copy()
 
 
@@ -91,16 +94,17 @@ def assign_argument(instance: Node, label: str, value: Node) -> None:
     args.set_child(label, value.copy())
 
 
-def call(instance: Node, ctx: EvalContext) -> Node:
+def call(instance: Node, ctx: EvalContext, code: Optional[Node] = None) -> Node:
     """Run a filled instance and replace it with its result value.
 
     The instance frame becomes the innermost reference scope; its body
     executes under the engine selected by ``mode``, evaluating strictly
     even when the call was forced from the rewrite engine's lenient
     ready-term sweep.  Afterwards the value of the ``result`` slot takes
-    the instance node's place and is returned.
+    the instance node's place and is returned.  A caller that has just
+    checked the instance passes its ``code`` node to skip the check.
     """
-    if not is_function_instance(instance):
+    if (code := code or is_function_instance(instance)) is None:
         raise EvalError("call target is not a function instance")
     unfilled = instance_args_ready(instance)
     if unfilled is not None:
@@ -111,9 +115,9 @@ def call(instance: Node, ctx: EvalContext) -> Node:
     scope, ctx.scope = ctx.scope, (instance, ctx.scope)
     try:
         if mode == MODE_SEQUENTIAL:
-            run_sequential(instance.child("body"), instance, ctx)
+            run_sequential(code, instance, ctx)
         else:
-            run_rewrite(instance.child("rules"), instance, ctx)
+            run_rewrite(code, instance, ctx)
     finally:
         ctx.strict = strict
         ctx.scope = scope
@@ -182,10 +186,11 @@ def _heap_data(heap: Node) -> Node:
 def _heap_less(heap: Node, a: Node, b: Node, ctx: EvalContext) -> bool:
     compare = heap.child("compare")
     try:
-        if compare is not None and is_function_instance(compare):
+        code = freeze_code(compare) if compare is not None else None
+        if code is not None:
             instance = compare.copy()
             bind_operands(instance, [a, b])
-            result = call(instance, ctx)
+            result = call(instance, ctx, code if code.frozen else None)
             if result.kind != LEAF or result.value not in (0, 1):
                 raise EvalError("compare must return a boolean leaf")
             return bool(result.value)

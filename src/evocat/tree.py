@@ -21,6 +21,8 @@ This module is the only writer of a node's children: outside it
 ``Node.children`` is read-only.  The writers are the constructor,
 ``add_child``, ``set_child``, ``swap_children``, ``pop_child`` and
 ``become``; a copy with some subtrees replaced is built by ``rebuild``.
+Copies share frozen template code (``Node.freeze``), which those writers
+refuse and ``replace_subtree`` un-shares before it writes: copy-on-write.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Callable, Optional, Union
 
 from .errors import (
     DuplicateSibling,
+    FrozenCode,
     NotASet,
     OrdinalInMeet,
     ParseError,
@@ -45,6 +48,7 @@ HOLE = "hole"
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ORDINAL_RE = re.compile(r"#([0-9]+)\Z")
+_FROZEN = "frozen template code is shared by copies; write it with Node.replace"
 
 Segment = Union[str, int]
 
@@ -128,10 +132,11 @@ class Node:
     """A single vertex of the state tree.  Mutable; identity matters.
 
     ``children`` is a list of ``(label, node)`` pairs; a label of ``None``
-    means the child is addressed only by its position.
+    means the child is addressed only by its position.  ``frozen`` is None,
+    ``()`` below a frozen code root, or on it a one-slot program cache.
     """
 
-    __slots__ = ("kind", "value", "children", "op", "ref", "var")
+    __slots__ = ("kind", "value", "children", "op", "ref", "var", "frozen")
 
     def __init__(
         self,
@@ -149,6 +154,7 @@ class Node:
         self.op = op
         self.ref = ref
         self.var = var
+        self.frozen = None
 
     # --- constructors ---
 
@@ -204,6 +210,8 @@ class Node:
         return None
 
     def add_child(self, label: Optional[str], node: "Node") -> "Node":
+        if self.frozen is not None:
+            raise FrozenCode(_FROZEN)
         if label is not None and self.child(label) is not None:
             raise DuplicateSibling(f"duplicate sibling label {label!r}")
         self.children.append((label, node))
@@ -211,6 +219,8 @@ class Node:
 
     def set_child(self, label: str, node: "Node") -> "Node":
         """Replace the child carrying ``label`` in place, or append it."""
+        if self.frozen is not None:
+            raise FrozenCode(_FROZEN)
         idx = self.index_of(label)
         if idx is None:
             self.children.append((label, node))
@@ -221,40 +231,61 @@ class Node:
 
     def swap_children(self, i: int, j: int) -> None:
         """Exchange the i-th and j-th children, labels included."""
+        if self.frozen is not None:
+            raise FrozenCode(_FROZEN)
         kids = self.children
         kids[i], kids[j] = kids[j], kids[i]
 
     def pop_child(self) -> "Node":
         """Remove the last child and return its node."""
+        if self.frozen is not None:
+            raise FrozenCode(_FROZEN)
         return self.children.pop()[1]
 
     # --- whole-node operations ---
 
     def copy(self) -> "Node":
-        """A deep copy that shares no node with ``self``.  The copy is
-        iterative, over a work list of (source, blank copy) pairs, so its
-        depth is not bounded by the interpreter's stack."""
-        new = object.__new__(Node)
-        work = [(self, new)]
-        while work:
-            src, dst = work.pop()
+        """A deep copy in which only frozen code roots below ``self`` are
+        shared.  The copy is iterative, over a work list of (source, blank
+        copy) pairs, so its depth is not bounded by the interpreter's stack."""
+        new = dst = object.__new__(Node)
+        src, work = self, []
+        while True:
             dst.kind = src.kind
             dst.value = src.value
             dst.op = src.op
             dst.ref = src.ref
             dst.var = src.var
+            dst.frozen = None
             kids = []
             for label, child in src.children:
-                twin = object.__new__(Node)
+                twin = child if child.frozen else object.__new__(Node)  # share frozen code
                 kids.append((label, twin))
-                work.append((child, twin))
+                if twin is not child:
+                    work.append((child, twin))
             dst.children = kids
-        return new
+            if not work:
+                return new
+            src, dst = work.pop()
+
+    def freeze(self) -> None:
+        """Make this subtree immutable code that copies above it share."""
+        if self.frozen is None:
+            work = [self]
+            while work:
+                node = work.pop()
+                node.frozen = ()
+                work.extend([child for _, child in node.children if child.frozen is None])
+            self.frozen = [None]
 
     def become(self, other: "Node") -> "Node":
-        """Take over the content of ``other``; identity is preserved."""
+        """Take over the content of ``other`` (a copy if frozen); identity stays."""
         if other is self:
             return self
+        if self.frozen is not None:
+            raise FrozenCode(_FROZEN)
+        if other.frozen is not None:
+            other = other.copy()
         self.kind = other.kind
         self.value = other.value
         self.children = other.children
@@ -351,6 +382,7 @@ def rebuild(node: Node, swap: Callable[[Node], Optional[Node]]) -> Node:
             new.op = src.op
             new.ref = src.ref
             new.var = src.var
+            new.frozen = None
             new.children = into = []
             for lab, child in reversed(src.children):
                 work.append((child, into, lab))
@@ -402,13 +434,13 @@ def _contains(node: Node, target: Node) -> bool:
     return False
 
 
-def replace_subtree(root: Node, at: Path, new: Node) -> Node:
+def replace_subtree(root: Node, at: Path, new: Node, ctx=None) -> Node:
     """Replace the subtree at ``at`` with ``new`` (insert when the final
     segment does not exist yet); all other nodes are untouched.
 
     ``new`` is adopted, not copied.  Adopting a node that still contains
     the node being replaced would tie the tree into a cycle, so that is
-    rejected.
+    rejected.  Frozen code written, or at a ``mode`` write, is un-shared first.
     """
     if not at:
         if new is not root and _contains(new, root):
@@ -426,6 +458,12 @@ def replace_subtree(root: Node, at: Path, new: Node) -> Node:
             raise PathUnresolvable(f"no child #{seg} at {at.parent()}")
     else:
         existing = parent.child(seg)
+    if (parent if existing is None else existing).frozen is not None:
+        unshare_path(root, at.parent() if existing is None else at, ctx)
+        return replace_subtree(root, at, new, ctx)
+    if seg == "mode":  # so shared code only sits in well-formed instances
+        for i in range(len(parent.children)):
+            unshare_path(parent, (i,), ctx)
     if existing is None:
         parent.add_child(seg if isinstance(seg, str) else None, new)
     else:
@@ -433,6 +471,24 @@ def replace_subtree(root: Node, at: Path, new: Node) -> Node:
             raise PathUnresolvable("replacement contains the node it replaces")
         existing.become(new)
     return root
+
+
+def unshare_path(root: Node, path: Path, ctx=None) -> Node:
+    """The node at ``path``, which must resolve, after each frozen node on
+    the way is replaced in its holder by a copy, of which ``ctx`` is told."""
+    if root.frozen is not None:  # no holder to copy into
+        raise FrozenCode(_FROZEN)
+    node = root
+    for seg in path:
+        child = node.child_at(seg) if isinstance(seg, int) else node.child(seg)
+        if child.frozen is not None:
+            twin = child.copy()
+            node.children[:] = [(lab, twin if c is child else c) for lab, c in node.children]
+            if ctx is not None:
+                ctx.unshared(node, child, twin)
+            child = twin
+        node = child
+    return node
 
 
 def subtree_view(root: Node, at: Path) -> Node:

@@ -372,6 +372,23 @@ class TestLeanSweep:
             "deriv": ({"deref": 1, "firing": 11, "op": 2}, 15),
         }
 
+    def test_lenient_checks_ask_is_value_of_no_term(self, monkeypatch):
+        # a set with an operation is not a value; the operand checks of
+        # eager operations, if and select answer that without is_value
+        asked = []
+        inner = evaluator.is_value
+
+        def spy(node):
+            asked.append(node.op)
+            return inner(node)
+
+        monkeypatch.setattr(evaluator, "is_value", spy)
+        lib = load_stdlib()
+        assert run_entry(lib, "div", {"a": Node.leaf(200), "b": Node.leaf(7)}).value == 28
+        e = parse("e : prod { #0 : sum { #0 : x { } #1 = 3 } #1 : x { } }").resolve("e")
+        run_entry(lib, "deriv", {"e": e})
+        assert all(op is None for op in asked)
+
     def test_is_value_on_a_deep_chain(self):
         chain = Node.leaf(1)
         for _ in range(3000):

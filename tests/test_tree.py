@@ -253,6 +253,8 @@ class TestCopy:
     @given(any_trees)
     @settings(max_examples=100, deadline=None)
     def test_copy_is_equal_disjoint_and_leaves_the_source(self, tree):
+        """On a tree without frozen code, a copy shares no node with its
+        source (``test_shared_code`` covers the frozen roots it shares)."""
         self.check_copy(tree)
 
     def test_deep_chain(self):
