@@ -127,8 +127,9 @@ def select(m: Node, predicate: Node, ctx) -> Node:
     is substituted for that variable.  The child is also pushed as the
     innermost reference scope, so field access like ``[name]`` works on
     record children.  The predicate is evaluated strictly, also when the
-    ``select`` was fired by the rewrite engine's lenient ready-term sweep:
-    it must reduce to a boolean leaf.
+    ``select`` was fired by the rewrite engine's lenient ready-term sweep
+    (``evaluate`` is strict unless it is told otherwise): it must reduce
+    to a boolean leaf.
     """
     from .evaluator import evaluate  # local import: select drives evaluation
 
@@ -141,12 +142,10 @@ def select(m: Node, predicate: Node, ctx) -> Node:
     for label, child in m.children:
         # the predicate's one variable, if any, is every VAR node in it
         pred = rebuild(predicate, lambda n: child.copy() if n.kind == VAR else None)
-        strict, ctx.strict = ctx.strict, True
         scope, ctx.scope = ctx.scope, (child, ctx.scope)
         try:
             result = evaluate(pred, ctx)
         finally:
-            ctx.strict = strict
             ctx.scope = scope
         if _bool(result, "select predicate"):
             kept.append((label, child.copy()))

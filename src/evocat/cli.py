@@ -157,11 +157,11 @@ def _cmd_run(args, traced: bool) -> int:
     )
     try:
         result = run_entry(machine, entry, arguments, ctx)
-    except (PathUnresolvable, NotASet, MissingArgument) as err:
-        print(f"evocat: resolution error: {err}", file=sys.stderr)
-        return EXIT_RESOLVE
     except EvoError as err:
         at = f" (instruction {err.instruction})" if err.instruction is not None else ""
+        if isinstance(err, (PathUnresolvable, NotASet, MissingArgument)):
+            print(f"evocat: resolution error{at}: {err}", file=sys.stderr)
+            return EXIT_RESOLVE
         print(f"evocat: runtime error{at}: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -259,14 +259,9 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None) -
         ctx = EvalContext(frame)
     cell = _start(body, frame, instructions_from, ctx)
     try:
+        index = 0
         frame.set_child("ip", Node.leaf(0))
-        while True:
-            ip_node = frame.child("ip")
-            if ip_node is None or ip_node.kind != LEAF:
-                raise EvalError("frame child 'ip' must be a natural-number leaf")
-            index = ip_node.value
-            if index >= len(cell[0]):
-                break
+        while index < len(cell[0]):
             inst = cell[0][index]
             ctx.emit("seq", index, inst.at)
             try:
@@ -276,12 +271,16 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None) -
                 if value.kind != LEAF:
                     evaluate(value, ctx)
                 _apply_write(frame, inst.at, value, ctx)
+                if inst.at != _IP:
+                    frame.set_child("ip", Node.leaf(index + 1))
+                ip_node = frame.child("ip")
+                if ip_node is None or ip_node.kind != LEAF:
+                    raise EvalError("frame child 'ip' must be a natural-number leaf")
             except EvoError as err:
                 if err.instruction is None:
                     err.instruction = index
                 raise
-            if inst.at != _IP:
-                frame.set_child("ip", Node.leaf(index + 1))
+            index = ip_node.value
     finally:
         ctx.running.pop()
     return frame
@@ -325,13 +324,9 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
     cell = _start(rules, frame, formulas_from, ctx)
     try:
         while True:
-            strict, ctx.strict = ctx.strict, False
-            try:
-                for label, child in frame.children:
-                    if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
-                        evaluate(child, ctx)
-            finally:
-                ctx.strict = strict
+            for label, child in frame.children:
+                if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
+                    evaluate(child, ctx, True)
             hits: list[tuple[Node, Path, Binding]] = []
             fired: Optional[Formula] = None
             for formula in cell[0]:

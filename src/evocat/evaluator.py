@@ -17,14 +17,15 @@ reference cycles into errors instead of hangs.  Forcing a reference whose
 target is a leaf, variable or hole is skipped, since evaluation would leave
 that target as it is.
 
-The rewrite engine's ready-term sweep evaluates leniently, and so does a
-reference it forces whose target is a term: ``deriv`` reads its symbolic
-argument that way, and forcing it strictly would raise UnknownOperation
-for the symbol ``x``.  A function instance the sweep forces is called,
-and a call always runs its body strictly.  A ``select`` the sweep fires
-runs its predicate strictly too.  The sweep never enters a leaf: the
-frame loop and every operand loop skip one, since it is already a value,
-and only an op-less set is asked whether it is a function instance.
+The mode is an argument: only the rewrite engine's ready-term sweep calls
+``evaluate(node, ctx, lenient=True)``.  It goes down through the operands
+and through a reference whose target is a term: ``deriv`` reads its
+symbolic argument that way, and forcing it strictly would raise
+UnknownOperation for the symbol ``x``.  A call body and a ``select``
+predicate start strict, also when the sweep forced the call or fired the
+``select``.  The sweep never enters a leaf: the frame loop and every
+operand loop skip one, since it is already a value, and only an op-less
+set is asked whether it is a function instance.
 """
 
 from __future__ import annotations
@@ -93,11 +94,9 @@ class EvalContext:
     the outermost node, normally the machine root.  A frame is pushed as
     ``(inner, ctx.scope)``, which shares the outer chain, and the saved
     chain is restored in a ``finally``.  ``fuel`` decreases on every
-    subtree replacement and exhaustion raises instead of hanging.
-    ``strict`` distinguishes eager evaluation (unknown operations are
-    errors, templates are called) from the rewrite engine's ready-term
-    sweep (anything not ready is left in place); it is off only during
-    ``run_rewrite``'s sweep, and ``templates.call`` turns it on for a body.
+    subtree replacement and exhaustion raises instead of hanging.  The
+    evaluation mode is not kept here: it is ``evaluate``'s ``lenient``
+    argument, which only the rewrite engine's sweep sets.
     """
 
     def __init__(
@@ -112,7 +111,6 @@ class EvalContext:
         self.fuel = fuel
         self.devices = devices
         self.trace = trace
-        self.strict = True
         self.stats: Counter = Counter()
         self.in_progress: set[tuple[int, Path]] = set()
         self.running: list[list] = []  # [program, frame, code, build] per engine run
@@ -206,9 +204,10 @@ def _device_read(ctx: EvalContext, path: Path) -> Optional[Node]:
     return device.read()
 
 
-def _force_at(scope: tuple, path: Path, ctx: EvalContext) -> Optional[Node]:
+def _force_at(scope: tuple, path: Path, ctx: EvalContext, lenient: bool = False) -> Optional[Node]:
     """Resolve ``path`` from ``scope[0]`` and force the target: call it
-    if it is a filled function instance, evaluate it if it is a term.
+    if it is a filled function instance, evaluate it (in the ``lenient``
+    mode given) if it is a term.
     A leaf, variable or hole target is returned without forcing.
     Returns the in-tree node, or None when the path does not resolve; the
     identity path addresses the scope itself."""
@@ -231,13 +230,12 @@ def _force_at(scope: tuple, path: Path, ctx: EvalContext) -> Optional[Node]:
         for ancestor in chain[:-1]:
             scope = (ancestor, scope)
         ctx.scope = scope
-        code = is_function_instance(target)
-        if code is not None and instance_args_ready(target) is None:
-            from .templates import call
+        if is_function_instance(target) and instance_args_ready(target) is None:
+            from . import templates
 
-            call(target, ctx, code)
+            templates.call(target, ctx)
         else:
-            evaluate(target, ctx)
+            evaluate(target, ctx, lenient)
     finally:
         ctx.scope = saved
         ctx.in_progress.discard(key)
@@ -258,7 +256,7 @@ def tree_data_of(root: Node, at: Path, ctx: Optional[EvalContext] = None) -> Nod
     return target
 
 
-def deref(path: Path, ctx: EvalContext) -> Node:
+def deref(path: Path, ctx: EvalContext, lenient: bool = False) -> Node:
     """Contents of the addressed node, searched innermost scope first,
     returned as a fresh copy (a term consumes a value, not an alias)."""
     device = _device_read(ctx, path)
@@ -266,7 +264,7 @@ def deref(path: Path, ctx: EvalContext) -> Node:
         return device
     scope = ctx.scope
     while scope is not None:
-        target = _force_at(scope, path, ctx)
+        target = _force_at(scope, path, ctx, lenient)
         if target is not None:
             freeze_code(target)
             return target.copy()
@@ -277,18 +275,18 @@ def deref(path: Path, ctx: EvalContext) -> Node:
 # --- the evaluator ----------------------------------------------------------
 
 
-def evaluate(node: Node, ctx: EvalContext) -> Node:
+def evaluate(node: Node, ctx: EvalContext, lenient: bool = False) -> Node:
     """Reduce ``node`` to a value in place and return it.
 
     Strict mode raises UnknownOperation for unresolvable identifiers and
-    calls templates for known ones; lenient mode (the rewrite engine's
+    calls templates for known ones; ``lenient`` mode (the rewrite engine's
     ready-term sweep) fires built-ins whose operands are values and leaves
     everything else untouched.  A leaf is returned as it is; the sweep and
     the operand loops here test for one themselves and never pass it in.
     """
     kind = node.kind
     if kind == REF:
-        value = deref(node.ref, ctx)
+        value = deref(node.ref, ctx, lenient)
         ctx.spend()
         ctx.count("deref")
         return node.become(value)
@@ -298,26 +296,26 @@ def evaluate(node: Node, ctx: EvalContext) -> Node:
     if op is None:
         # only an op-less set can be a function instance
         if not is_function_instance(node):
-            _eval_children(node, ctx)
+            _eval_children(node, ctx, lenient)
         return node
     if op == "if":
-        return _eval_if(node, ctx)
+        return _eval_if(node, ctx, lenient)
     if op == "select":
-        return _eval_select(node, ctx)
+        return _eval_select(node, ctx, lenient)
     if op in algebra.BUILTIN_OPS:
-        return _eval_eager(node, ctx)
+        return _eval_eager(node, ctx, lenient)
     if op.startswith("$"):
         raise UnboundVariable(f"function variable {op} outside a rewrite rule")
-    if not ctx.strict:
-        _eval_children(node, ctx)
+    if lenient:
+        _eval_children(node, ctx, True)
         return node
     return _eval_call(node, ctx)
 
 
-def _eval_children(node: Node, ctx: EvalContext) -> None:
+def _eval_children(node: Node, ctx: EvalContext, lenient: bool = False) -> None:
     for _, child in node.children:
         if child.kind != LEAF:
-            evaluate(child, ctx)
+            evaluate(child, ctx, lenient)
 
 
 def _fire(node: Node, result: Node, ctx: EvalContext) -> Node:
@@ -326,40 +324,40 @@ def _fire(node: Node, result: Node, ctx: EvalContext) -> Node:
     return node.become(result)
 
 
-def _eval_if(node: Node, ctx: EvalContext) -> Node:
+def _eval_if(node: Node, ctx: EvalContext, lenient: bool) -> Node:
     if len(node.children) != 3:
         raise EvalError(f"if expects 3 operands, got {len(node.children)}")
     cond = node.children[0][1]
     if cond.kind != LEAF:
-        evaluate(cond, ctx)
-        if not ctx.strict and cond.kind != LEAF and (cond.op or not is_value(cond)):
+        evaluate(cond, ctx, lenient)
+        if lenient and cond.kind != LEAF and (cond.op or not is_value(cond)):
             return node
     branch = node.children[1][1] if algebra._bool(cond, "if") else node.children[2][1]
     if branch.kind != LEAF:
-        evaluate(branch, ctx)
-        if not ctx.strict and branch.kind != LEAF and (branch.op or not is_value(branch)):
+        evaluate(branch, ctx, lenient)
+        if lenient and branch.kind != LEAF and (branch.op or not is_value(branch)):
             return node
     return _fire(node, branch, ctx)
 
 
-def _eval_select(node: Node, ctx: EvalContext) -> Node:
+def _eval_select(node: Node, ctx: EvalContext, lenient: bool) -> Node:
     if len(node.children) != 2:
         raise EvalError(f"select expects 2 operands, got {len(node.children)}")
     source = node.children[0][1]
     if source.kind != LEAF:
-        evaluate(source, ctx)
-        if not ctx.strict and source.kind != LEAF and (source.op or not is_value(source)):
+        evaluate(source, ctx, lenient)
+        if lenient and source.kind != LEAF and (source.op or not is_value(source)):
             return node
     result = algebra.select(source, node.children[1][1], ctx)
     return _fire(node, result, ctx)
 
 
-def _eval_eager(node: Node, ctx: EvalContext) -> Node:
+def _eval_eager(node: Node, ctx: EvalContext, lenient: bool) -> Node:
     # the loop of _eval_children, inline: this is the sweep's hottest path
     for _, child in node.children:
         if child.kind != LEAF:
-            evaluate(child, ctx)
-    if not ctx.strict:
+            evaluate(child, ctx, lenient)
+    if lenient:
         for _, child in node.children:
             if child.kind != LEAF and (child.op or not is_value(child)):
                 return node
@@ -368,15 +366,10 @@ def _eval_eager(node: Node, ctx: EvalContext) -> Node:
 
 
 def _eval_call(node: Node, ctx: EvalContext) -> Node:
-    from .templates import bind_operands, call, lookup_template
+    from . import templates
 
-    template = lookup_template(node.op, ctx)
+    template = templates.lookup_template(node.op, ctx)
     if template is None:
         raise UnknownOperation(f"unknown operation {node.op!r}")
     _eval_children(node, ctx)
-    code = freeze_code(template)
-    instance = template.copy()
-    bind_operands(instance, [child for _, child in node.children])
-    call(instance, ctx, code if code.frozen else None)
-    ctx.count("call")
-    return node.become(instance)
+    return node.become(templates._call_copy(template, [child for _, child in node.children], ctx))

@@ -59,14 +59,15 @@ def instantiate(root: Node, path: Union[Path, str]) -> Node:
 
 
 def lookup_template(name: str, ctx: EvalContext) -> Optional[Node]:
-    """Resolve an operation identifier to a template, innermost scope first."""
+    """Resolve an operation identifier to a template, innermost scope
+    first; the template's code comes back frozen, ready to be shared."""
     scope = ctx.scope
     while scope is not None:
         node, scope = scope
         if node.kind != SET:
             continue
         child = node.child(name)
-        if child is not None and is_function_instance(child):
+        if child is not None and freeze_code(child) is not None:
             return child
     return None
 
@@ -94,24 +95,24 @@ def assign_argument(instance: Node, label: str, value: Node) -> None:
     args.set_child(label, value.copy())
 
 
-def call(instance: Node, ctx: EvalContext, code: Optional[Node] = None) -> Node:
+def call(instance: Node, ctx: EvalContext) -> Node:
     """Run a filled instance and replace it with its result value.
 
     The instance frame becomes the innermost reference scope; its body
-    executes under the engine selected by ``mode``, evaluating strictly
-    even when the call was forced from the rewrite engine's lenient
-    ready-term sweep.  Afterwards the value of the ``result`` slot takes
-    the instance node's place and is returned.  A caller that has just
-    checked the instance passes its ``code`` node to skip the check.
+    executes under the engine selected by ``mode``.  The body evaluates
+    strictly, also when the call was forced from the rewrite engine's
+    ready-term sweep, since only the sweep itself passes ``lenient``.
+    Afterwards the value of the ``result`` slot takes the instance node's
+    place and is returned.  Every call counts as ``call`` in ``ctx.stats``.
     """
-    if (code := code or is_function_instance(instance)) is None:
+    if (code := is_function_instance(instance)) is None:
         raise EvalError("call target is not a function instance")
     unfilled = instance_args_ready(instance)
     if unfilled is not None:
         raise MissingArgument(f"argument slot {unfilled!r} is still empty")
     ctx.spend()
+    ctx.count("call")
     mode = instance.child("mode").value
-    strict, ctx.strict = ctx.strict, True
     scope, ctx.scope = ctx.scope, (instance, ctx.scope)
     try:
         if mode == MODE_SEQUENTIAL:
@@ -119,12 +120,19 @@ def call(instance: Node, ctx: EvalContext, code: Optional[Node] = None) -> Node:
         else:
             run_rewrite(code, instance, ctx)
     finally:
-        ctx.strict = strict
         ctx.scope = scope
     result = instance.child("result")
     if result is None:
         raise EvalError("instance lost its result slot")
     return instance.become(result)
+
+
+def _call_copy(template: Node, operands: list[Node], ctx: EvalContext) -> Node:
+    """Call a copy of ``template``, a checked template with frozen code,
+    on copies of ``operands``; return the result value."""
+    instance = template.copy()
+    bind_operands(instance, operands)
+    return call(instance, ctx)
 
 
 def run_entry(
@@ -186,11 +194,8 @@ def _heap_data(heap: Node) -> Node:
 def _heap_less(heap: Node, a: Node, b: Node, ctx: EvalContext) -> bool:
     compare = heap.child("compare")
     try:
-        code = freeze_code(compare) if compare is not None else None
-        if code is not None:
-            instance = compare.copy()
-            bind_operands(instance, [a, b])
-            result = call(instance, ctx, code if code.frozen else None)
+        if compare is not None and freeze_code(compare) is not None:
+            result = _call_copy(compare, [a, b], ctx)
             if result.kind != LEAF or result.value not in (0, 1):
                 raise EvalError("compare must return a boolean leaf")
             return bool(result.value)

@@ -83,10 +83,6 @@ class Path(tuple):
     def of(cls, *segments: Segment) -> "Path":
         return cls(segments)
 
-    @property
-    def segments(self) -> "Path":
-        return self
-
     def join(self, other: "Path") -> "Path":
         return Path(self + other)
 

@@ -180,9 +180,9 @@ def test_criterion_5_addressing():
         assert compose(compose(p, q), r) == compose(p, compose(q, r))
         got = meet(p, q)
         cut = 0
-        while cut < min(len(p), len(q)) and p.segments[cut] == q.segments[cut]:
+        while cut < min(len(p), len(q)) and p[cut] == q[cut]:
             cut += 1
-        assert got == Path(p.segments[:cut])
+        assert got == Path(p[:cut])
         # composition law on a random tree
         node = gen_value_tree(rng, depth=3)
         mid = resolve(node, p)

@@ -56,6 +56,14 @@ outer {
 """
 
 
+# each fails in its instruction 1, after instruction 0 wrote x
+BODY_FAILURES = """
+unbound { args { } mode = 0 body { #0 { at = [x] to = 1 } #1 { at = [y] to = [nope] } } x = 0 result = 0 }
+deep { args { } mode = 0 body { #0 { at = [x] to = 1 } #1 { at = [result.#3] to = 2 } } x = 0 result = 0 }
+jump { args { } mode = 0 body { #0 { at = [x] to = 1 } #1 { at = [ip] to { a = 1 } } } x = 0 result = 0 }
+"""
+
+
 NEST = """
 nest {
   args { n = $n }
@@ -133,6 +141,20 @@ class TestRun:
         assert cli.main(["run", str(program), "--entry", "outer"]) == 3
         err = capsys.readouterr().err
         assert "(instruction 2)" in err and "DivisionByZero" in err
+
+    @pytest.mark.parametrize(
+        "entry, status, message",
+        [
+            ("unbound", 2, "resolution error (instruction 1): no node at nope"),
+            ("deep", 2, "resolution error (instruction 1): result is not a set"),
+            ("jump", 3, "runtime error (instruction 1): EvalError: frame child 'ip'"),
+        ],
+    )
+    def test_an_error_in_a_body_names_its_instruction(self, tmp_path, capsys, entry, status, message):
+        program = tmp_path / "fail.evo"
+        program.write_text(BODY_FAILURES)
+        assert cli.main(["run", str(program), "--entry", entry]) == status
+        assert capsys.readouterr().err.startswith(f"evocat: {message}")
 
     def test_deep_recursion_is_a_runtime_error(self, capsys):
         assert cli.main(["run", str(STDLIB), "--entry", "fact", "--arg", "n=200"]) == 3

@@ -265,14 +265,14 @@ class TestFinalTargets:
         assert [heap_get(heap, ctx).value for _ in range(7)] == [1, 2, 3, 5, 7, 8, 9]
         got["heap"] = counts(ctx)
         assert got == {
-            "gcd": ({"deref": 2, "firing": 3, "op": 2}, 8),
-            "fact": ({"deref": 46, "instruction": 47, "op": 38}, 141),
-            "div": ({"deref": 2, "firing": 5, "op": 18}, 26),
+            "gcd": ({"call": 1, "deref": 2, "firing": 3, "op": 2}, 8),
+            "fact": ({"call": 10, "deref": 46, "instruction": 47, "op": 38}, 141),
+            "div": ({"call": 1, "deref": 2, "firing": 5, "op": 18}, 26),
             "weekday": (
-                {"call": 4, "deref": 27, "firing": 68, "instruction": 12, "op": 282},
+                {"call": 6, "deref": 27, "firing": 68, "instruction": 12, "op": 282},
                 395,
             ),
-            "heap": ({"deref": 42, "instruction": 21, "op": 21}, 105),
+            "heap": ({"call": 21, "deref": 42, "instruction": 21, "op": 21}, 105),
         }
 
 
@@ -339,9 +339,9 @@ class TestLeanSweep:
         seen = []
         inner = evaluator.evaluate
 
-        def spy(node, ctx):
+        def spy(node, ctx, lenient=False):
             seen.append(node.kind)
-            return inner(node, ctx)
+            return inner(node, ctx, lenient)
 
         # the evaluator's own recursion looks the name up in its module;
         # the engine holds the name it imported
@@ -367,9 +367,9 @@ class TestLeanSweep:
                 assert out.value == {"div": 28, "gcd": 1}[entry]
         # recorded while every leaf operand still passed through evaluate
         assert got == {
-            "div": ({"deref": 2, "firing": 29, "op": 114}, 146),
-            "gcd": ({"deref": 2, "firing": 29, "op": 28}, 60),
-            "deriv": ({"deref": 1, "firing": 11, "op": 2}, 15),
+            "div": ({"call": 1, "deref": 2, "firing": 29, "op": 114}, 146),
+            "gcd": ({"call": 1, "deref": 2, "firing": 29, "op": 28}, 60),
+            "deriv": ({"call": 1, "deref": 1, "firing": 11, "op": 2}, 15),
         }
 
     def test_lenient_checks_ask_is_value_of_no_term(self, monkeypatch):

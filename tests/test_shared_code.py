@@ -52,7 +52,7 @@ PARITY = {
     "own_to": (
         entry_t(INC + " #1 { at = [body.#0.to] to = 40 } " + loop_while_x_below(10)),
         "[x]\n",
-        {"instruction": 6, "deref": 3, "op": 5},
+        {"instruction": 6, "deref": 3, "op": 5, "call": 1},
         15,
         cycle(["x", "body.#0.to", "ip"], 6),
     ),
@@ -60,7 +60,7 @@ PARITY = {
     "own_instr": (
         entry_t(INC + " #1 { at = [body.#0] to { at = [x] to = 40 } } " + loop_while_x_below(10)),
         "[x]\n",
-        {"instruction": 30, "deref": 30, "op": 30},
+        {"instruction": 30, "deref": 30, "op": 30, "call": 1},
         91,
         cycle(["x", "body.#0", "ip"], 30),
     ),
@@ -68,7 +68,7 @@ PARITY = {
     "force_to": (
         entry_t(INC + " #1 { at = [y] to = [body.#0.to] } " + loop_while_x_below(5)),
         "FuelExhausted",
-        {"instruction": 855, "deref": 572, "op": 572},
+        {"instruction": 855, "deref": 572, "op": 572, "call": 1},
         2000,
         cycle(["x", "y", "ip"], 856),
     ),
@@ -82,7 +82,7 @@ PARITY = {
             "result = 0",
         ),
         "11\n",
-        {"instruction": 12, "deref": 9, "op": 4, "call": 1},
+        {"instruction": 12, "deref": 9, "op": 4, "call": 4},
         29,
         (
             "0 seq 0 f|1 seq 1 h|2 seq 2 h.body.#0.to|3 seq 3 f.args.n|4 seq 4 h.args.n|5 seq 5 a"
@@ -99,7 +99,7 @@ PARITY = {
         ),
         "args {\n  n = $n\n}\nmode = 5\n"
         "body {\n  #0 {\n    at = 0\n    to = 5\n  }\n}\nresult = 0\n",
-        {"instruction": 6, "deref": 4, "op": 2, "call": 1},
+        {"instruction": 6, "deref": 4, "op": 2, "call": 2},
         14,
         "0 seq 0 d|1 seq 1 d.mode|2 seq 2 e|3 seq 3 r|4 seq 0 result|5 seq 4 result".split("|"),
     ),

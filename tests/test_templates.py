@@ -19,10 +19,12 @@ from evocat import (
 )
 from evocat.errors import (
     CompareFailed,
+    DivisionByZero,
     EmptyHeap,
     EvalError,
     MissingArgument,
     PathUnresolvable,
+    UnknownOperation,
 )
 from evocat import templates
 from evocat.evaluator import evaluate
@@ -163,6 +165,27 @@ class TestCall:
         for entry in ("rwt", "seq"):
             out = run_entry(parse(SWEEP_SELECT), entry)
             assert render(out) == "a = 1\n", entry
+
+    def test_no_mode_survives_an_error(self):
+        # the sweep of r raises; the same context then evaluates strictly
+        root = parse("r { args { } mode = 1 rules { } x : rem { #0 = 1 #1 = 0 } result = 0 }")
+        ctx = EvalContext(root)
+        with pytest.raises(DivisionByZero):
+            run_entry(root, "r", ctx=ctx)
+        with pytest.raises(UnknownOperation):
+            evaluate(parse("t : nope { }").resolve("t"), ctx)
+
+    def test_every_template_call_counts(self):
+        # the entry call, the calls forced through [f] and the heap's compares
+        lib = load_stdlib()
+        ctx = EvalContext(lib)
+        assert run_entry(lib, "fact", {"n": leaf(5)}, ctx).value == 120
+        assert ctx.stats["call"] == 5
+        heap, ctx = lib.resolve("heap"), EvalContext(lib)
+        for key in (5, 3, 9, 1):
+            heap_put(heap, leaf(key), ctx)
+        assert heap_get(heap, ctx).value == 1
+        assert ctx.stats["call"] == 6
 
     def test_weekday_2004_02_05_is_thursday(self):
         result = run_entry(

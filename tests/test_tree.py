@@ -165,7 +165,7 @@ class TestMeet:
         # brute force: the longest path that prefixes both
         best = Path()
         for cut in range(min(len(e), len(c)) + 1):
-            candidate = Path(e.segments[:cut])
+            candidate = Path(e[:cut])
             if candidate.is_prefix_of(e) and candidate.is_prefix_of(c):
                 if len(candidate) > len(best):
                     best = candidate
