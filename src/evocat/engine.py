@@ -24,6 +24,13 @@ only for a hit.  A rule is checked when it loads, by matching its lhs
 against itself and instantiating its rhs with the binding that gives, so
 ``match`` and ``substitute`` raise their errors before any rule fires and
 the nodes the scan skips cannot change which error a run raises.
+
+A round that follows a one-hit round resumes where that hit changed the
+tree: it sweeps the replaced node, tries the formulas up to the one that
+fired on the node's ancestors and inside it, and scans the whole frame
+only for later formulas (``run_rewrite`` says when that is exact).  So
+``div``, which fires once per round at the bottom of a growing
+``if``/``sum`` spine, no longer re-walks the spine each round.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from .evaluator import (
     EvalContext,
     evaluate,
     is_function_instance,
+    is_value,
+    sweep_enters,
 )
 from .tree import (
     HOLE,
@@ -50,10 +59,14 @@ from .tree import (
     node_equal,
     rebuild,
     replace_subtree,
+    resolve_chain,
 )
 
 #: frame children the rewrite engine must not scan or rewrite
 RESERVED_FRAME_LABELS = frozenset({"args", "mode", "body", "rules", "ip"})
+#: the labels ``is_function_instance`` reads: a write below one of them may
+#: change whether its holder is a function instance
+_SHAPE_LABELS = frozenset({"args", "mode", "result", "body", "rules"})
 
 _IP = Path.of("ip")
 
@@ -316,6 +329,37 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
     matches, collected preorder and outermost first, skipping descendants
     of matched nodes; (3) replace them all with instantiated right sides.
     Stops when, after a ready sweep, no formula matches.
+
+    A round that follows a one-hit round, one that replaced a single node
+    ``h``, works only where that hit changed the tree (``_resume``): its
+    sweep is ``evaluate(h)``, and its scan of the formulas up to the one
+    that fired looks at ``h``'s ancestors, top-down, and then below ``h``.
+    Later formulas scan the whole frame.  It does so when the one-hit
+    round's sweep forced no reference, ``h`` is not a leaf, holds no
+    reference and no ``select``, sits where the sweep goes, and was not
+    written at a label that ``is_function_instance`` reads; and when,
+    after ``evaluate(h)``, ``h`` is still not a value and the compiled
+    formula list is the same.  Otherwise the round runs in full.  Why
+    that is exact:
+
+    - After a sweep the frame is in sweep-normal form: a second sweep fires
+      nothing and spends no fuel.  A sweep that forced a reference may
+      have called a function instance, which becomes its result, a term
+      the sweep may have passed; so only a sweep that forced none counts.
+    - Every formula up to the one that fired has no match outside ``h``
+      and its ancestors: the earlier ones matched nowhere, and that one
+      only at ``h``.
+    - The firing changed only ``h``.  The full sweep would reach ``h``
+      (``sweep_enters`` on each ancestor) and find the rest of the frame
+      already swept; evaluating an ``h`` with no reference and no
+      ``select`` reads and writes nothing outside ``h``.
+    - A non-value cannot make an ancestor ready, since firing needs the
+      operands to be values; an ``h`` that became a value leaves that to
+      the full sweep, which finds ``h`` itself already swept.  Nor can
+      ``h`` change whether an ancestor is a function instance.
+    - So only ``h``'s subtree and its ancestors' own matches can change,
+      and effects happen in the same order: the trace, ``stats``, fuel
+      and the partial state after an error are those of the full round.
     """
     if frame.kind != SET:
         raise EvalError("a rewrite frame must be a set node")
@@ -323,31 +367,101 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
         ctx = EvalContext(frame)
     cell = _start(rules, frame, formulas_from, ctx)
     try:
+        last = None  # (formulas, scanned, path, chain) after a one-hit round
         while True:
-            for label, child in frame.children:
-                if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
-                    evaluate(child, ctx, True)
+            derefs = ctx.stats["deref"]
             hits: list[tuple[Node, Path, Binding]] = []
-            fired: Optional[Formula] = None
-            for formula in cell[0]:
+            resumed = _resume(last, cell, ctx, hits) if last is not None else None
+            if resumed is None:
+                resumed = (0, [])
+                for label, child in frame.children:
+                    if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
+                        evaluate(child, ctx, True)
+            scanned, chain = resumed
+            formulas = cell[0]
+            while not hits and scanned < len(formulas):
+                formula = formulas[scanned]
+                scanned += 1
                 for index, (label, child) in enumerate(frame.children):
                     if label in RESERVED_FRAME_LABELS:
                         continue
                     _collect_matches(formula, child, [label if label is not None else index], hits)
-                if hits:
-                    fired = formula
-                    break
-            if fired is None:
+            if not hits:
                 break
+            fired = formulas[scanned - 1]
             for node, path, binding in hits:
                 replacement = substitute(fired.rhs, binding)
                 ctx.emit("rew", fired.index + 1, path)
                 ctx.spend()
                 ctx.count("firing")
                 node.become(replacement)
+            last = None
+            if len(hits) == 1 and ctx.stats["deref"] == derefs:
+                chain = _hit_chain(frame, chain, hits[0])
+                if chain is not None:
+                    last = (formulas, scanned, hits[0][1], chain)
     finally:
         ctx.running.pop()
     return frame
+
+
+def _hit_chain(frame: Node, chain: list[Node], hit: tuple[Node, Path, Binding]) -> Optional[list[Node]]:
+    """The nodes down the path of a round's one hit, the first of which are
+    ``chain``, when the next round may resume there; else None.
+
+    Each node is a data child or an operand of the one before it, and the
+    sweep must go from each into the next.  ``chain`` is already checked,
+    so only the nodes below it are."""
+    node, path, _ = hit
+    if path[-1] in _SHAPE_LABELS or node.kind == LEAF or not _closed(node):
+        return None
+    known = len(chain)
+    chain = chain + resolve_chain(chain[-1] if chain else frame, path[known:])
+    start = max(known - 1, 0)
+    if all(map(sweep_enters, chain[start:-1], chain[start + 1 :])):
+        return chain
+    return None
+
+
+def _resume(last: tuple, cell: list, ctx: EvalContext, hits: list) -> Optional[tuple[int, list]]:
+    """Sweep and scan where the one hit of the last round changed the tree.
+
+    ``last`` holds that round's formula list, how many of its formulas it
+    scanned, its hit's path and the nodes down that path.  Returns how many
+    formulas this round has scanned, with the nodes down to its hit if it
+    found one; None when the round must sweep and scan in full."""
+    formulas, scanned, path, chain = last
+    node = chain[-1]
+    evaluate(node, ctx, True)
+    if cell[0] is not formulas or node.kind == LEAF or (node.op is None and is_value(node)):
+        return None
+    ancestors = chain[:-1]
+    segs = list(path)
+    for count, formula in enumerate(formulas[:scanned], 1):
+        key = formula.key
+        if key is None or key[0] == SET:  # every ancestor is a set
+            for depth, ancestor in enumerate(ancestors):
+                if (key is None or (ancestor.op == key[1] and len(ancestor.children) == key[2])) and (
+                    binding := match(formula.lhs, ancestor)
+                ) is not None:
+                    hits.append((ancestor, Path(path[: depth + 1]), binding))
+                    return count, chain[: depth + 1]
+        _collect_matches(formula, node, segs, hits)
+        if hits:
+            return count, chain
+    return scanned, []
+
+
+def _closed(node: Node) -> bool:
+    """No reference and no ``select`` below ``node``: the sweep of it reads
+    and writes no node outside it."""
+    work = [node]
+    while work:
+        node = work.pop()
+        if node.kind == REF or node.op == "select":
+            return False
+        work.extend([child for _, child in node.children])
+    return True
 
 
 def _collect_matches(

@@ -25,7 +25,8 @@ UnknownOperation for the symbol ``x``.  A call body and a ``select``
 predicate start strict, also when the sweep forced the call or fired the
 ``select``.  The sweep never enters a leaf: the frame loop and every
 operand loop skip one, since it is already a value, and only an op-less
-set is asked whether it is a function instance.
+set is asked whether it is a function instance.  ``sweep_enters`` tells
+the rewrite engine whether the sweep goes from a node into an operand.
 """
 
 from __future__ import annotations
@@ -310,6 +311,18 @@ def evaluate(node: Node, ctx: EvalContext, lenient: bool = False) -> Node:
         _eval_children(node, ctx, True)
         return node
     return _eval_call(node, ctx)
+
+
+def sweep_enters(node: Node, operand: Node) -> bool:
+    """Whether the lenient sweep, having reached the term or op-less set
+    ``node`` in a frame it has already swept, goes on into ``operand``.
+    It does not go into an ``if`` branch while the condition is not a
+    boolean leaf, nor into the branch not taken, nor into a ``select``
+    predicate.  Swept once, the node passed the arity and boolean checks."""
+    if node.op == "if":
+        cond = node.children[0][1]
+        return operand is cond or (cond.kind == LEAF and operand is node.children[1 if cond.value else 2][1])
+    return node.op != "select" or operand is node.children[0][1]
 
 
 def _eval_children(node: Node, ctx: EvalContext, lenient: bool = False) -> None:

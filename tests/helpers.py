@@ -10,7 +10,9 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from evocat.tree import Node, Path
+from hypothesis import strategies as st
+
+from evocat.tree import SET, VAR, Node, Path, rebuild
 
 LABELS = [
     "a", "b", "c", "d", "e", "f", "g", "h", "k", "m",
@@ -182,3 +184,62 @@ def normalize_coeffs(coeffs: list[int]) -> list[int]:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
+
+
+# --- rewrite patterns and the subjects they match (hypothesis) -----------------
+
+SCAN_LABELS = st.sampled_from([None, None, "a", "b"])
+SCAN_OPS = st.sampled_from([None, "f", "g"])
+
+
+def make_set(op, labelled):
+    seen, children = set(), []
+    for label, child in labelled:
+        if label in seen:
+            label = None
+        seen.add(label)
+        children.append((label, child))
+    return Node(SET, op=op, children=children)
+
+
+def make_instance(result):
+    return Node.set_node(
+        [("args", Node.set_node()), ("mode", leaf(1)), ("rules", Node.set_node()), ("result", result)]
+    )
+
+
+def apply_h(name):
+    return Node(SET, op="$h", children=[(None, Node.var_node(name))])
+
+
+LEAVES = st.one_of(st.integers(0, 2).map(leaf), st.sampled_from(["a", "b.a"]).map(Node.ref_node))
+VARS = st.sampled_from(["X", "Y"]).map(Node.var_node)
+
+
+@st.composite
+def patterns(draw, depth=2):
+    roll = draw(st.integers(0, 9))
+    if depth == 0 or roll < 3:
+        return draw(st.one_of(VARS, LEAVES))
+    if roll == 3:
+        return apply_h("X")  # unbound unless X occurs beside it
+    if roll == 4:
+        return make_set(draw(SCAN_OPS), [(None, Node.var_node("X")), (None, apply_h("X"))])
+    return make_set(draw(SCAN_OPS), draw(st.lists(st.tuples(SCAN_LABELS, patterns(depth - 1)), max_size=3)))
+
+
+@st.composite
+def shapes(draw, depth=4):
+    """A subject shape: each variable in it is a slot for ``filled(lhs)``."""
+    roll = draw(st.integers(0, 9))
+    if depth == 0 or roll < 3:
+        return draw(st.one_of(LEAVES, VARS))
+    if roll == 3:
+        return make_instance(draw(shapes(depth - 1)))
+    return make_set(draw(SCAN_OPS), draw(st.lists(st.tuples(SCAN_LABELS, shapes(depth - 1)), max_size=3)))
+
+
+def filled(pattern):
+    """A subject that ``pattern`` matches: each variable and each ``$h``
+    application becomes the leaf 1."""
+    return rebuild(pattern, lambda n: leaf(1) if n.kind == VAR or n.op == "$h" else None)

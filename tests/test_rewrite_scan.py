@@ -3,7 +3,6 @@ scan, and the work the indexed scan does on the stdlib rules."""
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from evocat import EvalContext, TraceSink, load_stdlib, parse, render, run_entry
 from evocat import engine
@@ -12,7 +11,7 @@ from evocat.errors import EvoError
 from evocat.evaluator import is_function_instance
 from evocat.tree import SET, VAR, Node, Path, node_equal, rebuild
 
-from helpers import atom_x, leaf, setn
+from helpers import atom_x, filled, leaf, make_instance, patterns, setn, shapes
 
 
 def reference_collect(lhs, node, path, hits):
@@ -99,63 +98,6 @@ def test_unlabeled_data_and_second_formula_trace():
 
 
 # --- the indexed scan against the reference -------------------------------------
-
-LABELS = st.sampled_from([None, None, "a", "b"])
-OPS = st.sampled_from([None, "f", "g"])
-
-
-def make_set(op, labelled):
-    seen, children = set(), []
-    for label, child in labelled:
-        if label in seen:
-            label = None
-        seen.add(label)
-        children.append((label, child))
-    return Node(SET, op=op, children=children)
-
-
-def make_instance(result):
-    return Node.set_node(
-        [("args", Node.set_node()), ("mode", leaf(1)), ("rules", Node.set_node()), ("result", result)]
-    )
-
-
-def apply_h(name):
-    return Node(SET, op="$h", children=[(None, Node.var_node(name))])
-
-
-LEAVES = st.one_of(st.integers(0, 2).map(leaf), st.sampled_from(["a", "b.a"]).map(Node.ref_node))
-VARS = st.sampled_from(["X", "Y"]).map(Node.var_node)
-
-
-@st.composite
-def patterns(draw, depth=2):
-    roll = draw(st.integers(0, 9))
-    if depth == 0 or roll < 3:
-        return draw(st.one_of(VARS, LEAVES))
-    if roll == 3:
-        return apply_h("X")  # unbound unless X occurs beside it
-    if roll == 4:
-        return make_set(draw(OPS), [(None, Node.var_node("X")), (None, apply_h("X"))])
-    return make_set(draw(OPS), draw(st.lists(st.tuples(LABELS, patterns(depth - 1)), max_size=3)))
-
-
-@st.composite
-def shapes(draw, depth=4):
-    """A subject shape: each variable in it is a slot for ``filled(lhs)``."""
-    roll = draw(st.integers(0, 9))
-    if depth == 0 or roll < 3:
-        return draw(st.one_of(LEAVES, VARS))
-    if roll == 3:
-        return make_instance(draw(shapes(depth - 1)))
-    return make_set(draw(OPS), draw(st.lists(st.tuples(LABELS, shapes(depth - 1)), max_size=3)))
-
-
-def filled(pattern):
-    """A subject that ``pattern`` matches: each variable and each ``$h``
-    application becomes the leaf 1."""
-    return rebuild(pattern, lambda n: leaf(1) if n.kind == VAR or n.op == "$h" else None)
-
 
 def outcome(scan):
     hits = []
