@@ -14,16 +14,18 @@ variable, the decidable fragment of second-order matching.  ``$f`` binds
 to the matched subtree with every occurrence of the argument's value
 replaced by a hole.
 
-The match scan is indexed by the root symbol of each lhs (root-symbol
-discrimination, as in McCune's term indexing).  ``formulas_from`` gives a
-formula the key of its lhs root: the node kind, and for a set also its
-operation and arity.  A variable or ``$f`` root has no key and admits any
-subject.  The scan calls ``match`` only on nodes whose root agrees with
-the key, so only those allocate a ``Binding``, and it builds a ``Path``
-only for a hit.  A rule is checked when it loads, by matching its lhs
-against itself and instantiating its rhs with the binding that gives, so
-``match`` and ``substitute`` raise their errors before any rule fires and
-the nodes the scan skips cannot change which error a run raises.
+Compiled formulas: ``formulas_from`` compiles each formula once (frozen
+code caches the list).  The lhs becomes a ``Pattern``, a flat list of
+checks that ``match`` runs in one loop; only the ``$f`` step is left to
+``_abstract``.  The rhs becomes a ``Template``, a flat list of build steps
+that ``substitute`` runs on a stack.  Compiling is the rule check: it
+raises, in preorder, every error matching or substituting could, so none
+comes after a rule loads.  A template also knows which bound values it
+uses, so a replacement's closedness is known without walking it.  The
+match scan is indexed by the pattern's root symbol, its key (root-symbol
+discrimination, as in McCune's term indexing): it calls ``match`` only on
+nodes whose root agrees, so only those allocate a ``Binding``, and it
+builds a ``Path`` only for a hit.
 
 A round that follows a one-hit round resumes where that hit changed the
 tree: it sweeps the replaced node, tries the formulas up to the one that
@@ -36,7 +38,7 @@ only for later formulas (``run_rewrite`` says when that is exact).  So
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from .devices import OUT
 from .errors import EvalError, EvoError, UnboundVariable
@@ -56,6 +58,7 @@ from .tree import (
     Node,
     Path,
     Segment,
+    new_node,
     node_equal,
     rebuild,
     replace_subtree,
@@ -97,111 +100,183 @@ class Instruction:
     to: Node
 
 
+# --- compiled formulas --------------------------------------------------------
+
+# step codes besides node kinds: a pattern variable binds where it first
+# occurs in preorder and is compared after that; a template plugs a $f
+_BIND, _SAME, _DEFER, _PLUG = "bind", "same", "defer", "plug"
+
+
+class Pattern:
+    """An lhs as a preorder list of checks ``(code, register, index, label,
+    a, b)`` of child ``index`` in the children list ``register``; register
+    0 is ``[(None, subject)]``, and a set check appends its node's children.
+    ``vars`` and ``funcs`` are the names bound; ``key`` is what a subject's
+    root must agree with: (kind, op, arity), op and arity compared for a
+    set only; None when any subject may match."""
+
+    __slots__ = ("steps", "key", "vars", "funcs")
+
+    def __init__(self, lhs: Node):
+        steps, bound, applied = [], set(), []
+        work, registers = [(lhs, 0, 0, None)], 1
+        while work:
+            p, *where = work.pop()
+            if p.kind == VAR:
+                steps.append((_SAME if p.var in bound else _BIND, *where, p.var, None))
+                bound.add(p.var)
+            elif p.kind in (LEAF, REF):
+                steps.append((p.kind, *where, p.value, p.ref))
+            elif p.kind == HOLE:
+                raise EvalError("hole nodes cannot appear in patterns")
+            elif p.op is not None and p.op.startswith("$"):  # not looked into
+                if len(p.children) != 1 or p.children[0][1].kind != VAR:
+                    raise EvalError(f"function variable {p.op} must be applied to exactly one variable")
+                applied.append((p.op[1:], p.children[0][1].var))
+                steps.append((_DEFER, *where, *applied[-1]))
+            else:
+                steps.append((SET, *where, p.op, len(p.children)))
+                work += reversed([(c, registers, i, lab) for i, (lab, c) in enumerate(p.children)])
+                registers += 1
+        for fname, argname in applied:
+            if argname not in bound:
+                never = f"applied to ${argname}, which the pattern never binds"
+                raise EvalError(f"function variable ${fname} {never}")
+        self.steps, self.vars, self.funcs = steps, bound, {fname for fname, _ in applied}
+        self.key = None if steps[0][0] in (_BIND, _DEFER) else (lhs.kind, lhs.op, len(lhs.children))
+
+
+class Template:
+    """An rhs as a postorder list of build steps ``(kind, label, arity,
+    value, name, ref)``, each pushing a ``(label, node)`` pair: a skeleton
+    node of ``kind`` over the last ``arity`` pairs, a copy of the binding
+    of ``name`` (``VAR``), or ``$name`` plugged with what template ``ref``
+    builds (``_PLUG``).  ``closed``: the skeleton has no reference and no
+    ``select``; ``copies`` and ``plugs`` are the variables and ``(name,
+    argument template)`` pairs used."""
+
+    __slots__ = ("steps", "copies", "plugs", "closed")
+
+    def __init__(self):
+        self.steps, self.copies, self.plugs, self.closed = [], set(), [], True
+
+    @classmethod
+    def of(cls, rhs: Node, bound, funcs) -> "Template":
+        """Compile ``rhs`` with its names among ``bound`` and ``funcs``.  The
+        walk is preorder, as errors must be; steps are its reverse."""
+        templates = [cls()]
+        work = [(rhs, None, templates[0])]
+        while work:
+            node, label, into = work.pop()
+            if node.kind == VAR:
+                if node.var not in bound:
+                    raise UnboundVariable(f"${node.var} is not bound")
+                into.copies.add(node.var)
+                into.steps.append((VAR, label, 0, 0, node.var, None))
+            elif node.kind == HOLE:
+                raise EvalError("hole nodes cannot appear in templates")
+            elif node.op is not None and node.op.startswith("$"):
+                name = node.op[1:]
+                if name not in funcs:
+                    raise UnboundVariable(f"${name} is not bound")
+                if len(node.children) != 1:
+                    raise EvalError(f"function variable ${name} must be applied to exactly one argument")
+                templates.append(cls())
+                into.plugs.append((name, templates[-1]))
+                into.steps.append((_PLUG, label, 0, 0, name, templates[-1]))
+                work.append((node.children[0][1], None, templates[-1]))
+            else:
+                into.closed = into.closed and node.kind != REF and node.op != "select"
+                into.steps.append((node.kind, label, len(node.children), node.value, node.op, node.ref))
+                work += [(c, lab, into) for lab, c in reversed(node.children)]
+        for template in templates:
+            template.steps.reverse()
+        return templates[0]
+
+
 @dataclass
 class Formula:
     lhs: Node
     rhs: Node
     index: int  # 0-based position in the rule list
-    # what a subject's root must agree with to match: (kind, op, arity),
-    # op and arity compared for a set only; None when any subject may match
-    key: Optional[tuple[str, Optional[str], int]]
+    key: Optional[tuple[str, Optional[str], int]]  # the pattern's key
+    pattern: Pattern
+    template: Template
 
 
 # --- matching ----------------------------------------------------------------
 
 
-def match(pattern: Node, subject: Node) -> Optional[Binding]:
-    """Match ``subject`` against ``pattern``; None when they disagree."""
-    binding = Binding()
-    deferred: list[tuple[str, str, Node]] = []
-    if not _walk(pattern, subject, binding, deferred) or not _abstract(deferred, binding):
+def match(pattern: Union[Pattern, Node], subject: Node) -> Optional[Binding]:
+    """Match ``subject`` against ``pattern``; None when they disagree.  A
+    bare ``Node`` is compiled first, so a malformed one always raises."""
+    if not isinstance(pattern, Pattern):
+        pattern = Pattern(pattern)
+    registers, bound, deferred = [[(None, subject)]], {}, []
+    for code, register, index, label, a, b in pattern.steps:
+        got, node = registers[register][index]
+        if got != label:
+            return None
+        if code == SET:
+            if node.kind != SET or node.op != a or len(node.children) != b:
+                return None
+            registers.append(node.children)
+        elif code == _BIND:
+            bound[a] = node
+        elif code == LEAF:
+            if node.kind != LEAF or node.value != a:
+                return None
+        elif code == _SAME:
+            if not node_equal(bound[a], node):
+                return None
+        elif code == REF:
+            if node.kind != REF or node.ref != b:
+                return None
+        else:
+            deferred.append((a, b, node))
+    binding = Binding(bound)
+    if deferred and not _abstract(deferred, binding):
         return None
     return binding
 
 
-def _walk(pattern: Node, subject: Node, binding: Binding, deferred: list) -> bool:
-    """The first-order step of ``match``, preorder and left to right on an
-    explicit stack of child pairs.  A pair's labels are compared when it is
-    popped, so the binding, ``deferred`` and the error raised are those of
-    a walk that compares each label just before visiting the child."""
-    work = [((None, pattern), (None, subject))]
-    while work:
-        (pl, p), (tl, t) = work.pop()
-        if pl != tl:
-            return False
-        if p.kind == VAR:
-            seen = binding.vars.get(p.var)
-            if seen is None:
-                binding.vars[p.var] = t
-            elif not node_equal(seen, t):
-                return False
-        elif p.kind == LEAF:
-            if t.kind != LEAF or p.value != t.value:
-                return False
-        elif p.kind == REF:
-            if t.kind != REF or p.ref != t.ref:
-                return False
-        elif p.kind == HOLE:
-            raise EvalError("hole nodes cannot appear in patterns")
-        elif p.op is not None and p.op.startswith("$"):
-            if len(p.children) != 1 or p.children[0][1].kind != VAR:
-                raise EvalError(
-                    f"function variable {p.op} must be applied to exactly one variable"
-                )
-            deferred.append((p.op[1:], p.children[0][1].var, t))
-        elif t.kind != SET or p.op != t.op or len(p.children) != len(t.children):
-            return False
-        else:
-            work.extend(zip(reversed(p.children), reversed(t.children)))
-    return True
-
-
 def _abstract(deferred: list[tuple[str, str, Node]], binding: Binding) -> bool:
     """The ``$f`` step of ``match``: bind each ``$f`` to an abstraction of what
-    it met.  False when two bodies disagree, once every argument is checked."""
-    agree = True
+    it met.  False when two bodies of one ``$f`` disagree."""
     for fname, argname, node in deferred:
-        argval = binding.vars.get(argname)
-        if argval is None:
-            raise EvalError(
-                f"function variable ${fname} applied to ${argname}, which the pattern never binds"
-            )
+        argval = binding.vars[argname]
         # subtrees equal to the argument become holes (none: a constant function)
         body = rebuild(node, lambda n: Node.hole() if node_equal(n, argval) else None)
         seen = binding.funcs.get(fname)
         if seen is None:
             binding.funcs[fname] = Abstraction(body)
         elif not node_equal(seen.body, body):
-            agree = False
-    return agree
+            return False
+    return True
 
 
 # --- substitution ------------------------------------------------------------
 
 
-def substitute(template: Node, binding: Binding) -> Node:
+def substitute(template: Union[Template, Node], binding: Binding) -> Node:
     """Instantiate a template: variables become deep copies of their
-    bindings, ``$f(s)`` becomes f's body with the hole replaced by s."""
-
-    def swap(node: Node) -> Optional[Node]:
-        if node.kind == VAR:
-            bound = binding.vars.get(node.var)
-            if bound is None:
-                raise UnboundVariable(f"${node.var} is not bound")
-            return bound.copy()
-        if node.kind == HOLE:
-            raise EvalError("hole nodes cannot appear in templates")
-        if node.op is None or not node.op.startswith("$"):
-            return None
-        name = node.op[1:]
-        abstraction = binding.funcs.get(name)
-        if abstraction is None:
-            raise UnboundVariable(f"${name} is not bound")
-        if len(node.children) != 1:
-            raise EvalError(f"function variable ${name} must be applied to exactly one argument")
-        return abstraction.plug(substitute(node.children[0][1], binding))
-
-    return rebuild(template, swap)
+    bindings, ``$f(s)`` becomes f's body with the hole replaced by s.  A
+    bare ``Node`` is compiled first, against the names ``binding`` binds."""
+    if not isinstance(template, Template):
+        template = Template.of(template, binding.vars, binding.funcs)
+    stack: list[tuple[Optional[str], Node]] = []
+    for kind, label, arity, value, name, ref in template.steps:
+        if kind == VAR:
+            node = binding.vars[name].copy()
+        elif kind == _PLUG:
+            node = binding.funcs[name].plug(substitute(ref, binding))
+        else:
+            kids = stack[: -arity - 1 : -1]  # the last pushed is the leftmost
+            if arity:
+                del stack[-arity:]
+            node = new_node(kind, value, kids, name, ref)
+        stack.append((label, node))
+    return stack[0][1]
 
 
 # --- program extraction -------------------------------------------------------
@@ -224,9 +299,9 @@ def instructions_from(body: Node) -> list[Instruction]:
 
 
 def formulas_from(rules: Node) -> list[Formula]:
-    """Read ``{ lhs ... rhs ... }`` entries out of a rules node, check each
-    one as the module docstring says, and give it its lhs root key.  An
-    error keeps its class and its message names the formula and side."""
+    """Read ``{ lhs ... rhs ... }`` entries out of a rules node and compile
+    each one as the module docstring says.  An error keeps its class and
+    its message names the formula and side."""
     formulas: list[Formula] = []
     for index, (_, node) in enumerate(rules.children):
         if node.kind != SET:
@@ -237,22 +312,13 @@ def formulas_from(rules: Node) -> list[Formula]:
             raise EvalError(f"formula #{index} must have 'lhs' and 'rhs'")
         side = "lhs"
         try:
-            binding, deferred = Binding(), []
-            # the verdict is unused: a self-match fails only on $f argument labels
-            _walk(lhs, lhs, binding, deferred)
-            _abstract(deferred, binding)
+            pattern = Pattern(lhs)
             side = "rhs"
-            substitute(rhs, binding)
+            template = Template.of(rhs, pattern.vars, pattern.funcs)
         except EvalError as err:
             raise type(err)(f"formula #{index} {side}: {err}") from None
-        formulas.append(Formula(lhs, rhs, index, _root_key(lhs)))
+        formulas.append(Formula(lhs, rhs, index, pattern.key, pattern, template))
     return formulas
-
-
-def _root_key(lhs: Node) -> Optional[tuple[str, Optional[str], int]]:
-    if lhs.kind == VAR or (lhs.op is not None and lhs.op.startswith("$")):
-        return None
-    return (lhs.kind, lhs.op, len(lhs.children))
 
 
 # --- sequential execution -----------------------------------------------------
@@ -352,7 +418,9 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
     - The firing changed only ``h``.  The full sweep would reach ``h``
       (``sweep_enters`` on each ancestor) and find the rest of the frame
       already swept; evaluating an ``h`` with no reference and no
-      ``select`` reads and writes nothing outside ``h``.
+      ``select`` reads and writes nothing outside ``h``.  That is read off
+      the formula (``_builds_closed``), as a replacement is made only of
+      its skeleton, bound values' copies, and bodies plugged with arguments.
     - A non-value cannot make an ancestor ready, since firing needs the
       operands to be values; an ``h`` that became a value leaves that to
       the full sweep, which finds ``h`` itself already swept.  Nor can
@@ -390,14 +458,14 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
                 break
             fired = formulas[scanned - 1]
             for node, path, binding in hits:
-                replacement = substitute(fired.rhs, binding)
+                replacement = substitute(fired.template, binding)
                 ctx.emit("rew", fired.index + 1, path)
                 ctx.spend()
                 ctx.count("firing")
                 node.become(replacement)
             last = None
             if len(hits) == 1 and ctx.stats["deref"] == derefs:
-                chain = _hit_chain(frame, chain, hits[0])
+                chain = _hit_chain(frame, chain, hits[0], fired.template)
                 if chain is not None:
                     last = (formulas, scanned, hits[0][1], chain)
     finally:
@@ -405,15 +473,15 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
     return frame
 
 
-def _hit_chain(frame: Node, chain: list[Node], hit: tuple[Node, Path, Binding]) -> Optional[list[Node]]:
+def _hit_chain(frame: Node, chain: list[Node], hit: tuple, template: Template) -> Optional[list[Node]]:
     """The nodes down the path of a round's one hit, the first of which are
     ``chain``, when the next round may resume there; else None.
 
     Each node is a data child or an operand of the one before it, and the
     sweep must go from each into the next.  ``chain`` is already checked,
     so only the nodes below it are."""
-    node, path, _ = hit
-    if path[-1] in _SHAPE_LABELS or node.kind == LEAF or not _closed(node):
+    node, path, binding = hit
+    if path[-1] in _SHAPE_LABELS or node.kind == LEAF or not _builds_closed(template, binding):
         return None
     known = len(chain)
     chain = chain + resolve_chain(chain[-1] if chain else frame, path[known:])
@@ -442,7 +510,7 @@ def _resume(last: tuple, cell: list, ctx: EvalContext, hits: list) -> Optional[t
         if key is None or key[0] == SET:  # every ancestor is a set
             for depth, ancestor in enumerate(ancestors):
                 if (key is None or (ancestor.op == key[1] and len(ancestor.children) == key[2])) and (
-                    binding := match(formula.lhs, ancestor)
+                    binding := match(formula.pattern, ancestor)
                 ) is not None:
                     hits.append((ancestor, Path(path[: depth + 1]), binding))
                     return count, chain[: depth + 1]
@@ -452,13 +520,23 @@ def _resume(last: tuple, cell: list, ctx: EvalContext, hits: list) -> Optional[t
     return scanned, []
 
 
-def _closed(node: Node) -> bool:
-    """No reference and no ``select`` below ``node``: the sweep of it reads
-    and writes no node outside it."""
+def _builds_closed(template: Template, binding: Binding) -> bool:
+    """``_closed`` of what ``template`` builds from ``binding``: of its
+    skeleton, each value it copies and each body it plugs, where a hole is
+    open when the argument plugged into it is."""
+    if not template.closed or not all(_closed(binding.vars[name]) for name in template.copies):
+        return False
+    plugs = template.plugs
+    return all(_closed(binding.funcs[f].body, _builds_closed(arg, binding)) for f, arg in plugs)
+
+
+def _closed(node: Node, holes: bool = True) -> bool:
+    """No reference and no ``select`` below ``node``, nor a hole unless
+    ``holes``: the sweep of it reads and writes no node outside it."""
     work = [node]
     while work:
         node = work.pop()
-        if node.kind == REF or node.op == "select":
+        if node.kind == REF or node.op == "select" or (node.kind == HOLE and not holes):
             return False
         work.extend([child for _, child in node.children])
     return True
@@ -478,7 +556,7 @@ def _collect_matches(
         node.kind == key[0]
         and (key[0] != SET or (node.op == key[1] and len(node.children) == key[2]))
     ):
-        binding = match(formula.lhs, node)
+        binding = match(formula.pattern, node)
         if binding is not None:
             hits.append((node, Path(segs), binding))
             return

@@ -18,9 +18,10 @@ stay valid across transitions.  A machine state is just its root ``Node``, and a
 subtree node itself, so a replacement through a view is seen outside it.
 
 This module is the only writer of a node's children: outside it
-``Node.children`` is read-only.  The writers are the constructor,
-``add_child``, ``set_child``, ``swap_children``, ``pop_child`` and
-``become``; a copy with some subtrees replaced is built by ``rebuild``.
+``Node.children`` is read-only.  The writers are the constructors
+(``Node`` and the slot-setting ``new_node``), ``add_child``,
+``set_child``, ``swap_children``, ``pop_child`` and ``become``; a copy
+with some subtrees replaced is built by ``rebuild``.
 Copies share frozen template code (``Node.freeze``), which those writers
 refuse and ``replace_subtree`` un-shares before it writes: copy-on-write.
 """
@@ -327,6 +328,20 @@ class Node:
             return "<hole>"
         op = f" :{self.op}" if self.op else ""
         return f"<set{op} |{len(self.children)}|>"
+
+
+def new_node(kind: str, value: int, children: list, op: Optional[str], ref: Optional[Path]) -> Node:
+    """A node with its slots set directly, not through the keyword
+    ``__init__``: it adopts ``children`` as its list and has no ``var``."""
+    node = object.__new__(Node)
+    node.kind = kind
+    node.value = value
+    node.children = children
+    node.op = op
+    node.ref = ref
+    node.var = None
+    node.frozen = None
+    return node
 
 
 def node_equal(a: Node, b: Node) -> bool:

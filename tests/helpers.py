@@ -32,6 +32,15 @@ def setn(*children: Node, op: Optional[str] = None, labels: Optional[list] = Non
     return Node.set_node(list(zip(labels, children)), op=op)
 
 
+def preorder(node: Node):
+    """Every node of a tree, in preorder."""
+    work = [node]
+    while work:
+        node = work.pop()
+        yield node
+        work.extend(reversed([child for _, child in node.children]))
+
+
 def node_ids(root: Node) -> set[int]:
     """Identities of every node in a tree, for checking that two trees share
     no nodes (both must stay alive while the sets are compared)."""

@@ -1,7 +1,8 @@
 """A rewrite round that follows a one-hit round resumes where that hit
-changed the tree: the engine against the full-round loop it replaced
-(``rewrite_reference.py``), pinned cases for each reason a round must run
-in full, and the work ``div`` does as its quotient doubles."""
+changed the tree: the engine against the full-round loop it replaced,
+with the generic matcher and ``substitute`` (``rewrite_reference.py``),
+pinned cases for each reason a round must run in full, and the work
+``div`` does as its quotient doubles."""
 
 import sys
 
@@ -12,36 +13,33 @@ from hypothesis import strategies as st
 import rewrite_reference as reference
 from evocat import EvalContext, TraceSink, load_stdlib, parse, render, run_entry
 from evocat import engine, evaluator
-from evocat.engine import formulas_from, run_rewrite, substitute
+from evocat.engine import formulas_from, run_rewrite
 from evocat.errors import EvoError, FuelExhausted
 from evocat.evaluator import DEFAULT_FUEL
 from evocat.tree import REF, VAR, Node, node_equal, rebuild
 
-from helpers import SCAN_LABELS, SCAN_OPS, filled, leaf, make_set, patterns, setn, shapes
+from helpers import SCAN_LABELS, SCAN_OPS, filled, leaf, make_set, patterns, preorder, setn, shapes
 
 FUEL = 80
 LARGEST = 300  # nodes in one replacement or, a tenth of that, in one binding
 
 
-def bounded(template, binding):
+def bounded(substitute):
     """``substitute``, which also ends the run when a binding or the
     replacement is too large: a rule that copies a variable twice doubles
-    a term per firing, far faster than fuel runs out."""
-    bound = [*binding.vars.values(), *(f.body for f in binding.funcs.values())]
-    if sum(1 for node in bound for _ in preorder(node)) > LARGEST // 10:
-        raise FuelExhausted("binding too large")
-    replacement = substitute(template, binding)
-    if sum(1 for _ in preorder(replacement)) > LARGEST:
-        raise FuelExhausted("replacement too large")
-    return replacement
+    a term per firing, far faster than fuel runs out.  The template is a
+    compiled one or a ``Node``, as the loop that calls it passes."""
 
+    def wrapper(template, binding):
+        bound = [*binding.vars.values(), *(f.body for f in binding.funcs.values())]
+        if sum(1 for node in bound for _ in preorder(node)) > LARGEST // 10:
+            raise FuelExhausted("binding too large")
+        replacement = substitute(template, binding)
+        if sum(1 for _ in preorder(replacement)) > LARGEST:
+            raise FuelExhausted("replacement too large")
+        return replacement
 
-def preorder(node):
-    work = [node]
-    while work:
-        node = work.pop()
-        yield node
-        work.extend(reversed([child for _, child in node.children]))
+    return wrapper
 
 
 def listing(frame):
@@ -67,8 +65,8 @@ def outcome(loop, frame):
 def both(frame):
     """The engine's outcome and the reference's, each on its own copy."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "substitute", bounded)
-        patch.setattr(reference, "substitute", bounded)
+        patch.setattr(engine, "substitute", bounded(engine.substitute))
+        patch.setattr(reference, "substitute", bounded(reference.substitute))
         return outcome(run_rewrite, frame.copy()), outcome(reference.run_rewrite, frame.copy())
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from evocat import EvalContext, TraceSink, load_stdlib, parse, render, run_entry
 from evocat import engine
-from evocat.engine import Formula, _collect_matches, _root_key, match, run_rewrite
+from evocat.engine import Formula, Pattern, _collect_matches, match, run_rewrite
 from evocat.errors import EvoError
 from evocat.evaluator import is_function_instance
 from evocat.tree import SET, VAR, Node, Path, node_equal, rebuild
@@ -108,6 +108,12 @@ def outcome(scan):
     return hits
 
 
+def scanned(lhs):
+    """A formula of ``lhs`` alone, as the scan reads it."""
+    pattern = Pattern(lhs)
+    return Formula(lhs, leaf(0), 0, pattern.key, pattern, None)
+
+
 def same_bindings(a, b):
     return (
         a.vars.keys() == b.vars.keys()
@@ -121,10 +127,10 @@ def same_bindings(a, b):
 @settings(max_examples=300, deadline=None)
 def test_indexed_scan_equals_reference(lhs, shape):
     subject = rebuild(shape, lambda n: filled(lhs) if n.kind == VAR else None)
-    formula = Formula(lhs, leaf(0), 0, _root_key(lhs))
     start = Path.of("goal")
     want = outcome(lambda hits: reference_collect(lhs, subject, start, hits))
-    got = outcome(lambda hits: _collect_matches(formula, subject, ["goal"], hits))
+    # a pattern that applies $h to an unbound variable raises when it compiles
+    got = outcome(lambda hits: _collect_matches(scanned(lhs), subject, ["goal"], hits))
     if not isinstance(want, list):
         assert got == want
         return
@@ -141,7 +147,7 @@ def test_scan_stops_at_function_instances_but_may_match_one():
         (make_instance(Node.var_node("X")), [Path.of("goal", 0)]),
     ]:
         hits = []
-        _collect_matches(Formula(lhs, leaf(0), 0, _root_key(lhs)), subject, ["goal"], hits)
+        _collect_matches(scanned(lhs), subject, ["goal"], hits)
         assert [path for _, path, _ in hits] == want
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from evocat import parse
 from evocat.engine import formulas_from
 from evocat.errors import EvalError, UnboundVariable
-from evocat.tree import HOLE, SET, VAR, Node
+from evocat.tree import HOLE, SET, VAR, Node, rebuild
 
 # --- reference: the load-time checker before it was folded into match --------
 
@@ -133,6 +133,10 @@ def rules(src: str) -> Node:
     return parse(f"r {{ {src} }}").resolve("r")
 
 
+# The class and message are those the rule check gave before formulas were
+# compiled.  Where a rule has two faults, the first in preorder is named,
+# except that an lhs is walked before its $f arguments are checked.  $H
+# stands for a hole, which no text can write.
 @pytest.mark.parametrize(
     "formula, error, message",
     [
@@ -144,12 +148,37 @@ def rules(src: str) -> Node:
         ("lhs = $x rhs : $h { #0 = $x }", UnboundVariable, "rhs: $h is not bound"),
         ("lhs : h { #0 = $x #1 : $f { #0 = $x } } rhs : $f { }", EvalError,
          "rhs: function variable $f must be applied to exactly one argument"),
+        ("lhs : h { #0 = $x #1 = $H } rhs = 0", EvalError,
+         "lhs: hole nodes cannot appear in patterns"),
+        ("lhs : h { #0 : $f { #0 = $y } #1 = $H } rhs = 0", EvalError,
+         "lhs: hole nodes cannot appear in patterns"),
+        ("lhs : h { #0 = $x #1 : $f { #0 = $x #1 = $x } } rhs = 0", EvalError,
+         "lhs: function variable $f must be applied to exactly one variable"),
+        ("lhs : h { #0 : $f { #0 = $x } #1 : $g { #0 = $x } } rhs = 0", EvalError,
+         "lhs: function variable $f applied to $x, which the pattern never binds"),
+        ("lhs : h { #0 = $x #1 : $f { #0 = $x } } rhs : $f { #0 = $y }", UnboundVariable,
+         "rhs: $y is not bound"),
+        ("lhs : h { #0 = $x #1 : $f { #0 = $x } } rhs : $f { #0 = $x #1 = $x }", EvalError,
+         "rhs: function variable $f must be applied to exactly one argument"),
+        ("lhs = $x rhs : g { #0 = $x #1 : k { a = $y } }", UnboundVariable,
+         "rhs: $y is not bound"),
+        ("lhs : h { #0 = $x #1 : $f { #0 = $x } } rhs = $f", UnboundVariable,
+         "rhs: $f is not bound"),
+        ("lhs = $x rhs : g { #0 = $x #1 = $H }", EvalError,
+         "rhs: hole nodes cannot appear in templates"),
+        ("lhs = $x rhs : g { #0 = $z #1 = $H }", UnboundVariable, "rhs: $z is not bound"),
+        ("lhs = $x rhs : g { #0 = $H #1 = $z }", EvalError,
+         "rhs: hole nodes cannot appear in templates"),
+        ("lhs : h { #0 = $x #1 : $f { #0 = $x } } rhs : g { #0 : $f { #0 : k { #0 = $H } } #1 = $w }",
+         EvalError, "rhs: hole nodes cannot appear in templates"),
     ],
 )
 def test_a_rejection_names_the_formula_and_side(formula, error, message):
     text = f"#0 {{ lhs = 1 rhs = 2 }} #1 {{ {formula} }}"
+    holed = rebuild(rules(text), lambda n: Node.hole() if n.kind == VAR and n.var == "H" else None)
     with pytest.raises(error) as info:
-        formulas_from(rules(text))
+        formulas_from(holed)
+    assert type(info.value) is error
     assert str(info.value) == f"formula #1 {message}"
 
 
