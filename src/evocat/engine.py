@@ -351,8 +351,9 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None) -
                     evaluate(value, ctx)
                 _apply_write(frame, inst.at, value, ctx)
                 if inst.at != _IP:
-                    frame.set_child("ip", Node.leaf(index + 1))
-                ip_node = frame.child("ip")
+                    ip_node = frame.set_child("ip", Node.leaf(index + 1))
+                else:
+                    ip_node = frame.child("ip")
                 if ip_node is None or ip_node.kind != LEAF:
                     raise EvalError("frame child 'ip' must be a natural-number leaf")
             except EvoError as err:

@@ -37,7 +37,13 @@ text that parse rejects as nesting too deep.
 The renderer is canonical: 2-space indentation, one entry per line,
 children in stored order, positional labels printed as ``#k``, string
 sugar re-applied whenever every child is an unlabeled leaf with a
-printable code point.  Equal trees render to identical text.
+printable code point.  Equal trees render to identical text.  The sugar
+probe (``_atom``) runs only on the root and on a set child with no op
+whose first child is unlabelled; any other set is written with braces
+at once.
+
+The parser and ``encode_text`` make every node with ``tree.new_node``,
+each set with a list of its own.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from itertools import islice
 from typing import Optional
 
 from .errors import DepthExceeded, DuplicateSibling, NotEncodable, ParseError, VariablesOutsideRules
-from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path
+from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path, new_node
 
 MAX_DEPTH = 200
 
@@ -180,11 +186,11 @@ def _parse(tokens: list[str], allow_vars: bool) -> Node:
         elif not stack:
             if tok:
                 raise _Fault(ParseError, "expected an entry", i)
-            return Node(SET, children=kids)
+            return new_node(SET, 0, kids, None, None)
         else:
             if tok != "}":
                 raise _Fault(ParseError, "expected '}'", i)
-            node = Node(SET, op=op, children=kids)
+            node = new_node(SET, 0, kids, op, None)
             kids, seen, op, label = stack.pop()
             i += 1
             if kids is None:
@@ -197,7 +203,7 @@ def _parse(tokens: list[str], allow_vars: bool) -> Node:
         if tok == "=":
             tok = tokens[i + 2]
             if tok.isdigit():
-                kids.append((label, Node(LEAF, value=int(tok))))
+                kids.append((label, new_node(LEAF, int(tok), [], None, None)))
                 i += 3
             else:
                 node, i = _value(tokens, i + 2, allow_vars)
@@ -236,7 +242,7 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
     index after it."""
     tok = tokens[i]
     if tok.isdigit():
-        return Node(LEAF, value=int(tok)), i + 1
+        return new_node(LEAF, int(tok), [], None, None), i + 1
     c = tok[:1]
     if c == '"':
         text = tok[1:-1]
@@ -246,7 +252,7 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
     if c == "$":
         if not allow_vars:
             raise _Fault(VariablesOutsideRules, f"variable {tok} in a plain state file", i)
-        return Node(VAR, var=tok[1:]), i + 1
+        return new_node(VAR, 0, [], None, None, tok[1:]), i + 1
     if tok != "[":
         raise _Fault(ParseError, "expected a value", i)
     segs: list = []
@@ -264,7 +270,7 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
         i += 1
     if tokens[i + 1] != "]":
         raise _Fault(ParseError, "expected ']'", i + 1)
-    return Node(REF, ref=Path(segs)), i + 2
+    return new_node(REF, 0, [], None, Path(segs)), i + 2
 
 
 # --- string sugar ---------------------------------------------------------
@@ -272,7 +278,8 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
 
 def encode_text(text: str) -> Node:
     """A string as a set node of unlabeled code-point leaves."""
-    return Node(SET, children=[(None, Node(LEAF, value=ord(ch))) for ch in text])
+    kids = [(None, new_node(LEAF, ord(ch), [], None, None)) for ch in text]
+    return new_node(SET, 0, kids, None, None)
 
 
 def decode_text(node: Node) -> Optional[str]:
@@ -363,15 +370,18 @@ def _render(root: Node) -> str:
             if child.kind == LEAF:  # the common case, without the call
                 out.append(f"{name} = {child.value}\n")
                 continue
-            atom = _atom(child)
-            if atom is not None:
-                out.append(f"{name} = {atom}\n")
-                continue
+            kids = child.children
+            # Only a set with no op whose first child is unlabelled can be sugar.
+            if child.kind != SET or (child.op is None and kids and kids[0][0] is None):
+                atom = _atom(child)
+                if atom is not None:
+                    out.append(f"{name} = {atom}\n")
+                    continue
             out.append(name + " {\n" if child.op is None else f"{name} : {child.op} {{\n")
             if depth + len(stack) + 1 > MAX_DEPTH:  # the depth of the set opened here
                 raise DepthExceeded(f"tree nested deeper than {MAX_DEPTH} sets cannot be rendered")
             stack.append((children, pad, close))
-            children, pad, close = enumerate(child.children), pad + "  ", pad + "}\n"
+            children, pad, close = enumerate(kids), pad + "  ", pad + "}\n"
             break
         else:
             out.append(close)

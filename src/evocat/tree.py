@@ -19,9 +19,10 @@ subtree node itself, so a replacement through a view is seen outside it.
 
 This module is the only writer of a node's children: outside it
 ``Node.children`` is read-only.  The writers are the constructors
-(``Node`` and the slot-setting ``new_node``), ``add_child``,
-``set_child``, ``swap_children``, ``pop_child`` and ``become``; a copy
-with some subtrees replaced is built by ``rebuild``.
+(``Node``, whose fields may be given by position or keyword, and the
+slot-setting ``new_node``, which the parser and the rhs builder use),
+``add_child``, ``set_child``, ``swap_children``, ``pop_child`` and
+``become``; a copy with some subtrees replaced is built by ``rebuild``.
 Copies share frozen template code (``Node.freeze``), which those writers
 refuse and ``replace_subtree`` un-shares before it writes: copy-on-write.
 """
@@ -138,7 +139,6 @@ class Node:
     def __init__(
         self,
         kind: str,
-        *,
         value: int = 0,
         children: Optional[list[tuple[Optional[str], "Node"]]] = None,
         op: Optional[str] = None,
@@ -159,7 +159,7 @@ class Node:
     def leaf(cls, value: int) -> "Node":
         if value < 0:
             raise ValueError("leaf values are naturals")
-        return cls(LEAF, value=value)
+        return cls(LEAF, value)
 
     @classmethod
     def set_node(
@@ -174,11 +174,11 @@ class Node:
 
     @classmethod
     def ref_node(cls, path: Union[Path, str]) -> "Node":
-        return cls(REF, ref=_as_path(path))
+        return cls(REF, 0, None, None, _as_path(path))
 
     @classmethod
     def var_node(cls, name: str) -> "Node":
-        return cls(VAR, var=name)
+        return cls(VAR, 0, None, None, None, name)
 
     @classmethod
     def hole(cls) -> "Node":
@@ -244,7 +244,10 @@ class Node:
     def copy(self) -> "Node":
         """A deep copy in which only frozen code roots below ``self`` are
         shared.  The copy is iterative, over a work list of (source, blank
-        copy) pairs, so its depth is not bounded by the interpreter's stack."""
+        copy) pairs, so its depth is not bounded by the interpreter's stack.
+        A childless node is copied at once, without the work list."""
+        if not self.children:
+            return new_node(self.kind, self.value, [], self.op, self.ref, self.var)
         new = dst = object.__new__(Node)
         src, work = self, []
         while True:
@@ -330,16 +333,19 @@ class Node:
         return f"<set{op} |{len(self.children)}|>"
 
 
-def new_node(kind: str, value: int, children: list, op: Optional[str], ref: Optional[Path]) -> Node:
-    """A node with its slots set directly, not through the keyword
-    ``__init__``: it adopts ``children`` as its list and has no ``var``."""
+def new_node(
+    kind: str, value: int, children: list, op: Optional[str], ref: Optional[Path],
+    var: Optional[str] = None,
+) -> Node:
+    """A node with its slots set directly, not through ``__init__``: it
+    adopts ``children`` as its list."""
     node = object.__new__(Node)
     node.kind = kind
     node.value = value
     node.children = children
     node.op = op
     node.ref = ref
-    node.var = None
+    node.var = var
     node.frozen = None
     return node
 

@@ -18,6 +18,9 @@ from evocat.errors import (
 from evocat.tree import Node, Path, node_equal
 
 from helpers import gen_any_tree
+from test_textio_reference import reference
+
+CODES = [(None, Node.leaf(104)), (None, Node.leaf(105))]
 
 
 class TestParse:
@@ -169,6 +172,23 @@ class TestRender:
         for _ in range(40):
             tree = gen_any_tree(rng, depth=4)
             assert render(tree) == render(tree.copy())
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Node.set_node(CODES, op="f"),  # a : f { #0 = 104 #1 = 105 }
+            Node.set_node(),  # a { }
+            Node.set_node([("x", Node.leaf(104))] + CODES),  # labelled first child
+            Node.set_node(CODES[:1] + [("x", Node.leaf(105))]),  # labelled after unlabelled
+            Node.set_node([(None, Node.leaf(104)), (None, Node.leaf(7))]),  # "h" and BEL, not printable
+            Node.set_node([(None, Node.set_node(CODES))] + CODES),  # unlabelled set first
+        ],
+    )
+    def test_sets_that_are_not_sugar_agree_with_reference(self, value):
+        for tree in (value, Node.set_node([("a", value)])):
+            text = render(tree)
+            assert text == reference.render(tree)
+            assert node_equal(parse(text), tree)
 
     def test_natural_with_too_many_digits(self):
         # 4401 digits: past the int-to-text limit of interpreters that have one

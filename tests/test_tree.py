@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from evocat import load_stdlib, parse, render
 from evocat.engine import run_rewrite, run_sequential
 from evocat.errors import NotASet, OrdinalInMeet, PathUnresolvable
+from evocat.textio import encode_text
 from evocat.tree import (
+    VAR,
     Node,
     Path,
     StateTree,
@@ -24,7 +26,7 @@ from evocat.tree import (
     subtree_view,
 )
 
-from helpers import LABELS, gen_value_tree, node_ids
+from helpers import LABELS, gen_any_tree, gen_value_tree, node_ids, preorder
 
 paths = st.builds(
     Path,
@@ -273,6 +275,51 @@ class TestCopy:
         assert node_equal(chain(5000, Node.leaf(1)), chain(5000, Node.leaf(1)))
         assert not node_equal(chain(5000, Node.leaf(1)), chain(5000, Node.leaf(2)))
         assert not node_equal(chain(5000, Node.leaf(1)), chain(4999, Node.leaf(1)))
+
+
+def check_constructed(*roots):
+    """Every node below ``roots`` is unfrozen, has a ``var`` only if it is
+    a variable, and owns its ``children`` list."""
+    owners = {}
+    for root in roots:
+        for node in preorder(root):
+            assert node.frozen is None
+            assert node.var is None or node.kind == VAR
+            assert owners.setdefault(id(node.children), node) is node
+
+
+class TestConstructors:
+    @given(st.integers(0, 2**32 - 1), any_trees, st.text(max_size=8), st.integers(0, 10**30))
+    @settings(max_examples=100, deadline=None)
+    def test_constructed_nodes_keep_the_invariants(self, seed, tree, text, value):
+        document = render(gen_any_tree(random.Random(seed), depth=5))
+        check_constructed(parse(document))
+        check_constructed(parse(render(Node.set_node([("s", encode_text(text))]))))
+        check_constructed(encode_text(text))
+        check_constructed(tree, tree.copy())  # a childless copy included
+        check_constructed(Node.leaf(value), Node.leaf(value))
+
+    def test_parse_does_not_call_init(self, monkeypatch):
+        calls = []
+        init = Node.__init__
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Node, "__init__", spy)
+        for text in [
+            'a = 1 b : sum { #0 = [a.#0] #1 = $x } c = "hi" d { } e : $f { h = 2 }',
+            "5", '"hi"', "[a.b]", "$x", ": f { #0 = 1 }", "{ a = 1 }", "",
+        ]:
+            parse(text)
+        assert calls == []
+        Node(VAR, var="x")
+        assert calls == [(VAR,)]  # the spy sees a constructor call
+
+    def test_fields_by_position_or_keyword(self):
+        for node in [Node("ref", 0, None, None, Path.of("a")), Node("ref", ref=Path.of("a"))]:
+            assert (node.kind, node.value, node.children, node.ref) == ("ref", 0, [], ("a",))
 
 
 class TestView:
