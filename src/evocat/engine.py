@@ -33,6 +33,14 @@ fired on the node's ancestors and inside it, and scans the whole frame
 only for later formulas (``run_rewrite`` says when that is exact).  So
 ``div``, which fires once per round at the bottom of a growing
 ``if``/``sum`` spine, no longer re-walks the spine each round.
+
+Compiled instructions: ``instructions_from`` compiles each instruction's
+``to`` term once with ``evaluator.compile_term``, and ``run_sequential``
+gets its value from ``evaluator.run_term``.  Only frozen code is taken
+apart into steps, and it is cached with the template's code like the
+formulas.  A write into a running program's code un-shares it and
+rebuilds the list from the writable twin, whose terms are each one
+evaluate-a-copy step, so a self-modifying program still sees its writes.
 """
 
 from __future__ import annotations
@@ -44,9 +52,11 @@ from .devices import OUT
 from .errors import EvalError, EvoError, UnboundVariable
 from .evaluator import (
     EvalContext,
+    compile_term,
     evaluate,
     is_function_instance,
     is_value,
+    run_term,
     sweep_enters,
 )
 from .tree import (
@@ -97,7 +107,7 @@ class Binding:
 @dataclass
 class Instruction:
     at: Path
-    to: Node
+    steps: list[tuple]  # the ``to`` term, compiled by ``compile_term``
 
 
 # --- compiled formulas --------------------------------------------------------
@@ -283,7 +293,8 @@ def substitute(template: Union[Template, Node], binding: Binding) -> Node:
 
 
 def instructions_from(body: Node) -> list[Instruction]:
-    """Read ``{ at = [path] to = ... }`` entries out of a body node."""
+    """Read ``{ at = [path] to = ... }`` entries out of a body node and
+    compile each ``to`` term (``compile_term``)."""
     program: list[Instruction] = []
     for index, (_, node) in enumerate(body.children):
         if node.kind != SET:
@@ -294,7 +305,7 @@ def instructions_from(body: Node) -> list[Instruction]:
             raise EvalError(f"instruction #{index} must have exactly 'at' and 'to'")
         if at.kind != REF:
             raise EvalError(f"instruction #{index}: 'at' must be an address [path]")
-        program.append(Instruction(at.ref, to))
+        program.append(Instruction(at.ref, compile_term(to)))
     return program
 
 
@@ -327,9 +338,10 @@ def formulas_from(rules: Node) -> list[Formula]:
 def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None) -> Node:
     """Execute an instruction list against a frame.
 
-    The reserved child ``ip`` starts at 0; each step evaluates the
-    instruction's tree term in the frame context, applies the replacement
-    at the address, and increments ``ip`` unless the instruction wrote it.
+    The reserved child ``ip`` starts at 0; each step runs the
+    instruction's compiled term (``run_term``) in the frame context, applies
+    the replacement at the address, and increments ``ip`` unless the
+    instruction wrote it.
     Execution halts once ``ip`` runs past the last instruction.
     """
     if frame.kind != SET:
@@ -346,10 +358,7 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None) -
             try:
                 ctx.spend()
                 ctx.count("instruction")
-                value = inst.to.copy()
-                if value.kind != LEAF:
-                    evaluate(value, ctx)
-                _apply_write(frame, inst.at, value, ctx)
+                _apply_write(frame, inst.at, run_term(inst.steps, ctx), ctx)
                 if inst.at != _IP:
                     ip_node = frame.set_child("ip", Node.leaf(index + 1))
                 else:

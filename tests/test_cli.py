@@ -8,7 +8,8 @@ import pytest
 
 from evocat import cli, textio
 
-STDLIB = FsPath(__file__).resolve().parents[1] / "src" / "evocat" / "stdlib.evo"
+ROOT = FsPath(__file__).resolve().parents[1]
+STDLIB = ROOT / "src" / "evocat" / "stdlib.evo"
 
 DIVERGING = """
 spin {
@@ -95,13 +96,23 @@ big {
 """
 
 
-def evocat(*args, stdin=""):
+def evocat(*args, stdin="", cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "evocat.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        cwd=cwd,
     )
+
+
+def header_command(demo: str) -> tuple[str, list[str]]:
+    """The shell command in a demo's header comment, its ``\\`` line breaks
+    joined: what comes before ``evocat``, and the arguments after it."""
+    lines = (ROOT / "demos" / demo).read_text().splitlines()
+    text = " ".join(line[2:].strip() for line in lines if line.startswith("//   "))
+    before, after = text.replace("\\ ", "").split("evocat ", 1)
+    return before, after.split()
 
 
 class TestRun:
@@ -113,6 +124,20 @@ class TestRun:
     def test_fact(self):
         proc = evocat("run", str(STDLIB), "--entry", "fact", "--arg", "n=10")
         assert (proc.returncode, proc.stdout) == (0, "3628800\n")
+
+    @pytest.mark.parametrize(
+        "demo, stdin, out",
+        [
+            ("weekday.evo", "", "3\n"),
+            # a compiled term with labelled operands that read a device
+            ("console.evo", "one\ntwo\n", "one\ntwo\n3\n0\n"),
+        ],
+    )
+    def test_a_shipped_demo_runs_as_its_header_says(self, demo, stdin, out):
+        before, args = header_command(demo)
+        assert before == (f"printf {stdin!r} | " if stdin else "")
+        proc = evocat(*args, stdin=stdin, cwd=ROOT)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
     def test_missing_argument_names_the_slot(self):
         proc = evocat("run", str(STDLIB), "--entry", "gcd", "--arg", "arg1=12")

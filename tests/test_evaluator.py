@@ -17,6 +17,7 @@ from evocat.errors import (
     CyclicReference,
     DivisionByZero,
     EvalError,
+    EvoError,
     FuelExhausted,
     NotBoolean,
     PathUnresolvable,
@@ -24,7 +25,7 @@ from evocat.errors import (
     UnknownOperation,
 )
 from evocat.evaluator import DEFAULT_FUEL, deref, evaluate, is_value, tree_data_of
-from evocat.templates import bind_operands, call, heap_get, heap_put
+from evocat.templates import bind_operands, call, heap_get, heap_put, instantiate
 from evocat.tree import Node, Path, node_equal
 
 from helpers import expr_oracle, gen_expr
@@ -399,3 +400,98 @@ class TestLeanSweep:
             inner = inner.child("a")
         inner.set_child("a", Node.ref_node("b"))
         assert not is_value(chain)
+
+
+class TestCompiledInstructions:
+    """A frozen instruction term runs from its compiled steps: no copy of
+    the term and no ``evaluate`` call for a leaf, a reference or an eager
+    built-in in it; what the machine computes is unchanged."""
+
+    @staticmethod
+    def spy(monkeypatch) -> dict:
+        calls = {"evaluate": 0, "copy": 0}
+        inner_evaluate, inner_copy = evaluator.evaluate, Node.copy
+
+        def evaluate_spy(node, ctx, lenient=False):
+            calls["evaluate"] += 1
+            return inner_evaluate(node, ctx, lenient)
+
+        def copy_spy(node):
+            calls["copy"] += 1
+            return inner_copy(node)
+
+        monkeypatch.setattr(evaluator, "evaluate", evaluate_spy)
+        monkeypatch.setattr(engine, "evaluate", evaluate_spy)
+        monkeypatch.setattr(Node, "copy", copy_spy)
+        return calls
+
+    def test_a_heap_compare_copies_only_its_operands_and_calls_no_evaluate(self, monkeypatch):
+        lib = load_stdlib()
+        heap = instantiate(lib, "heap")
+        ctx = EvalContext(lib)
+        for key in (41, 7, 23, 2, 37, 11, 29, 5, 31, 17, 13, 19, 3):
+            heap_put(heap, Node.leaf(key), ctx)
+        calls, ctx = self.spy(monkeypatch), EvalContext(lib)
+        heap_put(heap, Node.leaf(6), ctx)
+        assert heap_get(heap, ctx).value == 2
+        compares = ctx.stats["call"]
+        # per compare: the compare template, its two operands, and the
+        # value of each of the two references in its term
+        assert (compares, calls) == (6, {"evaluate": 0, "copy": 1 + 5 * compares})
+        assert (dict(ctx.stats), DEFAULT_FUEL - ctx.fuel) == (
+            {"call": 6, "instruction": 6, "deref": 12, "op": 6},
+            30,
+        )
+
+    def test_fact_calls_evaluate_only_for_its_if(self, monkeypatch):
+        lib = load_stdlib()
+        calls, ctx = self.spy(monkeypatch), EvalContext(lib)
+        assert run_entry(lib, "fact", {"n": Node.leaf(5)}, ctx).value == 120
+        # evaluate runs for the if term, which is evaluated in a copy, and
+        # for each forced [fact], a template that is not called
+        assert calls == {"evaluate": 19, "copy": 28}
+        assert (dict(ctx.stats), DEFAULT_FUEL - ctx.fuel) == (
+            {"call": 5, "instruction": 22, "deref": 21, "op": 18},
+            66,
+        )
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            ": monus { #0 = 5 #1 = 2 }",
+            ": monus { now = [x] then = 1 }",
+            ": prod { #0 = 2 #1 : sum { } }",
+            ": lt { #0 = [s] #1 = 1 }",
+            ": sum { #0 = [nope] #1 : rem { #0 = 1 #1 = 0 } }",
+            ": sum { #0 : if { #0 = 1 #1 = [x] #2 = 0 } #1 : not { #0 : lt { #0 = [x] #1 = 9 } } }",
+        ],
+    )
+    def test_steps_do_what_evaluate_does_to_a_copy(self, term):
+        def run(compiled):
+            root = parse(f"x = 4 s {{ a = 1 }} t {term}")
+            to, ctx = root.resolve("t"), EvalContext(root)
+            to.freeze()
+            try:
+                if compiled:
+                    result = render(evaluator.run_term(evaluator.compile_term(to), ctx))
+                else:
+                    result = render(evaluate(to.copy(), ctx))
+            except EvoError as err:
+                result = (type(err).__name__, str(err))
+            return result, dict(ctx.stats), DEFAULT_FUEL - ctx.fuel
+
+        assert run(True) == run(False)
+
+    def test_a_deep_instruction_term_needs_no_interpreter_stack(self):
+        chain = Node.leaf(1)
+        for _ in range(3000):
+            chain = Node.set_node([(None, chain), (None, Node.leaf(1))], op="sum")
+        write = Node.set_node([("at", Node.ref_node("result")), ("to", chain)])
+        template = Node.set_node([
+            ("args", Node.set_node()),
+            ("mode", Node.leaf(0)),
+            ("body", Node.set_node([(None, write)])),
+            ("result", Node.leaf(0)),
+        ])
+        root = Node.set_node([("t", template)])
+        assert run_entry(root, "t").value == 3001

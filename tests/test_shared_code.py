@@ -107,15 +107,15 @@ PARITY = {
 
 
 def outcome(source: str, entry: str, fuel: int = FUEL):
-    """Everything a run shows: result or error class, counters, fuel spent,
-    trace lines, and the machine afterwards."""
+    """Everything a run shows: result or error class and message, counters,
+    fuel spent, trace lines, and the machine afterwards."""
     root = parse(source)
     sink = TraceSink()
     ctx = EvalContext(root, fuel=fuel, trace=sink)
     try:
         result = render(run_entry(root, entry, ctx=ctx))
     except EvoError as err:
-        result = (type(err).__name__, err.instruction)
+        result = (type(err).__name__, err.instruction, str(err))
     trace = [f"{step} {mode} {index} {path}" for step, mode, index, path in sink.events]
     return result, dict(ctx.stats), fuel - ctx.fuel, trace, render(root)
 
@@ -154,11 +154,17 @@ TARGETS = [
     "x", "mode", "args.z", "ip", "body", "#3", "#2.#1.to",
     "f", "f.mode", "f.args.n", "f.body.#0.to", "f.body",
 ] + [f"body.#{i}{rest}" for i in range(1, 4) for rest in (".to", "", ".at")]
-# what follows ``to``: a leaf or reference, a term, or a literal set
+# what follows ``to``: a leaf or reference, a term, or a literal set.  A
+# frozen term runs from compiled steps and an unfrozen one is evaluated in
+# a copy, so the built-ins below also compare those two: no operand, a set
+# operand, labelled operands, a call as an operand, and two errors' order.
 TERMS = [
     "= 0", "= 1", "= 3", "= [x]", "= [mode]", "= [args]", "= [g]", "= [f]", "= [#2.#1.to]",
     ": sum { #0 = [x] #1 = 1 }", ": g { #0 = [x] }", "{ at = [x] to = 9 }",
     ": if { #0 : lt { #0 = [x] #1 = 3 } #1 = 0 #2 = 4 }",
+    ": sum { }", ": rem { #0 = [x] #1 = 0 }", ": lt { #0 = [args] #1 = 1 }", ": monus { a = [x] b = 1 }",
+    ": prod { #0 : sum { #0 = [x] #1 = 1 } #1 = [f] }",
+    ": sum { #0 = [nope] #1 : rem { #0 = 1 #1 = 0 } }",
 ] + [f"= [body.#{i}{rest}]" for i in range(1, 4) for rest in (".to", "")]
 
 instructions = st.tuples(st.sampled_from(TARGETS), st.sampled_from(TERMS))
