@@ -51,6 +51,7 @@ from typing import Optional, Union
 from .devices import OUT
 from .errors import EvalError, EvoError, UnboundVariable
 from .evaluator import (
+    SHAPE_LABELS,
     EvalContext,
     compile_term,
     evaluate,
@@ -76,10 +77,7 @@ from .tree import (
 )
 
 #: frame children the rewrite engine must not scan or rewrite
-RESERVED_FRAME_LABELS = frozenset({"args", "mode", "body", "rules", "ip"})
-#: the labels ``is_function_instance`` reads: a write below one of them may
-#: change whether its holder is a function instance
-_SHAPE_LABELS = frozenset({"args", "mode", "result", "body", "rules"})
+RESERVED_FRAME_LABELS = SHAPE_LABELS - {"result"} | {"ip"}
 
 _IP = Path.of("ip")
 
@@ -356,8 +354,7 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None) -
             inst = cell[0][index]
             ctx.emit("seq", index, inst.at)
             try:
-                ctx.spend()
-                ctx.count("instruction")
+                ctx.transition("instruction")
                 _apply_write(frame, inst.at, run_term(inst.steps, ctx), ctx)
                 if inst.at != _IP:
                     ip_node = frame.set_child("ip", Node.leaf(index + 1))
@@ -391,7 +388,7 @@ def _apply_write(root: Node, at: Path, value: Node, ctx: EvalContext) -> None:
         replace_subtree(root, at, value, ctx)
     else:
         device.write(value)
-        ctx.count("device_write")
+        ctx.stats["device_write"] += 1
 
 
 # --- rewriting ------------------------------------------------------------------
@@ -470,8 +467,7 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
             for node, path, binding in hits:
                 replacement = substitute(fired.template, binding)
                 ctx.emit("rew", fired.index + 1, path)
-                ctx.spend()
-                ctx.count("firing")
+                ctx.transition("firing")
                 node.become(replacement)
             last = None
             if len(hits) == 1 and ctx.stats["deref"] == derefs:
@@ -491,7 +487,7 @@ def _hit_chain(frame: Node, chain: list[Node], hit: tuple, template: Template) -
     sweep must go from each into the next.  ``chain`` is already checked,
     so only the nodes below it are."""
     node, path, binding = hit
-    if path[-1] in _SHAPE_LABELS or node.kind == LEAF or not _builds_closed(template, binding):
+    if path[-1] in SHAPE_LABELS or node.kind == LEAF or not _builds_closed(template, binding):
         return None
     known = len(chain)
     chain = chain + resolve_chain(chain[-1] if chain else frame, path[known:])

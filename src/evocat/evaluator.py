@@ -12,10 +12,12 @@ machine root last, which is also how function identifiers find their
 templates.  Every address here is a ``Path``: a device read is one
 ``DeviceTable.lookup``, the cycle guard keys on the path itself, and the
 trace turns a path into text only when it writes or stores an event.  A
-shared fuel budget bounds every run; a set of in-progress paths turns
-reference cycles into errors instead of hangs.  Forcing a reference whose
-target is a leaf, variable or hole is skipped, since evaluation would leave
-that target as it is.
+shared fuel budget bounds every run: ``EvalContext.transition`` charges one
+unit for each ``deref``, built-in ``op``, sequential ``instruction``,
+rewrite ``firing`` and template ``call``, and counts it in ``stats``.  A
+set of in-progress paths turns reference cycles into errors, not hangs.
+Forcing a reference whose target is a leaf, variable or hole is skipped,
+since evaluation would leave that target as it is.
 
 The mode is an argument: only the rewrite engine's ready-term sweep calls
 ``evaluate(node, ctx, lenient=True)``.  It goes down through the operands
@@ -107,10 +109,10 @@ class EvalContext:
     ``(node, outer)`` whose ``outer`` is the next cell out, or None past
     the outermost node, normally the machine root.  A frame is pushed as
     ``(inner, ctx.scope)``, which shares the outer chain, and the saved
-    chain is restored in a ``finally``.  ``fuel`` decreases on every
-    subtree replacement and exhaustion raises instead of hanging.  The
-    evaluation mode is not kept here: it is ``evaluate``'s ``lenient``
-    argument, which only the rewrite engine's sweep sets.
+    chain is restored in a ``finally``.  ``fuel`` decreases by one on every
+    transition and exhaustion raises instead of hanging.  The evaluation
+    mode is not kept here: it is ``evaluate``'s ``lenient`` argument,
+    which only the rewrite engine's sweep sets.
     """
 
     def __init__(
@@ -129,13 +131,12 @@ class EvalContext:
         self.in_progress: set[tuple[int, Path]] = set()
         self.running: list[list] = []  # [program, frame, code, build] per engine run
 
-    def spend(self, n: int = 1) -> None:
-        if self.fuel < n:
+    def transition(self, kind: str) -> None:
+        """Charge and count one transition; with no fuel left, raise first."""
+        if self.fuel < 1:
             raise FuelExhausted("step budget exhausted")
-        self.fuel -= n
-
-    def count(self, key: str, n: int = 1) -> None:
-        self.stats[key] += n
+        self.fuel -= 1
+        self.stats[kind] += 1
 
     def emit(self, mode: str, index: int, path: Path) -> None:
         if self.trace is not None:
@@ -146,6 +147,11 @@ class EvalContext:
         for cell in self.running:
             if cell[1] is holder and cell[2] is code:
                 cell[0], cell[2] = cell[3](twin), twin
+
+
+#: the labels ``is_function_instance`` reads: a write below one of them may
+#: change whether its holder is a function instance
+SHAPE_LABELS = frozenset({"args", "mode", "result", *_CODE_LABELS.values()})
 
 
 def is_function_instance(node: Node) -> Optional[Node]:
@@ -214,7 +220,7 @@ def _device_read(ctx: EvalContext, path: Path) -> Optional[Node]:
     device = ctx.devices.lookup(path, IN)
     if device is None:
         return None
-    ctx.count("device_read")
+    ctx.stats["device_read"] += 1
     return device.read()
 
 
@@ -301,8 +307,7 @@ def evaluate(node: Node, ctx: EvalContext, lenient: bool = False) -> Node:
     kind = node.kind
     if kind == REF:
         value = deref(node.ref, ctx, lenient)
-        ctx.spend()
-        ctx.count("deref")
+        ctx.transition("deref")
         return node.become(value)
     if kind != SET:
         return node
@@ -345,8 +350,7 @@ def _eval_children(node: Node, ctx: EvalContext, lenient: bool = False) -> None:
 
 
 def _fire(node: Node, result: Node, ctx: EvalContext) -> Node:
-    ctx.spend()
-    ctx.count("op")
+    ctx.transition("op")
     return node.become(result)
 
 
@@ -443,16 +447,14 @@ def run_term(steps: list[tuple], ctx: EvalContext) -> Node:
     for code, payload, arity in steps:
         if code == REF:
             value = deref(payload, ctx)
-            ctx.spend()
-            ctx.count("deref")
+            ctx.transition("deref")
         elif code == LEAF:
             value = new_node(LEAF, payload, [], None, None)
         elif code == SET:
             cut = len(stack) - arity
             value = algebra.apply_builtin(payload, stack[cut:])
             del stack[cut:]
-            ctx.spend()
-            ctx.count("op")
+            ctx.transition("op")
         else:
             value = payload.copy()
             if value.kind != LEAF:

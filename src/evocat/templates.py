@@ -110,8 +110,7 @@ def call(instance: Node, ctx: EvalContext) -> Node:
     unfilled = instance_args_ready(instance)
     if unfilled is not None:
         raise MissingArgument(f"argument slot {unfilled!r} is still empty")
-    ctx.spend()
-    ctx.count("call")
+    ctx.transition("call")
     mode = instance.child("mode").value
     scope, ctx.scope = ctx.scope, (instance, ctx.scope)
     try:
@@ -151,7 +150,9 @@ def run_entry(
         raise NotASet(f"{entry} is not a function template")
     for label, value in (arguments or {}).items():
         assign_argument(instance, label, value)
-    scope, ctx.scope = ctx.scope, (root, ctx.scope)
+    scope = ctx.scope
+    if scope is None or scope[0] is not root:  # a context made at the root starts there
+        ctx.scope = (root, scope)
     try:
         return call(instance, ctx)
     except RecursionError:

@@ -21,6 +21,14 @@ LABELS = [
 
 EXPR_OPS = ["sum", "prod", "min", "max", "monus", "rem"]
 
+#: the machine's transition kinds; each one costs one unit of fuel
+TRANSITIONS = ("deref", "op", "instruction", "firing", "call")
+
+
+def transitions(stats) -> int:
+    """How many transitions the counter ``stats`` holds: the fuel they cost."""
+    return sum(stats[kind] for kind in TRANSITIONS)
+
 
 def leaf(v: int) -> Node:
     return Node.leaf(v)

@@ -196,8 +196,7 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
             for node, path, binding in hits:
                 replacement = substitute(fired.rhs, binding)
                 ctx.emit("rew", fired.index + 1, path)
-                ctx.spend()
-                ctx.count("firing")
+                ctx.transition("firing")
                 node.become(replacement)
     finally:
         ctx.running.pop()

@@ -28,7 +28,7 @@ from evocat.evaluator import DEFAULT_FUEL, deref, evaluate, is_value, tree_data_
 from evocat.templates import bind_operands, call, heap_get, heap_put, instantiate
 from evocat.tree import Node, Path, node_equal
 
-from helpers import expr_oracle, gen_expr
+from helpers import expr_oracle, gen_expr, transitions
 
 
 def detached(src: str) -> Node:
@@ -291,6 +291,16 @@ class TestFuel:
         src = "t : prod { a : sum { x = 2 y = 3 } b : sum { u = 1 w = 3 } }"
         with pytest.raises(FuelExhausted):
             evaluate(detached(src), EvalContext(Node.set_node(), fuel=2))
+
+    def test_fuel_spent_is_the_sum_of_the_transition_counts(self):
+        # div by 0 never ends: every unit of fuel goes to one transition,
+        # and the one that finds none left is not counted
+        root = load_stdlib()
+        ctx = EvalContext(root, fuel=3000)
+        with pytest.raises(FuelExhausted):
+            run_entry(root, "div", {"a": Node.leaf(1), "b": Node.leaf(0)}, ctx=ctx)
+        assert ctx.fuel == 0
+        assert transitions(ctx.stats) == 3000
 
 
 class TestDeviceAccess:

@@ -3,6 +3,8 @@ and a load-time closedness fact, checked against the generic matcher and
 ``substitute`` kept in ``rewrite_reference.py``; and the matching and
 building work the stdlib programs do, pinned."""
 
+from itertools import cycle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +51,7 @@ def subjects(draw, lhs):
     shapes_of_h = draw(st.lists(kinds, min_size=4, max_size=4))
 
     def filled(sources):
-        picks, sources = iter(shapes_of_h * 8), iter(sources * 8)
+        picks, sources = cycle(shapes_of_h), cycle(sources)
 
         def swap(n):
             if n.kind == VAR:
@@ -63,7 +65,7 @@ def subjects(draw, lhs):
 
         return rebuild(lhs, swap)
 
-    chosen = iter(fills * 8)
+    chosen = cycle(fills)
     shape = rebuild(draw(shapes()), lambda n: filled([next(chosen)]) if n.kind == VAR else None)
     return setn(filled(fills[-1:]), filled(fills), unlabelled(filled(fills[:1])), shape)
 

@@ -19,6 +19,7 @@ from evocat.evaluator import DEFAULT_FUEL
 from evocat.tree import REF, VAR, Node, node_equal, rebuild
 
 from helpers import SCAN_LABELS, SCAN_OPS, filled, leaf, make_set, patterns, preorder, setn, shapes
+from helpers import transitions
 
 FUEL = 80
 LARGEST = 300  # nodes in one replacement or, a tenth of that, in one binding
@@ -52,13 +53,15 @@ def listing(frame):
 
 def outcome(loop, frame):
     """Run ``loop`` on ``frame`` with a small budget: the frame's listing
-    afterwards, stats, fuel left, trace events and the error, if any."""
+    afterwards, stats, fuel left, trace events and the error, if any.  The
+    fuel spent must be the number of transitions counted."""
     ctx = EvalContext(frame, fuel=FUEL, trace=TraceSink())
     error = None
     try:
         loop(frame.child("rules"), frame, ctx)
     except EvoError as err:
         error = (type(err), str(err))
+    assert FUEL - ctx.fuel == transitions(ctx.stats)
     return listing(frame), dict(ctx.stats), ctx.fuel, ctx.trace.events, error
 
 

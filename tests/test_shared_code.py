@@ -22,7 +22,7 @@ from evocat.errors import EvoError, FrozenCode
 from evocat.evaluator import is_function_instance
 from evocat.tree import Node, node_equal
 
-from helpers import node_ids
+from helpers import node_ids, transitions
 
 FUEL = 2000
 
@@ -108,7 +108,8 @@ PARITY = {
 
 def outcome(source: str, entry: str, fuel: int = FUEL):
     """Everything a run shows: result or error class and message, counters,
-    fuel spent, trace lines, and the machine afterwards."""
+    fuel spent, trace lines, and the machine afterwards.  The fuel spent
+    must be the number of transitions counted."""
     root = parse(source)
     sink = TraceSink()
     ctx = EvalContext(root, fuel=fuel, trace=sink)
@@ -117,6 +118,7 @@ def outcome(source: str, entry: str, fuel: int = FUEL):
     except EvoError as err:
         result = (type(err).__name__, err.instruction, str(err))
     trace = [f"{step} {mode} {index} {path}" for step, mode, index, path in sink.events]
+    assert fuel - ctx.fuel == transitions(ctx.stats)
     return result, dict(ctx.stats), fuel - ctx.fuel, trace, render(root)
 
 

@@ -230,6 +230,27 @@ class TestCall:
         for caller, callee in zip(chains, chains[1:]):
             assert callee[1] is caller
 
+    @pytest.mark.parametrize("made", ["none", "at_root", "elsewhere"])
+    def test_the_root_is_on_the_chain_once(self, made, monkeypatch):
+        # a context made at the root already starts with it; a context
+        # made elsewhere, or none, gets the root pushed
+        root = load_stdlib()
+        ctx = {"none": None, "at_root": EvalContext(root), "elsewhere": EvalContext(parse("x = 0"))}[made]
+        chains = []
+        real = templates.call
+
+        def recording(instance, ctx):
+            nodes, scope = [], ctx.scope
+            while scope is not None:
+                nodes.append(scope[0])
+                scope = scope[1]
+            chains.append(nodes)
+            return real(instance, ctx)
+
+        monkeypatch.setattr(templates, "call", recording)
+        assert run_entry(root, "gcd", {"arg1": leaf(12), "arg2": leaf(8)}, ctx=ctx).value == 4
+        assert chains == [[root] if made != "elsewhere" else [root, ctx.scope[0]]]
+
     def test_operation_identifier_calls_template(self):
         # a term whose op names a template resolves through the scopes
         lib = load_stdlib()
