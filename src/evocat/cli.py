@@ -11,7 +11,8 @@ Subcommands::
 Program files merge as additional children of the machine root; a
 duplicate top-level label is a load error.  The optional state file is
 parsed in plain mode, where ``$`` forms are rejected.  Exit status: 0 ok,
-1 parse or load error, 2 resolution or argument error, 3 runtime error.
+1 parse or load error, 2 an error in the entry or its ``--arg`` slots,
+before the call makes any transition, 3 any later (runtime) error.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ from .errors import (
     DuplicateSibling,
     EvoError,
     MissingArgument,
-    NotASet,
     NotEncodable,
     ParseError,
-    PathUnresolvable,
 )
 from .evaluator import DEFAULT_FUEL, EvalContext, TraceSink
 from .templates import merge_program, run_entry
@@ -158,10 +157,10 @@ def _cmd_run(args, traced: bool) -> int:
     try:
         result = run_entry(machine, entry, arguments, ctx)
     except EvoError as err:
-        at = f" (instruction {err.instruction})" if err.instruction is not None else ""
-        if isinstance(err, (PathUnresolvable, NotASet, MissingArgument)):
-            print(f"evocat: resolution error{at}: {err}", file=sys.stderr)
+        if ctx.fuel == args.fuel:  # the entry or a slot failed, before any transition
+            print(f"evocat: resolution error: {err}", file=sys.stderr)
             return EXIT_RESOLVE
+        at = f" (instruction {err.instruction})" if err.instruction is not None else ""
         print(f"evocat: runtime error{at}: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -15,17 +15,17 @@ to the matched subtree with every occurrence of the argument's value
 replaced by a hole.
 
 Compiled formulas: ``formulas_from`` compiles each formula once (frozen
-code caches the list).  The lhs becomes a ``Pattern``, a flat list of
-checks that ``match`` runs in one loop; only the ``$f`` step is left to
-``_abstract``.  The rhs becomes a ``Template``, a flat list of build steps
-that ``substitute`` runs on a stack.  Compiling is the rule check: it
-raises, in preorder, every error matching or substituting could, so none
-comes after a rule loads.  A template also knows which bound values it
-uses, so a replacement's closedness is known without walking it.  The
-match scan is indexed by the pattern's root symbol, its key (root-symbol
-discrimination, as in McCune's term indexing): it calls ``match`` only on
-nodes whose root agrees, so only those allocate a ``Binding``, and it
-builds a ``Path`` only for a hit.
+code caches the list), and a rewrite run reads its list once.  The lhs
+becomes a ``Pattern``, a flat list of checks that ``match`` runs in one
+loop; only the ``$f`` step is left to ``_abstract``.  The rhs becomes a
+``Template``, a flat list of build steps that ``substitute`` runs on a
+stack.  Compiling is the rule check: it raises, in preorder, every error
+matching or substituting could, so none comes after a rule loads.  A
+template also knows which bound values it uses, so a replacement's
+closedness is known without walking it.  The match scan is indexed by the
+pattern's root symbol, its key (root-symbol discrimination, as in McCune's
+term indexing): it calls ``match`` only on nodes whose root agrees, so only
+those allocate a ``Binding``, and it builds a ``Path`` only for a hit.
 
 A round that follows a one-hit round resumes where that hit changed the
 tree: it sweeps the replaced node, tries the formulas up to the one that
@@ -38,9 +38,10 @@ Compiled instructions: ``instructions_from`` compiles each instruction's
 ``to`` term once with ``evaluator.compile_term``, and ``run_sequential``
 gets its value from ``evaluator.run_term``.  Only frozen code is taken
 apart into steps, and it is cached with the template's code like the
-formulas.  A write into a running program's code un-shares it and
-rebuilds the list from the writable twin, whose terms are each one
-evaluate-a-copy step, so a self-modifying program still sees its writes.
+formulas.  A write into a running sequential program's code un-shares
+it, and ``EvalContext.unshared`` rebuilds the list from the writable twin
+at once; its terms are each one evaluate-a-copy step, so a self-modifying
+program still sees its writes.
 """
 
 from __future__ import annotations
@@ -346,7 +347,7 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None) -
         raise EvalError("a sequential frame must be a set node")
     if ctx is None:
         ctx = EvalContext(frame)
-    cell = _start(body, frame, instructions_from, ctx)
+    ctx.running.append(cell := [_program(body, instructions_from), frame, body])
     try:
         index = 0
         frame.set_child("ip", Node.leaf(0))
@@ -372,14 +373,12 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None) -
     return frame
 
 
-def _start(code: Node, frame: Node, build, ctx: EvalContext) -> list:
-    """Register ``build(code)``, cached on frozen code, as run in ``frame``."""
+def _program(code: Node, build) -> list:
+    """``build(code)``, cached on frozen code."""
     cache = code.frozen
     if cache and cache[0] is None:
         cache[0] = build(code)
-    cell = [cache[0] if cache else build(code), frame, code, build]
-    ctx.running.append(cell)
-    return cell
+    return cache[0] if cache else build(code)
 
 
 def _apply_write(root: Node, at: Path, value: Node, ctx: EvalContext) -> None:
@@ -401,7 +400,9 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
     evaluated operands, references); (2) take the first formula with
     matches, collected preorder and outermost first, skipping descendants
     of matched nodes; (3) replace them all with instantiated right sides.
-    Stops when, after a ready sweep, no formula matches.
+    Stops when, after a ready sweep, no formula matches.  The formulas are
+    read once: a run reads a ``Formula`` only through ``pattern``,
+    ``template``, ``key`` and ``index``, values that no write changes.
 
     A round that follows a one-hit round, one that replaced a single node
     ``h``, works only where that hit changed the tree (``_resume``): its
@@ -411,9 +412,8 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
     round's sweep forced no reference, ``h`` is not a leaf, holds no
     reference and no ``select``, sits where the sweep goes, and was not
     written at a label that ``is_function_instance`` reads; and when,
-    after ``evaluate(h)``, ``h`` is still not a value and the compiled
-    formula list is the same.  Otherwise the round runs in full.  Why
-    that is exact:
+    after ``evaluate(h)``, ``h`` is still not a value.  Otherwise the
+    round runs in full.  Why that is exact:
 
     - After a sweep the frame is in sweep-normal form: a second sweep fires
       nothing and spends no fuel.  A sweep that forced a reference may
@@ -440,42 +440,38 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
         raise EvalError("a rewrite frame must be a set node")
     if ctx is None:
         ctx = EvalContext(frame)
-    cell = _start(rules, frame, formulas_from, ctx)
-    try:
-        last = None  # (formulas, scanned, path, chain) after a one-hit round
-        while True:
-            derefs = ctx.stats["deref"]
-            hits: list[tuple[Node, Path, Binding]] = []
-            resumed = _resume(last, cell, ctx, hits) if last is not None else None
-            if resumed is None:
-                resumed = (0, [])
-                for label, child in frame.children:
-                    if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
-                        evaluate(child, ctx, True)
-            scanned, chain = resumed
-            formulas = cell[0]
-            while not hits and scanned < len(formulas):
-                formula = formulas[scanned]
-                scanned += 1
-                for index, (label, child) in enumerate(frame.children):
-                    if label in RESERVED_FRAME_LABELS:
-                        continue
-                    _collect_matches(formula, child, [label if label is not None else index], hits)
-            if not hits:
-                break
-            fired = formulas[scanned - 1]
-            for node, path, binding in hits:
-                replacement = substitute(fired.template, binding)
-                ctx.emit("rew", fired.index + 1, path)
-                ctx.transition("firing")
-                node.become(replacement)
-            last = None
-            if len(hits) == 1 and ctx.stats["deref"] == derefs:
-                chain = _hit_chain(frame, chain, hits[0], fired.template)
-                if chain is not None:
-                    last = (formulas, scanned, hits[0][1], chain)
-    finally:
-        ctx.running.pop()
+    formulas = _program(rules, formulas_from)
+    last = None  # (scanned, path, chain) after a one-hit round
+    while True:
+        derefs = ctx.stats["deref"]
+        hits: list[tuple[Node, Path, Binding]] = []
+        resumed = _resume(last, formulas, ctx, hits) if last is not None else None
+        if resumed is None:
+            resumed = (0, [])
+            for label, child in frame.children:
+                if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
+                    evaluate(child, ctx, True)
+        scanned, chain = resumed
+        while not hits and scanned < len(formulas):
+            formula = formulas[scanned]
+            scanned += 1
+            for index, (label, child) in enumerate(frame.children):
+                if label in RESERVED_FRAME_LABELS:
+                    continue
+                _collect_matches(formula, child, [label if label is not None else index], hits)
+        if not hits:
+            break
+        fired = formulas[scanned - 1]
+        for node, path, binding in hits:
+            replacement = substitute(fired.template, binding)
+            ctx.emit("rew", fired.index + 1, path)
+            ctx.transition("firing")
+            node.become(replacement)
+        last = None
+        if len(hits) == 1 and ctx.stats["deref"] == derefs:
+            chain = _hit_chain(frame, chain, hits[0], fired.template)
+            if chain is not None:
+                last = (scanned, hits[0][1], chain)
     return frame
 
 
@@ -497,17 +493,17 @@ def _hit_chain(frame: Node, chain: list[Node], hit: tuple, template: Template) -
     return None
 
 
-def _resume(last: tuple, cell: list, ctx: EvalContext, hits: list) -> Optional[tuple[int, list]]:
+def _resume(last: tuple, formulas: list, ctx: EvalContext, hits: list) -> Optional[tuple[int, list]]:
     """Sweep and scan where the one hit of the last round changed the tree.
 
-    ``last`` holds that round's formula list, how many of its formulas it
-    scanned, its hit's path and the nodes down that path.  Returns how many
-    formulas this round has scanned, with the nodes down to its hit if it
-    found one; None when the round must sweep and scan in full."""
-    formulas, scanned, path, chain = last
+    ``last`` holds how many of the formulas that round scanned, its hit's
+    path and the nodes down that path.  Returns how many formulas this
+    round has scanned, with the nodes down to its hit if it found one;
+    None when the round must sweep and scan in full."""
+    scanned, path, chain = last
     node = chain[-1]
     evaluate(node, ctx, True)
-    if cell[0] is not formulas or node.kind == LEAF or (node.op is None and is_value(node)):
+    if node.kind == LEAF or (node.op is None and is_value(node)):
         return None
     ancestors = chain[:-1]
     segs = list(path)

@@ -112,7 +112,8 @@ class EvalContext:
     chain is restored in a ``finally``.  ``fuel`` decreases by one on every
     transition and exhaustion raises instead of hanging.  The evaluation
     mode is not kept here: it is ``evaluate``'s ``lenient`` argument,
-    which only the rewrite engine's sweep sets.
+    which only the rewrite engine's sweep sets.  ``running`` holds the
+    sequential runs only: a rewrite run cannot see writes into its rules.
     """
 
     def __init__(
@@ -129,7 +130,7 @@ class EvalContext:
         self.trace = trace
         self.stats: Counter = Counter()
         self.in_progress: set[tuple[int, Path]] = set()
-        self.running: list[list] = []  # [program, frame, code, build] per engine run
+        self.running: list[list] = []  # [program, frame, code] per sequential run
 
     def transition(self, kind: str) -> None:
         """Charge and count one transition; with no fuel left, raise first."""
@@ -143,10 +144,12 @@ class EvalContext:
             self.trace.emit(mode, index, path)
 
     def unshared(self, holder: Node, code: Node, twin: Node) -> None:
-        """Re-point a run in ``holder`` from frozen ``code`` to its copy ``twin``."""
+        """Re-point a sequential run in ``holder`` from ``code`` to its copy ``twin``, rebuilt now."""
+        from .engine import instructions_from
+
         for cell in self.running:
             if cell[1] is holder and cell[2] is code:
-                cell[0], cell[2] = cell[3](twin), twin
+                cell[0], cell[2] = instructions_from(twin), twin
 
 
 #: the labels ``is_function_instance`` reads: a write below one of them may

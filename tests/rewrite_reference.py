@@ -5,10 +5,12 @@ frame every round.
 ``_collect_matches`` are the engine's as they were before formulas were
 compiled, and ``run_rewrite`` is the engine's as it was before a round
 could resume where the last round's one hit changed the tree, each kept
-word for word.  Only the imports are new.  ``test_rewrite_resume.py`` runs
-this loop beside the engine: both must leave the same frame, stats, fuel,
-trace and error.  ``test_formula_compile.py`` checks the compiled matcher
-and right-side builder against ``match`` and ``substitute`` here.
+word for word.  Only the imports are new, and ``run_rewrite`` compiles its
+own formula list with ``formulas_from``, where the engine's loop once
+registered its run with the context.  ``test_rewrite_resume.py`` runs this
+loop beside the engine: both must leave the same frame, stats, fuel, trace
+and error.  ``test_formula_compile.py`` checks the compiled matcher and
+right-side builder against ``match`` and ``substitute`` here.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from evocat.engine import RESERVED_FRAME_LABELS, Formula, _start, formulas_from
+from evocat.engine import RESERVED_FRAME_LABELS, Formula, formulas_from
 from evocat.errors import EvalError, UnboundVariable
 from evocat.evaluator import EvalContext, evaluate, is_function_instance
 from evocat.tree import HOLE, LEAF, REF, SET, VAR, Node, Path, Segment, node_equal, rebuild
@@ -175,29 +177,26 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
         raise EvalError("a rewrite frame must be a set node")
     if ctx is None:
         ctx = EvalContext(frame)
-    cell = _start(rules, frame, formulas_from, ctx)
-    try:
-        while True:
-            for label, child in frame.children:
-                if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
-                    evaluate(child, ctx, True)
-            hits: list[tuple[Node, Path, Binding]] = []
-            fired: Optional[Formula] = None
-            for formula in cell[0]:
-                for index, (label, child) in enumerate(frame.children):
-                    if label in RESERVED_FRAME_LABELS:
-                        continue
-                    _collect_matches(formula, child, [label if label is not None else index], hits)
-                if hits:
-                    fired = formula
-                    break
-            if fired is None:
+    formulas = formulas_from(rules)
+    while True:
+        for label, child in frame.children:
+            if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
+                evaluate(child, ctx, True)
+        hits: list[tuple[Node, Path, Binding]] = []
+        fired: Optional[Formula] = None
+        for formula in formulas:
+            for index, (label, child) in enumerate(frame.children):
+                if label in RESERVED_FRAME_LABELS:
+                    continue
+                _collect_matches(formula, child, [label if label is not None else index], hits)
+            if hits:
+                fired = formula
                 break
-            for node, path, binding in hits:
-                replacement = substitute(fired.rhs, binding)
-                ctx.emit("rew", fired.index + 1, path)
-                ctx.transition("firing")
-                node.become(replacement)
-    finally:
-        ctx.running.pop()
+        if fired is None:
+            break
+        for node, path, binding in hits:
+            replacement = substitute(fired.rhs, binding)
+            ctx.emit("rew", fired.index + 1, path)
+            ctx.transition("firing")
+            node.become(replacement)
     return frame

@@ -57,11 +57,15 @@ outer {
 """
 
 
-# each fails in its instruction 1, after instruction 0 wrote x
+# each but k, a 0-slot template, fails in its instruction 1, after
+# instruction 0 wrote x
 BODY_FAILURES = """
 unbound { args { } mode = 0 body { #0 { at = [x] to = 1 } #1 { at = [y] to = [nope] } } x = 0 result = 0 }
 deep { args { } mode = 0 body { #0 { at = [x] to = 1 } #1 { at = [result.#3] to = 2 } } x = 0 result = 0 }
 jump { args { } mode = 0 body { #0 { at = [x] to = 1 } #1 { at = [ip] to { a = 1 } } } x = 0 result = 0 }
+pick { args { } mode = 0 body { #0 { at = [x] to = 1 } #1 { at = [y] to : select { #0 = 3 #1 = 1 } } } x = 0 result = 0 }
+k { args { } mode = 0 body { } result = 0 }
+extra { args { } mode = 0 body { #0 { at = [x] to = 1 } #1 { at = [y] to : k { #0 = 1 } } } x = 0 result = 0 }
 """
 
 
@@ -170,9 +174,11 @@ class TestRun:
     @pytest.mark.parametrize(
         "entry, status, message",
         [
-            ("unbound", 2, "resolution error (instruction 1): no node at nope"),
-            ("deep", 2, "resolution error (instruction 1): result is not a set"),
+            ("unbound", 3, "runtime error (instruction 1): PathUnresolvable: no node at nope"),
+            ("deep", 3, "runtime error (instruction 1): PathUnresolvable: result is not a set"),
             ("jump", 3, "runtime error (instruction 1): EvalError: frame child 'ip'"),
+            ("pick", 3, "runtime error (instruction 1): NotASet: select needs a set"),
+            ("extra", 3, "runtime error (instruction 1): MissingArgument: call provides 1 operands for 0 slots"),
         ],
     )
     def test_an_error_in_a_body_names_its_instruction(self, tmp_path, capsys, entry, status, message):
@@ -180,6 +186,19 @@ class TestRun:
         program.write_text(BODY_FAILURES)
         assert cli.main(["run", str(program), "--entry", entry]) == status
         assert capsys.readouterr().err.startswith(f"evocat: {message}")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--entry", "jump.body"], "jump.body is not a function template"),
+            (["--entry", "k", "--arg", "m=1"], "no argument slot named 'm'"),
+        ],
+    )
+    def test_an_error_in_the_entry_or_its_slots_exits_2(self, tmp_path, capsys, args, message):
+        program = tmp_path / "fail.evo"
+        program.write_text(BODY_FAILURES)
+        assert cli.main(["run", str(program), *args]) == 2
+        assert capsys.readouterr().err == f"evocat: resolution error: {message}\n"
 
     def test_deep_recursion_is_a_runtime_error(self, capsys):
         assert cli.main(["run", str(STDLIB), "--entry", "fact", "--arg", "n=200"]) == 3

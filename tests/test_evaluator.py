@@ -411,6 +411,12 @@ class TestLeanSweep:
         inner.set_child("a", Node.ref_node("b"))
         assert not is_value(chain)
 
+    def test_is_value_of_a_root_that_is_not_a_plain_set(self):
+        assert is_value(Node.leaf(0))
+        assert not is_value(Node.ref_node("a"))
+        assert not is_value(Node.var_node("X"))
+        assert not is_value(Node.set_node([(None, Node.leaf(1))], op="pair"))
+
 
 class TestCompiledInstructions:
     """A frozen instruction term runs from its compiled steps: no copy of

@@ -308,6 +308,19 @@ class TestBindOperands:
         assert node_equal(args.child("arg2"), operands[1])
         assert not node_ids(args) & (node_ids(operands[0]) | node_ids(operands[1]))
 
+    def test_an_instance_whose_args_is_a_leaf_has_no_slots(self):
+        instance = parse("f { args = 0 mode = 0 body { } result = 0 }").resolve("f")
+        with pytest.raises(EvalError, match="instance has no argument set"):
+            bind_operands(instance, [leaf(1)])
+        with pytest.raises(EvalError, match="instance has no argument set"):
+            templates.assign_argument(instance, "n", leaf(1))
+
+    def test_assign_argument_needs_an_existing_slot(self):
+        instance = instantiate(load_stdlib(), "fact")
+        with pytest.raises(MissingArgument, match="no argument slot named 'm'"):
+            templates.assign_argument(instance, "m", leaf(1))
+        assert instance.child("args").labels() == ["n"]
+
 
 class TestHeap:
     def fresh_heap(self):

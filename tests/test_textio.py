@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evocat import parse, render
+from evocat.textio import decode_text
 from evocat.errors import (
     DepthExceeded,
     DuplicateSibling,
@@ -161,6 +162,12 @@ class TestRender:
     def test_empty_set_keeps_braces(self):
         assert render(parse("a { }")) == "a {\n}\n"
         assert render(parse('a = ""')) == "a {\n}\n"
+
+    def test_decode_text_takes_plain_sets_of_scalar_values_only(self):
+        assert decode_text(Node.set_node([(None, Node.leaf(104))])) == "h"
+        assert decode_text(Node.set_node([(None, Node.leaf(104))], op="f")) is None
+        assert decode_text(Node.set_node([(None, Node.leaf(0x10FFFF))])) == "\U0010ffff"
+        assert decode_text(Node.set_node([(None, Node.leaf(0x110000))])) is None
 
     def test_canonical_fixpoint(self, rng):
         for _ in range(40):

@@ -239,6 +239,12 @@ class TestReplace:
         t.replace("a", t.resolve("a.b"))
         assert t.resolve("a").value == 1
 
+    def test_root_replacement_containing_the_root_rejected(self):
+        t = T("a = 1")
+        with pytest.raises(PathUnresolvable, match="contains the node it replaces"):
+            replace_subtree(t, Path(), Node.set_node([("b", t)]))
+        assert render(t) == "a = 1\n"
+
     def test_deep_replacement_value(self):
         # the cycle guard walks every adopted value, at any depth
         t = T("a = 1 b = 2")
@@ -275,6 +281,12 @@ class TestCopy:
         assert node_equal(chain(5000, Node.leaf(1)), chain(5000, Node.leaf(1)))
         assert not node_equal(chain(5000, Node.leaf(1)), chain(5000, Node.leaf(2)))
         assert not node_equal(chain(5000, Node.leaf(1)), chain(4999, Node.leaf(1)))
+
+    def test_node_equal_compares_reference_paths_and_variable_names(self):
+        assert node_equal(Node.ref_node("a.b"), Node.ref_node("a.b"))
+        assert not node_equal(Node.ref_node("a.b"), Node.ref_node("a.c"))
+        assert node_equal(Node.var_node("X"), Node.var_node("X"))
+        assert not node_equal(Node.var_node("X"), Node.var_node("Y"))
 
 
 def check_constructed(*roots):
