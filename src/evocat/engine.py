@@ -38,10 +38,10 @@ Compiled instructions: ``instructions_from`` compiles each instruction's
 ``to`` term once with ``evaluator.compile_term``, and ``run_sequential``
 gets its value from ``evaluator.run_term``.  Only frozen code is taken
 apart into steps, and it is cached with the template's code like the
-formulas.  A write into a running sequential program's code un-shares
-it, and ``EvalContext.unshared`` rebuilds the list from the writable twin
-at once; its terms are each one evaluate-a-copy step, so a self-modifying
-program still sees its writes.
+formulas.  A run holds the list in its ``Frame`` on ``EvalContext.running``,
+and a write that un-shares the running code re-points the ``Frame`` to the
+writable twin and recompiles at once (``EvalContext.unshared``); the twin's
+terms are each one evaluate-a-copy step, so a self-modifying program sees its writes.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .errors import EvalError, EvoError, UnboundVariable
 from .evaluator import (
     SHAPE_LABELS,
     EvalContext,
+    Frame,
     compile_term,
     evaluate,
     is_function_instance,
@@ -334,31 +335,32 @@ def formulas_from(rules: Node) -> list[Formula]:
 # --- sequential execution -----------------------------------------------------
 
 
-def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None) -> Node:
+def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None, record=None) -> Node:
     """Execute an instruction list against a frame.
 
-    The reserved child ``ip`` starts at 0; each step runs the
-    instruction's compiled term (``run_term``) in the frame context, applies
-    the replacement at the address, and increments ``ip`` unless the
-    instruction wrote it.
-    Execution halts once ``ip`` runs past the last instruction.
+    The reserved child ``ip`` starts at 0; each step runs the instruction's
+    compiled term (``run_term``) in the frame context, applies the replacement
+    at the address, and increments ``ip`` unless the instruction wrote it.
+    Execution halts once ``ip`` runs past the last instruction.  ``record``,
+    the call's ``Frame`` or else a bare one, is held in ``ctx.running``.
     """
     if frame.kind != SET:
         raise EvalError("a sequential frame must be a set node")
     if ctx is None:
         ctx = EvalContext(frame)
-    ctx.running.append(cell := [_program(body, instructions_from), frame, body])
+    ctx.running.append(record := record or Frame(frame, code=body))
+    record.program = _program(body, instructions_from)
     try:
         index = 0
-        frame.set_child("ip", Node.leaf(0))
-        while index < len(cell[0]):
-            inst = cell[0][index]
+        frame.set_child("ip", new_node(LEAF, 0, [], None, None))
+        while index < len(record.program):
+            inst = record.program[index]
             ctx.emit("seq", index, inst.at)
             try:
                 ctx.transition("instruction")
                 _apply_write(frame, inst.at, run_term(inst.steps, ctx), ctx)
                 if inst.at != _IP:
-                    ip_node = frame.set_child("ip", Node.leaf(index + 1))
+                    ip_node = frame.set_child("ip", new_node(LEAF, index + 1, [], None, None))
                 else:
                     ip_node = frame.child("ip")
                 if ip_node is None or ip_node.kind != LEAF:

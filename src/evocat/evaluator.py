@@ -113,7 +113,7 @@ class EvalContext:
     transition and exhaustion raises instead of hanging.  The evaluation
     mode is not kept here: it is ``evaluate``'s ``lenient`` argument,
     which only the rewrite engine's sweep sets.  ``running`` holds the
-    sequential runs only: a rewrite run cannot see writes into its rules.
+    ``Frame`` of each sequential run: a rewrite run cannot see writes into its rules.
     """
 
     def __init__(
@@ -130,7 +130,7 @@ class EvalContext:
         self.trace = trace
         self.stats: Counter = Counter()
         self.in_progress: set[tuple[int, Path]] = set()
-        self.running: list[list] = []  # [program, frame, code] per sequential run
+        self.running: list[Frame] = []
 
     def transition(self, kind: str) -> None:
         """Charge and count one transition; with no fuel left, raise first."""
@@ -147,9 +147,9 @@ class EvalContext:
         """Re-point a sequential run in ``holder`` from ``code`` to its copy ``twin``, rebuilt now."""
         from .engine import instructions_from
 
-        for cell in self.running:
-            if cell[1] is holder and cell[2] is code:
-                cell[0], cell[2] = instructions_from(twin), twin
+        for record in self.running:
+            if record.instance is holder and record.code is code:
+                record.code, record.program = twin, instructions_from(twin)
 
 
 #: the labels ``is_function_instance`` reads: a write below one of them may
@@ -157,32 +157,46 @@ class EvalContext:
 SHAPE_LABELS = frozenset({"args", "mode", "result", *_CODE_LABELS.values()})
 
 
-def is_function_instance(node: Node) -> Optional[Node]:
-    """A set shaped like a function/appliance frame: args, mode, result,
-    and a body (sequential) or rules (rewrite) child: that code node, or None."""
+class Frame:
+    """A call's record: the instance, its ``args``, ``mode``, code and ``result``
+    (kept by every write but one at the identity path), and a run's ``program``."""
+
+    __slots__ = ("instance", "args", "mode", "code", "result", "program")
+
+    def __init__(self, instance: Node, args=None, mode=None, code=None, result=None):
+        self.instance, self.args, self.mode, self.code, self.result = instance, args, mode, code, result
+        self.program = None
+
+
+def frame_of(node: Node) -> Optional[Frame]:
+    """The record of a set shaped like a function/appliance frame: args,
+    mode, result, and a body (sequential) or rules (rewrite) child; else None."""
     if node.kind != SET or node.op is not None:
         return None
     kids = dict(node.children)
-    mode = kids.get("mode")
-    if "args" not in kids or "result" not in kids or mode is None or mode.kind != LEAF:
+    args, mode, result = kids.get("args"), kids.get("mode"), kids.get("result")
+    if args is None or result is None or mode is None or mode.kind != LEAF:
         return None
     code = kids.get(_CODE_LABELS.get(mode.value, ""))
-    return code if code is not None and code.kind == SET else None
+    return Frame(node, args, mode, code, result) if code is not None and code.kind == SET else None
+
+
+def is_function_instance(node: Node) -> Optional[Node]:
+    """``frame_of(node)``'s code node, or None."""
+    return (record := frame_of(node)) and record.code
 
 
 def freeze_code(template: Node) -> Optional[Node]:
     """``is_function_instance(template)``, frozen: copies share a frozen root."""
-    code = is_function_instance(template)
-    if code is not None and code.frozen is None:
+    if (code := is_function_instance(template)) is not None:
         code.freeze()
     return code
 
 
-def instance_args_ready(node: Node) -> Optional[str]:
+def instance_args_ready(record: Frame) -> Optional[str]:
     """Name of the first argument slot that is still a ``$`` placeholder,
     else None.  A filled slot may hold a template, placeholders and all."""
-    args = node.child("args")
-    for index, (label, slot) in enumerate(args.children):
+    for index, (label, slot) in enumerate(record.args.children):
         if slot.kind == VAR:
             return label if label is not None else f"#{index}"
     return None
@@ -253,10 +267,10 @@ def _force_at(scope: tuple, path: Path, ctx: EvalContext, lenient: bool = False)
         for ancestor in chain[:-1]:
             scope = (ancestor, scope)
         ctx.scope = scope
-        if is_function_instance(target) and instance_args_ready(target) is None:
+        if (record := frame_of(target)) is not None and instance_args_ready(record) is None:
             from . import templates
 
-            templates.call(target, ctx)
+            templates.call(target, ctx, record)
         else:
             evaluate(target, ctx, lenient)
     finally:
@@ -289,7 +303,8 @@ def deref(path: Path, ctx: EvalContext, lenient: bool = False) -> Node:
     while scope is not None:
         target = _force_at(scope, path, ctx, lenient)
         if target is not None:
-            freeze_code(target)
+            if target.kind == SET:
+                freeze_code(target)
             return target.copy()
         scope = scope[1]
     raise PathUnresolvable(f"no node at {path}")

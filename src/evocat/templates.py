@@ -5,15 +5,16 @@ A template is an ordinary subtree shaped like a callable frame: ``args``
 1 rewrite), ``body`` or ``rules``, and a reserved ``result`` slot.  Use is
 always by copy, copy-on-write for its frozen code (``freeze_code``): the
 instance is filled and called, and the result value replaces the instance
-node; the template itself never changes.  A type template is the same idea
-for data: a set of field slots whose members may themselves be callable
-(the instance's member functions see the enclosing instance's fields
-through the reference scope chain).
+node; the template itself never changes.  A call finds the instance's
+frame layout once, in a ``Frame`` record (``frame_of``).  A type template
+is the same idea for data: a set of field slots whose members may
+themselves be callable (the instance's member functions see the
+enclosing instance's fields through the reference scope chain).
 
 The heap appliance stores items as the unlabeled children of its ``data``
 child in implicit binary-heap order (children of slot k live at 2k+1 and
 2k+2), ordered by the instance's ``compare`` function when it has one and
-by natural-number ``<`` otherwise.
+by natural-number ``<`` otherwise.  A failed compare leaves the heap as it was.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from .errors import (
 from .evaluator import (
     MODE_SEQUENTIAL,
     EvalContext,
+    Frame,
+    frame_of,
     freeze_code,
     instance_args_ready,
-    is_function_instance,
 )
 from .tree import LEAF, SET, Node, Path, _as_path, resolve
 
@@ -72,15 +74,13 @@ def lookup_template(name: str, ctx: EvalContext) -> Optional[Node]:
     return None
 
 
-def bind_operands(instance: Node, operands: list[Node]) -> None:
-    """Fill the instance's argument slots positionally with copies."""
-    args = instance.child("args")
+def bind_operands(instance: Node, operands: list[Node], record: Optional[Frame] = None) -> None:
+    """Fill the instance's argument slots positionally with copies (``args`` from ``record``)."""
+    args = record.args if record is not None else instance.child("args")
     if args is None or args.kind != SET:
         raise EvalError("instance has no argument set")
     if len(operands) != len(args.children):
-        raise MissingArgument(
-            f"call provides {len(operands)} operands for {len(args.children)} slots"
-        )
+        raise MissingArgument(f"call provides {len(operands)} operands for {len(args.children)} slots")
     for (_, slot), operand in zip(args.children, operands):
         slot.become(operand.copy())
 
@@ -95,33 +95,31 @@ def assign_argument(instance: Node, label: str, value: Node) -> None:
     args.set_child(label, value.copy())
 
 
-def call(instance: Node, ctx: EvalContext) -> Node:
+def call(instance: Node, ctx: EvalContext, record: Optional[Frame] = None) -> Node:
     """Run a filled instance and replace it with its result value.
 
-    The instance frame becomes the innermost reference scope; its body
-    executes under the engine selected by ``mode``.  The body evaluates
-    strictly, also when the call was forced from the rewrite engine's
-    ready-term sweep, since only the sweep itself passes ``lenient``.
-    Afterwards the value of the ``result`` slot takes the instance node's
-    place and is returned.  Every call counts as ``call`` in ``ctx.stats``.
+    ``record`` is the instance's ``Frame``, built here if not given.  The
+    instance frame becomes the innermost reference scope; its body executes
+    under the engine selected by ``mode``, strictly, also when the call was
+    forced from the rewrite engine's ready-term sweep, since only the sweep
+    itself passes ``lenient``.  Afterwards the ``result`` slot, found anew
+    as a write at the identity path replaces the frame's children, takes the
+    instance node's place and is returned.  Each call counts as ``call`` in ``ctx.stats``.
     """
-    if (code := is_function_instance(instance)) is None:
+    if record is None and (record := frame_of(instance)) is None:
         raise EvalError("call target is not a function instance")
-    unfilled = instance_args_ready(instance)
-    if unfilled is not None:
+    if (unfilled := instance_args_ready(record)) is not None:
         raise MissingArgument(f"argument slot {unfilled!r} is still empty")
     ctx.transition("call")
-    mode = instance.child("mode").value
     scope, ctx.scope = ctx.scope, (instance, ctx.scope)
     try:
-        if mode == MODE_SEQUENTIAL:
-            run_sequential(code, instance, ctx)
+        if record.mode.value == MODE_SEQUENTIAL:
+            run_sequential(record.code, instance, ctx, record)
         else:
-            run_rewrite(code, instance, ctx)
+            run_rewrite(record.code, instance, ctx)
     finally:
         ctx.scope = scope
-    result = instance.child("result")
-    if result is None:
+    if (result := instance.child("result")) is None:
         raise EvalError("instance lost its result slot")
     return instance.become(result)
 
@@ -130,8 +128,8 @@ def _call_copy(template: Node, operands: list[Node], ctx: EvalContext) -> Node:
     """Call a copy of ``template``, a checked template with frozen code,
     on copies of ``operands``; return the result value."""
     instance = template.copy()
-    bind_operands(instance, operands)
-    return call(instance, ctx)
+    bind_operands(instance, operands, record := frame_of(instance))
+    return call(instance, ctx, record)
 
 
 def run_entry(
@@ -146,7 +144,7 @@ def run_entry(
     if ctx is None:
         ctx = EvalContext(root)
     instance = instantiate(root, entry)
-    if not is_function_instance(instance):
+    if (record := frame_of(instance)) is None:
         raise NotASet(f"{entry} is not a function template")
     for label, value in (arguments or {}).items():
         assign_argument(instance, label, value)
@@ -154,7 +152,7 @@ def run_entry(
     if scope is None or scope[0] is not root:  # a context made at the root starts there
         ctx.scope = (root, scope)
     try:
-        return call(instance, ctx)
+        return call(instance, ctx, record)
     except RecursionError:
         raise DepthExceeded(f"{entry} nested too deep for the interpreter stack") from None
     finally:
@@ -185,17 +183,20 @@ def load_stdlib() -> Node:
 # --- heap appliance -------------------------------------------------------------
 
 
-def _heap_data(heap: Node) -> Node:
-    data = heap.child("data") if heap.kind == SET else None
+def _heap_parts(heap: Node) -> tuple[Node, Optional[Node]]:
+    """The heap's ``data`` set, and its ``compare`` template (code frozen) or None."""
+    data, compare = heap.child("data"), heap.child("compare")
     if data is None or data.kind != SET:
         raise EvalError("not a heap appliance: no 'data' set")
-    return data
+    return data, compare if compare is not None and freeze_code(compare) is not None else None
 
 
-def _heap_less(heap: Node, a: Node, b: Node, ctx: EvalContext) -> bool:
-    compare = heap.child("compare")
+def _heap_less(compare: Optional[Node], a: Node, b: Node, ctx: EvalContext) -> bool:
+    """Whether ``a`` goes above ``b``: by a call on a copy of ``compare``, else
+    by ``<``.  A put or get looks ``compare`` up once, not per compare: exact,
+    as a compare runs on a detached copy and writes only into its own frame."""
     try:
-        if compare is not None and freeze_code(compare) is not None:
+        if compare is not None:
             result = _call_copy(compare, [a, b], ctx)
             if result.kind != LEAF or result.value not in (0, 1):
                 raise EvalError("compare must return a boolean leaf")
@@ -209,41 +210,47 @@ def _heap_less(heap: Node, a: Node, b: Node, ctx: EvalContext) -> bool:
 
 def heap_put(heap: Node, item: Node, ctx: Optional[EvalContext] = None) -> None:
     """Insert a copy of ``item`` and restore heap order."""
-    if ctx is None:
-        ctx = EvalContext(heap)
-    data = _heap_data(heap)
+    ctx = ctx or EvalContext(heap)
+    data, compare = _heap_parts(heap)
     data.add_child(None, item.copy())
-    i = len(data.children) - 1
-    while i > 0:
-        parent = (i - 1) // 2
-        if _heap_less(heap, data.child_at(i), data.child_at(parent), ctx):
+    i, swaps = len(data.children) - 1, []
+    try:
+        while i > 0 and _heap_less(compare, data.child_at(i), data.child_at(parent := (i - 1) // 2), ctx):
             data.swap_children(i, parent)
+            swaps.append((i, parent))
             i = parent
-        else:
-            break
+    except BaseException:  # undo the swaps, then the add
+        for i, j in reversed(swaps):
+            data.swap_children(i, j)
+        data.pop_child()
+        raise
 
 
 def heap_get(heap: Node, ctx: Optional[EvalContext] = None) -> Node:
     """Remove and return the minimum item under the heap's order."""
-    if ctx is None:
-        ctx = EvalContext(heap)
-    data = _heap_data(heap)
-    n = len(data.children)
-    if not n:
+    ctx = ctx or EvalContext(heap)
+    data, compare = _heap_parts(heap)
+    n = len(data.children) - 1  # the items left after the get
+    if n < 0:
         raise EmptyHeap("get on an empty heap")
-    data.swap_children(0, n - 1)  # the last item moves to the top
+    data.swap_children(0, n)  # the last item moves to the top
     top = data.pop_child()
-    n -= 1
-    i = 0
-    while True:
-        left, right = 2 * i + 1, 2 * i + 2
-        smallest = i
-        if left < n and _heap_less(heap, data.child_at(left), data.child_at(smallest), ctx):
-            smallest = left
-        if right < n and _heap_less(heap, data.child_at(right), data.child_at(smallest), ctx):
-            smallest = right
-        if smallest == i:
-            break
-        data.swap_children(i, smallest)
-        i = smallest
+    i, swaps = 0, []
+    try:
+        while True:
+            smallest = i
+            for child in (2 * i + 1, 2 * i + 2):
+                if child < n and _heap_less(compare, data.child_at(child), data.child_at(smallest), ctx):
+                    smallest = child
+            if smallest == i:
+                break
+            data.swap_children(i, smallest)
+            swaps.append((i, smallest))
+            i = smallest
+    except BaseException:  # undo the swaps, then put the minimum back on top
+        for i, j in reversed(swaps):
+            data.swap_children(i, j)
+        data.add_child(None, top)
+        data.swap_children(0, n)
+        raise
     return top

@@ -463,7 +463,7 @@ def replace_subtree(root: Node, at: Path, new: Node, ctx=None) -> Node:
         if new is not root and _contains(new, root):
             raise PathUnresolvable("replacement contains the node it replaces")
         return root.become(new)
-    parent = resolve(root, at.parent())
+    parent = root if len(at) == 1 else resolve(root, at.parent())
     if parent is None:
         raise PathUnresolvable(f"no node at {at.parent()}")
     if parent.kind != SET:
@@ -484,7 +484,7 @@ def replace_subtree(root: Node, at: Path, new: Node, ctx=None) -> Node:
     if existing is None:
         parent.add_child(seg if isinstance(seg, str) else None, new)
     else:
-        if new is not existing and _contains(new, existing):
+        if new is not existing and new.children and _contains(new, existing):
             raise PathUnresolvable("replacement contains the node it replaces")
         existing.become(new)
     return root

@@ -1,9 +1,9 @@
 """Which runs ``EvalContext.running`` holds: the sequential runs in
-progress, each a cell ``[program, frame, code]`` that ``unshared``
-re-points when a write un-shares the run's own code.  A rewrite run reads
-its compiled formulas once and never registers, also when a reference it
-forces un-shares its own rules: the outcome is that of the full-round
-loop in ``rewrite_reference.py``."""
+progress, each as its call's ``Frame`` record, whose ``code`` and
+``program`` ``unshared`` re-points when a write un-shares the run's own
+code.  A rewrite run reads its compiled formulas once and never
+registers, also when a reference it forces un-shares its own rules: the
+outcome is that of the full-round loop in ``rewrite_reference.py``."""
 
 import pytest
 
@@ -11,6 +11,7 @@ import rewrite_reference as reference
 from evocat import EvalContext, TraceSink, load_stdlib, parse, render, run_entry
 from evocat import templates
 from evocat.errors import DivisionByZero, EvoError
+from evocat.evaluator import Frame
 from evocat.tree import Node
 
 # the sweep forces [rules.#0.rhs], which un-shares the run's own rules
@@ -106,7 +107,8 @@ class TestRunningCells:
         _, ctx, _, added = run(lib, entry, args, fuel=3000)
         assert ctx.running == []
         assert len(added) == (ctx.stats["call"] if entry == "fact" else 0)
-        assert all(len(cell) == 3 and cell[2] is lib.resolve("fact.body") for cell in added)
+        body = lib.resolve("fact.body")
+        assert all(isinstance(cell, Frame) and cell.code is body and cell.program is body.frozen[0] for cell in added)
 
     def test_an_error_deep_in_nested_runs_leaves_no_cell(self):
         root = parse(NESTED)
@@ -116,5 +118,5 @@ class TestRunningCells:
         assert ctx.stats["call"] == 3 and ctx.running == []
         # outer and job each registered once; mid, the rewrite run, not at all
         outer, job = added
-        assert outer[2] is root.resolve("outer.body")
-        assert render(job[2]) == render(root.resolve("mid.job.body")) and job[1].child("body") is job[2]
+        assert outer.code is root.resolve("outer.body")
+        assert render(job.code) == render(root.resolve("mid.job.body")) and job.instance.child("body") is job.code

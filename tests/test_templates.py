@@ -22,6 +22,7 @@ from evocat.errors import (
     DivisionByZero,
     EmptyHeap,
     EvalError,
+    EvoError,
     MissingArgument,
     PathUnresolvable,
     UnknownOperation,
@@ -29,7 +30,7 @@ from evocat.errors import (
 from evocat import templates
 from evocat.evaluator import evaluate
 from evocat.templates import bind_operands
-from evocat.tree import node_equal
+from evocat.tree import Node, node_equal
 
 from helpers import leaf, node_ids, setn
 
@@ -187,6 +188,26 @@ class TestCall:
         assert heap_get(heap, ctx).value == 1
         assert ctx.stats["call"] == 6
 
+    @pytest.mark.parametrize(
+        "content, outcome",
+        [
+            ("{ x = 1 result = 7 }", "7\n"),
+            ("{ x = 1 }", (EvalError, "instance lost its result slot")),
+        ],
+    )
+    def test_a_write_at_the_identity_path_replaces_the_whole_frame(self, content, outcome):
+        # the result slot is looked up after the run, not taken from the
+        # frame as it was when the call began
+        root = parse(f"f {{ args {{ }} mode = 0 body {{ #0 {{ at = [x] to {content} }} }} result = 0 }}")
+        root.resolve("f.body.#0.at").become(Node.ref_node(""))
+        ctx = EvalContext(root, fuel=100)
+        try:
+            got = render(run_entry(root, "f", ctx=ctx))
+        except EvoError as err:
+            got = (type(err), str(err))
+        assert got == outcome
+        assert dict(ctx.stats) == {"call": 1, "instruction": 1} and ctx.fuel == 98
+
     def test_weekday_2004_02_05_is_thursday(self):
         result = run_entry(
             weekday_machine(),
@@ -219,10 +240,10 @@ class TestCall:
         chains = []
         real = templates.run_sequential
 
-        def recording(body, frame, ctx):
-            assert ctx.scope[0] is frame
+        def recording(body, frame, ctx, record):
+            assert ctx.scope[0] is frame and record.instance is frame
             chains.append(ctx.scope)
-            return real(body, frame, ctx)
+            return real(body, frame, ctx, record)
 
         monkeypatch.setattr(templates, "run_sequential", recording)
         assert run_entry(load_stdlib(), "fact", {"n": leaf(5)}).value == 120
@@ -239,13 +260,13 @@ class TestCall:
         chains = []
         real = templates.call
 
-        def recording(instance, ctx):
+        def recording(instance, ctx, record=None):
             nodes, scope = [], ctx.scope
             while scope is not None:
                 nodes.append(scope[0])
                 scope = scope[1]
             chains.append(nodes)
-            return real(instance, ctx)
+            return real(instance, ctx, record)
 
         monkeypatch.setattr(templates, "call", recording)
         assert run_entry(root, "gcd", {"arg1": leaf(12), "arg2": leaf(8)}, ctx=ctx).value == 4
@@ -415,6 +436,73 @@ class TestHeap:
         heap.set_child("compare", seven)
         with pytest.raises(CompareFailed, match="boolean"):
             heap_put(heap, leaf(2), ctx)
+
+    def heap_of(self, *keys):
+        """A stdlib heap whose data holds ``keys`` in this order; None is
+        the item ``{ a = 1 }``, on which every compare fails."""
+        heap, ctx = self.fresh_heap()
+        for key in keys:
+            heap.child("data").add_child(None, setn(leaf(1), labels=["a"]) if key is None else leaf(key))
+        return heap, ctx
+
+    def check_left_as_it_was(self, heap, ctx, before, keys):
+        # the render is byte-identical; with each bad item made a large
+        # key, the next get finds the true minimum
+        assert render(heap) == before
+        data = heap.child("data")
+        for index, key in enumerate(keys):
+            if key is None:
+                data.child_at(index).become(leaf(99))
+        assert heap_get(heap, ctx).value == min(key for key in keys if key is not None)
+
+    @pytest.mark.parametrize(
+        "keys, item",
+        [
+            ((1, 3, 8, 5), None),  # the new item fails its first compare
+            ((1, None, 8, 5, 6, 9, 10), 2),  # 2 swaps with 5, then meets the bad item
+        ],
+    )
+    def test_a_failed_put_leaves_the_heap_as_it_was(self, keys, item):
+        heap, ctx = self.heap_of(*keys)
+        before = render(heap)
+        with pytest.raises(CompareFailed):
+            heap_put(heap, setn(leaf(1), labels=["a"]) if item is None else leaf(item), ctx)
+        self.check_left_as_it_was(heap, ctx, before, keys)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            (1, 3, 8, 5, None),  # the bad item moves to the top and fails at once
+            (1, 3, 8, None, 5),  # 5 moves to the top, swaps with 3, then meets it
+        ],
+    )
+    def test_a_failed_get_leaves_the_heap_as_it_was(self, keys):
+        heap, ctx = self.heap_of(*keys)
+        before = render(heap)
+        with pytest.raises(CompareFailed):
+            heap_get(heap, ctx)
+        self.check_left_as_it_was(heap, ctx, before, keys)
+
+    def test_a_compare_scans_frames_at_most_six_and_a_half_times(self, rng, monkeypatch):
+        # counted work, not time: a call finds args, mode and code once,
+        # and a put or get looks the compare template up once
+        heap, _ = self.fresh_heap()
+        ctx = EvalContext(heap)
+        for _ in range(200):
+            heap_put(heap, leaf(rng.randrange(10**6)), ctx)
+        scans, child = [0], Node.child
+
+        def counting(node, label):
+            scans[0] += 1
+            return child(node, label)
+
+        monkeypatch.setattr(Node, "child", counting)
+        ctx = EvalContext(heap)
+        for _ in range(300):
+            heap_put(heap, leaf(rng.randrange(10**6)), ctx)
+            heap_get(heap, ctx)
+        assert ctx.stats["call"] > 300 * 10
+        assert scans[0] / ctx.stats["call"] <= 6.5  # 6.24 with one frame record per call, 10.1 without
 
     def test_not_a_heap(self):
         with pytest.raises(EvalError):
