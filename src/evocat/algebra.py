@@ -7,13 +7,13 @@ min/max with truncated subtraction as supplement; booleans are the leaves
 0 and 1.  ``select`` filters a set by a predicate term, the pullback-style
 query operation.
 
-All operations are pure: results are freshly built and never alias their
-operands.
+All operations are pure: results are freshly built, with ``new_node``,
+and never alias their operands.  The eager operations are one table,
+``_EAGER_OPS``: each entry is the function that computes its operation,
+and ``nat_lattice``, ``bool_lattice`` and ``nat_compare`` call into it.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from .errors import (
     DivisionByZero,
@@ -23,7 +23,7 @@ from .errors import (
     NotASet,
     NotBoolean,
 )
-from .tree import LEAF, SET, VAR, Node, node_equal, rebuild
+from .tree import LEAF, SET, VAR, Node, new_node, node_equal, rebuild
 
 
 def _nat(node: Node, who: str) -> int:
@@ -41,25 +41,25 @@ def _bool(node: Node, who: str = "boolean operation") -> int:
 def product(a: Node, b: Node) -> Node:
     """Leaves multiply; sets make all pairs {fst snd}, labeled p0, p1, ..."""
     if a.kind == LEAF and b.kind == LEAF:
-        return Node.leaf(a.value * b.value)
+        return new_node(LEAF, a.value * b.value, [], None, None)
     if a.kind == SET and b.kind == SET:
         pairs = [pair(ca, cb) for _, ca in a.children for _, cb in b.children]
-        return Node(SET, children=[(f"p{k}", p) for k, p in enumerate(pairs)])
+        return new_node(SET, 0, [(f"p{k}", p) for k, p in enumerate(pairs)], None, None)
     raise MixedKinds(f"product of {a!r} and {b!r}")
 
 
 def coproduct(a: Node, b: Node) -> Node:
     """Leaves add; sets concatenate children, duplicates preserved."""
     if a.kind == LEAF and b.kind == LEAF:
-        return Node.leaf(a.value + b.value)
+        return new_node(LEAF, a.value + b.value, [], None, None)
     if a.kind == SET and b.kind == SET:
         kids = a.children + b.children
-        return Node(SET, children=[(f"p{k}", c.copy()) for k, (_, c) in enumerate(kids)])
+        return new_node(SET, 0, [(f"p{k}", c.copy()) for k, (_, c) in enumerate(kids)], None, None)
     raise MixedKinds(f"coproduct of {a!r} and {b!r}")
 
 
 def pair(f: Node, g: Node) -> Node:
-    return Node.set_node([("fst", f.copy()), ("snd", g.copy())])
+    return new_node(SET, 0, [("fst", f.copy()), ("snd", g.copy())], None, None)
 
 
 def if_arrow(cond: Node, f: Node, g: Node) -> Node:
@@ -72,52 +72,40 @@ def if_arrow(cond: Node, f: Node, g: Node) -> Node:
 
 
 def nat_lattice(op: str, a: Node, b: Node) -> Node:
-    x, y = _nat(a, op), _nat(b, op)
-    if op == "min":
-        return Node.leaf(min(x, y))
-    if op == "max":
-        return Node.leaf(max(x, y))
-    if op == "monus":
-        return Node.leaf(x - y if x >= y else 0)
-    raise EvalError(f"unknown lattice operation {op!r}")
+    """``min``, ``max`` or ``monus`` (truncated subtraction) of two naturals."""
+    if op not in ("min", "max", "monus"):
+        _nat(a, op), _nat(b, op)
+        raise EvalError(f"unknown lattice operation {op!r}")
+    return _EAGER_OPS[op][1](a, b)
 
 
 def remainder(a: Node, b: Node) -> Node:
     x, y = _nat(a, "rem"), _nat(b, "rem")
     if y == 0:
         raise DivisionByZero(f"rem({x}, 0)")
-    return Node.leaf(x % y)
+    return new_node(LEAF, x % y, [], None, None)
 
 
 def bool_lattice(op: str, *args: Node) -> Node:
-    if op == "not":
-        (a,) = args
-        return Node.leaf(1 - _bool(a, "not"))
-    a, b = args
-    x, y = _bool(a, op), _bool(b, op)
-    if op == "and":
-        return Node.leaf(x & y)
-    if op == "or":
-        return Node.leaf(x | y)
-    if op == "implies":
-        return Node.leaf((1 - x) | y)
-    raise EvalError(f"unknown boolean operation {op!r}")
+    """``not`` of one boolean leaf, or ``and``, ``or`` or ``implies`` of two."""
+    if op not in ("not", "and", "or", "implies"):
+        a, b = args
+        _bool(a, op), _bool(b, op)
+        raise EvalError(f"unknown boolean operation {op!r}")
+    return _EAGER_OPS[op][1](*args)
 
 
 def nat_compare(op: str, a: Node, b: Node) -> Node:
-    x, y = _nat(a, op), _nat(b, op)
-    if op == "eq":
-        return Node.leaf(int(x == y))
-    if op == "le":
-        return Node.leaf(int(x <= y))
-    if op == "lt":
-        return Node.leaf(int(x < y))
-    raise EvalError(f"unknown comparison {op!r}")
+    """``eq``, ``le`` or ``lt`` of two naturals, as a boolean leaf."""
+    if op not in ("eq", "le", "lt"):
+        _nat(a, op), _nat(b, op)
+        raise EvalError(f"unknown comparison {op!r}")
+    return _EAGER_OPS[op][1](a, b)
 
 
 def struct_eq(a: Node, b: Node) -> Node:
     """1 iff the trees are structurally equal (order-sensitive)."""
-    return Node.leaf(int(node_equal(a, b)))
+    return new_node(LEAF, int(node_equal(a, b)), [], None, None)
 
 
 def select(m: Node, predicate: Node, ctx) -> Node:
@@ -149,7 +137,7 @@ def select(m: Node, predicate: Node, ctx) -> Node:
             ctx.scope = scope
         if _bool(result, "select predicate"):
             kept.append((label, child.copy()))
-    return Node(SET, children=kept)
+    return new_node(SET, 0, kept, None, None)
 
 
 def _predicate_vars(node: Node) -> set[str]:
@@ -170,10 +158,17 @@ def _predicate_vars(node: Node) -> set[str]:
 _EAGER_OPS = {
     "prod": (2, product), "sum": (2, coproduct), "pair": (2, pair),
     "rem": (2, remainder), "seteq": (2, struct_eq),
-    "not": (1, partial(bool_lattice, "not")),
-    **{op: (2, partial(nat_lattice, op)) for op in ("min", "max", "monus")},
-    **{op: (2, partial(bool_lattice, op)) for op in ("and", "or", "implies")},
-    **{op: (2, partial(nat_compare, op)) for op in ("eq", "le", "lt")},
+    "not": (1, lambda a: new_node(LEAF, 1 - _bool(a, "not"), [], None, None)),
+    "min": (2, lambda a, b: new_node(LEAF, min(_nat(a, "min"), _nat(b, "min")), [], None, None)),
+    "max": (2, lambda a, b: new_node(LEAF, max(_nat(a, "max"), _nat(b, "max")), [], None, None)),
+    "monus": (2, lambda a, b: new_node(LEAF, max(_nat(a, "monus") - _nat(b, "monus"), 0), [], None, None)),
+    "and": (2, lambda a, b: new_node(LEAF, _bool(a, "and") & _bool(b, "and"), [], None, None)),
+    "or": (2, lambda a, b: new_node(LEAF, _bool(a, "or") | _bool(b, "or"), [], None, None)),
+    "implies": (2, lambda a, b: new_node(
+        LEAF, (1 - _bool(a, "implies")) | _bool(b, "implies"), [], None, None)),
+    "eq": (2, lambda a, b: new_node(LEAF, int(_nat(a, "eq") == _nat(b, "eq")), [], None, None)),
+    "le": (2, lambda a, b: new_node(LEAF, int(_nat(a, "le") <= _nat(b, "le")), [], None, None)),
+    "lt": (2, lambda a, b: new_node(LEAF, int(_nat(a, "lt") < _nat(b, "lt")), [], None, None)),
 }
 
 #: Operation identifiers recognized by the evaluator (case-sensitive).

@@ -340,9 +340,18 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None, r
 
     The reserved child ``ip`` starts at 0; each step runs the instruction's
     compiled term (``run_term``) in the frame context, applies the replacement
-    at the address, and increments ``ip`` unless the instruction wrote it.
-    Execution halts once ``ip`` runs past the last instruction.  ``record``,
-    the call's ``Frame`` or else a bare one, is held in ``ctx.running``.
+    at the address, and increments ``ip`` unless the instruction wrote it at
+    the address ``[ip]``.  Execution halts once ``ip`` runs past the last
+    instruction.  ``record``, the call's ``Frame`` or else a bare one, is
+    held in ``ctx.running``.
+
+    The ``ip`` node found by the first write is kept while ``frame.children``
+    is the list it was found in and it is not frozen.  This is exact:
+    ``tree.py`` gives a node a new child list only in ``become``, a write at
+    the identity path, and changes one in place only to append, to swap or
+    pop heap items, to fill a call's ``args``, and in ``unshare_path``, only
+    over frozen children.  A write at ``ip``, by name or ordinal, keeps the
+    node.  Otherwise ``ip`` is found anew.
     """
     if frame.kind != SET:
         raise EvalError("a sequential frame must be a set node")
@@ -351,17 +360,20 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None, r
     ctx.running.append(record := record or Frame(frame, code=body))
     record.program = _program(body, instructions_from)
     try:
-        index = 0
-        frame.set_child("ip", new_node(LEAF, 0, [], None, None))
+        index, kids = 0, frame.children
+        ip_node = frame.set_child("ip", new_node(LEAF, 0, [], None, None))
         while index < len(record.program):
             inst = record.program[index]
-            ctx.emit("seq", index, inst.at)
+            if ctx.trace is not None:
+                ctx.emit("seq", index, inst.at)
             try:
                 ctx.transition("instruction")
                 _apply_write(frame, inst.at, run_term(inst.steps, ctx), ctx)
+                trusted, kids = frame.children is kids and ip_node.frozen is None, frame.children
                 if inst.at != _IP:
-                    ip_node = frame.set_child("ip", new_node(LEAF, index + 1, [], None, None))
-                else:
+                    ip = new_node(LEAF, index + 1, [], None, None)
+                    ip_node = ip_node.become(ip) if trusted else frame.set_child("ip", ip)
+                elif not trusted:
                     ip_node = frame.child("ip")
                 if ip_node is None or ip_node.kind != LEAF:
                     raise EvalError("frame child 'ip' must be a natural-number leaf")

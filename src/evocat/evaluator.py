@@ -159,7 +159,8 @@ SHAPE_LABELS = frozenset({"args", "mode", "result", *_CODE_LABELS.values()})
 
 class Frame:
     """A call's record: the instance, its ``args``, ``mode``, code and ``result``
-    (kept by every write but one at the identity path), and a run's ``program``."""
+    (every write but one at the identity path keeps them, so ``templates.call``
+    returns this ``result``), and a run's ``program``."""
 
     __slots__ = ("instance", "args", "mode", "code", "result", "program")
 
@@ -232,8 +233,7 @@ def is_value(node: Node) -> bool:
 
 
 def _device_read(ctx: EvalContext, path: Path) -> Optional[Node]:
-    if ctx.devices is None:
-        return None
+    """What the input device at ``path``, if any, reads; ``ctx.devices`` is set."""
     device = ctx.devices.lookup(path, IN)
     if device is None:
         return None
@@ -284,8 +284,7 @@ def tree_data_of(root: Node, at: Path, ctx: Optional[EvalContext] = None) -> Nod
     evaluated and memoized when it was a term)."""
     if ctx is None:
         ctx = EvalContext(root)
-    device = _device_read(ctx, at)
-    if device is not None:
+    if ctx.devices is not None and (device := _device_read(ctx, at)) is not None:
         return device
     target = _force_at((root, ctx.scope), at, ctx)
     if target is None:
@@ -296,8 +295,7 @@ def tree_data_of(root: Node, at: Path, ctx: Optional[EvalContext] = None) -> Nod
 def deref(path: Path, ctx: EvalContext, lenient: bool = False) -> Node:
     """Contents of the addressed node, searched innermost scope first,
     returned as a fresh copy (a term consumes a value, not an alias)."""
-    device = _device_read(ctx, path)
-    if device is not None:
+    if ctx.devices is not None and (device := _device_read(ctx, path)) is not None:
         return device
     scope = ctx.scope
     while scope is not None:

@@ -75,14 +75,14 @@ def lookup_template(name: str, ctx: EvalContext) -> Optional[Node]:
 
 
 def bind_operands(instance: Node, operands: list[Node], record: Optional[Frame] = None) -> None:
-    """Fill the instance's argument slots positionally with copies (``args`` from ``record``)."""
+    """Fill the instance's argument slots positionally with copies (``args``
+    from ``record``), in one write that puts each copy in its slot's place."""
     args = record.args if record is not None else instance.child("args")
     if args is None or args.kind != SET:
         raise EvalError("instance has no argument set")
     if len(operands) != len(args.children):
         raise MissingArgument(f"call provides {len(operands)} operands for {len(args.children)} slots")
-    for (_, slot), operand in zip(args.children, operands):
-        slot.become(operand.copy())
+    args.set_nodes(list(map(Node.copy, operands)))
 
 
 def assign_argument(instance: Node, label: str, value: Node) -> None:
@@ -102,9 +102,11 @@ def call(instance: Node, ctx: EvalContext, record: Optional[Frame] = None) -> No
     instance frame becomes the innermost reference scope; its body executes
     under the engine selected by ``mode``, strictly, also when the call was
     forced from the rewrite engine's ready-term sweep, since only the sweep
-    itself passes ``lenient``.  Afterwards the ``result`` slot, found anew
-    as a write at the identity path replaces the frame's children, takes the
-    instance node's place and is returned.  Each call counts as ``call`` in ``ctx.stats``.
+    itself passes ``lenient``.  Afterwards the ``result`` slot takes the
+    instance node's place and is returned: ``record.result``, found anew
+    only if a write at the identity path replaced the instance's child list
+    or that node is frozen (see ``run_sequential``).  Each call counts as
+    ``call`` in ``ctx.stats``.
     """
     if record is None and (record := frame_of(instance)) is None:
         raise EvalError("call target is not a function instance")
@@ -112,6 +114,7 @@ def call(instance: Node, ctx: EvalContext, record: Optional[Frame] = None) -> No
         raise MissingArgument(f"argument slot {unfilled!r} is still empty")
     ctx.transition("call")
     scope, ctx.scope = ctx.scope, (instance, ctx.scope)
+    kids = instance.children
     try:
         if record.mode.value == MODE_SEQUENTIAL:
             run_sequential(record.code, instance, ctx, record)
@@ -119,7 +122,9 @@ def call(instance: Node, ctx: EvalContext, record: Optional[Frame] = None) -> No
             run_rewrite(record.code, instance, ctx)
     finally:
         ctx.scope = scope
-    if (result := instance.child("result")) is None:
+    if instance.children is kids and record.result.frozen is None:
+        result = record.result
+    elif (result := instance.child("result")) is None:
         raise EvalError("instance lost its result slot")
     return instance.become(result)
 
@@ -213,9 +218,10 @@ def heap_put(heap: Node, item: Node, ctx: Optional[EvalContext] = None) -> None:
     ctx = ctx or EvalContext(heap)
     data, compare = _heap_parts(heap)
     data.add_child(None, item.copy())
-    i, swaps = len(data.children) - 1, []
+    items = data.children  # changed only in place, by the heap, as a compare writes into its own frame
+    i, swaps = len(items) - 1, []
     try:
-        while i > 0 and _heap_less(compare, data.child_at(i), data.child_at(parent := (i - 1) // 2), ctx):
+        while i > 0 and _heap_less(compare, items[i][1], items[parent := (i - 1) // 2][1], ctx):
             data.swap_children(i, parent)
             swaps.append((i, parent))
             i = parent
@@ -230,7 +236,7 @@ def heap_get(heap: Node, ctx: Optional[EvalContext] = None) -> Node:
     """Remove and return the minimum item under the heap's order."""
     ctx = ctx or EvalContext(heap)
     data, compare = _heap_parts(heap)
-    n = len(data.children) - 1  # the items left after the get
+    n = len(items := data.children) - 1  # the items left after the get; see heap_put on items
     if n < 0:
         raise EmptyHeap("get on an empty heap")
     data.swap_children(0, n)  # the last item moves to the top
@@ -240,7 +246,7 @@ def heap_get(heap: Node, ctx: Optional[EvalContext] = None) -> Node:
         while True:
             smallest = i
             for child in (2 * i + 1, 2 * i + 2):
-                if child < n and _heap_less(compare, data.child_at(child), data.child_at(smallest), ctx):
+                if child < n and _heap_less(compare, items[child][1], items[smallest][1], ctx):
                     smallest = child
             if smallest == i:
                 break

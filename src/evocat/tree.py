@@ -21,8 +21,8 @@ This module is the only writer of a node's children: outside it
 ``Node.children`` is read-only.  The writers are the constructors
 (``Node``, whose fields may be given by position or keyword, and the
 slot-setting ``new_node``, which the parser and the rhs builder use),
-``add_child``, ``set_child``, ``swap_children``, ``pop_child`` and
-``become``; a copy with some subtrees replaced is built by ``rebuild``.
+``add_child``, ``set_child``, ``set_nodes``, ``swap_children``, ``pop_child``
+and ``become``; a copy with some subtrees replaced is built by ``rebuild``.
 Copies share frozen template code (``Node.freeze``), which those writers
 refuse and ``replace_subtree`` un-shares before it writes: copy-on-write.
 """
@@ -159,7 +159,7 @@ class Node:
     def leaf(cls, value: int) -> "Node":
         if value < 0:
             raise ValueError("leaf values are naturals")
-        return cls(LEAF, value)
+        return new_node(LEAF, value, [], None, None)
 
     @classmethod
     def set_node(
@@ -226,6 +226,14 @@ class Node:
             node = self.children[idx][1]
         return node
 
+    def set_nodes(self, nodes: list["Node"]) -> None:
+        """Put ``nodes`` in the place of the first children, in order; labels stay."""
+        kids = self.children
+        for i, node in enumerate(nodes):
+            if kids[i][1].frozen is not None:  # as become refuses; below frozen code all is frozen
+                raise FrozenCode(_FROZEN)
+            kids[i] = (kids[i][0], node)
+
     def swap_children(self, i: int, j: int) -> None:
         """Exchange the i-th and j-th children, labels included."""
         if self.frozen is not None:
@@ -245,25 +253,23 @@ class Node:
         """A deep copy in which only frozen code roots below ``self`` are
         shared.  The copy is iterative, over a work list of (source, blank
         copy) pairs, so its depth is not bounded by the interpreter's stack.
-        A childless node is copied at once, without the work list."""
-        if not self.children:
-            return new_node(self.kind, self.value, [], self.op, self.ref, self.var)
+        A childless child is copied where it is met, not through the list."""
         new = dst = object.__new__(Node)
         src, work = self, []
         while True:
-            dst.kind = src.kind
-            dst.value = src.value
-            dst.op = src.op
-            dst.ref = src.ref
-            dst.var = src.var
-            dst.frozen = None
-            kids = []
+            dst.kind, dst.value, dst.op = src.kind, src.value, src.op
+            dst.ref, dst.var, dst.frozen = src.ref, src.var, None
+            dst.children = kids = []
             for label, child in src.children:
-                twin = child if child.frozen else object.__new__(Node)  # share frozen code
-                kids.append((label, twin))
-                if twin is not child:
+                if child.frozen:  # share frozen code
+                    kids.append((label, child))
+                    continue
+                kids.append((label, twin := object.__new__(Node)))
+                if child.children:
                     work.append((child, twin))
-            dst.children = kids
+                else:
+                    twin.kind, twin.value, twin.op = child.kind, child.value, child.op
+                    twin.ref, twin.var, twin.children, twin.frozen = child.ref, child.var, [], None
             if not work:
                 return new
             src, dst = work.pop()

@@ -1,8 +1,10 @@
 """Value operations: categorical laws, lattices, comparison, select."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evocat import EvalContext, StateTree, parse
+from evocat import EvalContext, StateTree, parse, render
 from evocat.algebra import (
     BUILTIN_OPS,
     apply_builtin,
@@ -21,6 +23,7 @@ from evocat.algebra import (
 from evocat.errors import (
     DivisionByZero,
     EvalError,
+    EvoError,
     MixedKinds,
     NotALeaf,
     NotASet,
@@ -312,3 +315,81 @@ class TestDispatch:
             apply_builtin("if", [leaf(1), leaf(1), leaf(1)])
         with pytest.raises(EvalError):
             apply_builtin("select", [setn(), leaf(1)])
+
+
+# --- the built-in table against plain Python ------------------------------------
+
+#: eager op -> (arity, the operands' check, the result on their values)
+NAT_OPS = {
+    "min": min, "max": max, "monus": lambda x, y: x - y if x >= y else 0,
+    "eq": lambda x, y: int(x == y), "le": lambda x, y: int(x <= y), "lt": lambda x, y: int(x < y),
+}
+BOOL_OPS = {"and": lambda x, y: x & y, "or": lambda x, y: x | y, "implies": lambda x, y: int(not x or y)}
+PUBLIC = {
+    **{op: nat_lattice for op in ("min", "max", "monus")},
+    **{op: nat_compare for op in ("eq", "le", "lt")},
+    **{op: bool_lattice for op in ("not", *BOOL_OPS)},
+}
+
+
+def reference(op: str, operands: list) -> tuple:
+    """What an eager built-in gives on leaves and sets: ``("leaf", n)``,
+    ``("set", rendered text)`` or ``(error class, message)``, from plain
+    Python arithmetic and the documented messages."""
+    arity = 1 if op == "not" else 2
+    if len(operands) != arity:
+        return EvalError, f"{op} expects {arity} operands, got {len(operands)}"
+    values = [n.value if n.kind == "leaf" else None for n in operands]
+    if op in ("prod", "sum"):
+        if None not in values:
+            return "leaf", values[0] * values[1] if op == "prod" else values[0] + values[1]
+        if values == [None, None]:  # the sets drawn here are empty
+            return "set", ""
+        return MixedKinds, f"{'product' if op == 'prod' else 'coproduct'} of {operands[0]!r} and {operands[1]!r}"
+    if op == "pair":
+        return "set", "".join(f"{label} {{\n}}\n" if v is None else f"{label} = {v}\n" for label, v in zip(("fst", "snd"), values))
+    if op == "seteq":
+        return "leaf", int(values[0] == values[1])
+    for node, value in zip(operands, values):
+        if op in NAT_OPS or op == "rem":
+            if value is None:
+                return NotALeaf, f"{op} needs natural-number leaves, got {node!r}"
+        elif value not in (0, 1):
+            return NotBoolean, f"{op} needs a boolean leaf (0 or 1), got {node!r}"
+    if op == "rem":
+        return (DivisionByZero, f"rem({values[0]}, 0)") if values[1] == 0 else ("leaf", values[0] % values[1])
+    if op == "not":
+        return "leaf", 1 - values[0]
+    return "leaf", (NAT_OPS.get(op) or BOOL_OPS[op])(*values)
+
+
+def outcome(fn, *args) -> tuple:
+    try:
+        node = fn(*args)
+    except EvoError as err:
+        return type(err), str(err)
+    return ("leaf", node.value) if node.kind == "leaf" else ("set", render(node))
+
+
+OPERANDS = st.one_of(st.integers(0, 3), st.integers(0, 10**30), st.just(None)).map(
+    lambda v: setn() if v is None else leaf(v)
+)
+
+
+@given(
+    op=st.sampled_from(sorted(BUILTIN_OPS - {"if", "select"})),
+    operands=st.lists(OPERANDS, min_size=0, max_size=3),
+)
+@settings(max_examples=400, deadline=None)
+def test_every_eager_op_agrees_with_plain_python(op, operands):
+    want = reference(op, operands)
+    assert outcome(apply_builtin, op, operands) == want
+    arity = 1 if op == "not" else 2
+    if op in PUBLIC and len(operands) == arity:
+        assert outcome(PUBLIC[op], op, *operands) == want
+
+
+@pytest.mark.parametrize("fn, what", [(nat_lattice, "lattice operation"), (nat_compare, "comparison"), (bool_lattice, "boolean operation")])
+def test_an_unknown_public_op_checks_its_operands_first(fn, what):
+    assert outcome(fn, "nope", leaf(1), leaf(0)) == (EvalError, f"unknown {what} 'nope'")
+    assert outcome(fn, "nope", leaf(1), setn())[0] is (NotBoolean if fn is bool_lattice else NotALeaf)

@@ -7,6 +7,7 @@ import pytest
 
 from evocat import (
     EvalContext,
+    TraceSink,
     call,
     heap_get,
     heap_put,
@@ -207,6 +208,71 @@ class TestCall:
             got = (type(err), str(err))
         assert got == outcome
         assert dict(ctx.stats) == {"call": 1, "instruction": 1} and ctx.fuel == 98
+
+    @staticmethod
+    def traced_run(program: str, entry: str, identity=()):
+        """The entry's rendered result or error, stats, fuel spent and
+        trace events; each ``at`` in ``identity`` is made the identity path."""
+        root = parse(program)
+        for at in identity:
+            root.resolve(at).become(Node.ref_node(""))
+        ctx = EvalContext(root, fuel=100, trace=(sink := TraceSink()))
+        try:
+            got = render(run_entry(root, entry, ctx=ctx))
+        except EvoError as err:
+            got = (type(err), str(err))
+        return got, dict(ctx.stats), 100 - ctx.fuel, sink.events
+
+    def test_a_write_at_the_ip_slot_by_ordinal_is_not_a_jump(self):
+        # #4 is the ip slot that the run appends; only the literal [ip] is
+        # a jump, so ip still goes on to 1 after the write
+        body = "#0 { at = [#4] to = 7 } #1 { at = [result] to = [ip] }"
+        assert self.traced_run(f"x {{ args {{ }} mode = 0 body {{ {body} }} result = 0 }}", "x") == (
+            "1\n",
+            {"call": 1, "instruction": 2, "deref": 1},
+            4,
+            [(0, "seq", 0, "#4"), (1, "seq", 1, "result")],
+        )
+
+    @pytest.mark.parametrize(
+        "first, fourth, identity",
+        [
+            ("{ y = 2 ip = 0 result = 0 }", "{ z = [z] }", ["f.body.#0.at", "f.body.#4.at"]),
+            ("{ y = 2 }", "{ z = [z] }", ["f.body.#0.at"]),
+            ("{ y = 2 ip { } }", "{ z = [z] ip = 9 }", ["f.body.#0.at", "f.body.#4.at"]),
+        ],
+    )
+    def test_instructions_after_a_write_at_the_identity_path(self, first, fourth, identity):
+        # the new frame holds an ip or not; later instructions read and
+        # write the ip and result of the frame as it is now
+        body = (
+            f"#0 {{ at = [x] to {first} }} #1 {{ at = [z] to : sum {{ #0 = [y] #1 = [ip] }} }}"
+            f" #2 {{ at = [ip] to = 4 }} #3 {{ at = [z] to = 99 }} #4 {{ at = [x] to {fourth} }}"
+            " #5 { at = [result] to : prod { #0 = [z] #1 = 2 } }"
+        )
+        got = self.traced_run(f"f {{ args {{ }} mode = 0 body {{ {body} }} result = 0 }}", "f", identity)
+        assert got == (
+            "6\n",
+            {"call": 1, "instruction": 5, "deref": 4, "op": 2},
+            12,
+            [(0, "seq", 0, "."), (1, "seq", 1, "z"), (2, "seq", 2, "ip"),
+             (3, "seq", 4, "." if len(identity) == 2 else "x"), (4, "seq", 5, "result")],
+        )
+
+    @pytest.mark.parametrize(
+        "entry, stats, events",
+        [
+            ("r", {"call": 1, "firing": 1, "op": 1}, [(0, "rew", 1, "result")]),
+            ("o", {"call": 2, "instruction": 1, "firing": 1, "op": 1}, [(0, "seq", 0, "result"), (1, "rew", 1, "result")]),
+        ],
+    )
+    def test_a_rewrite_call_whose_rule_fires_at_result(self, entry, stats, events):
+        program = (
+            "r { args { } mode = 1 rules { #0 { lhs : f { #0 = $X } rhs : sum { #0 = $X #1 = 2 } } }"
+            " result : f { #0 = 1 } }"
+            " o { args { } mode = 0 body { #0 { at = [result] to : r { } } } result = 0 }"
+        )
+        assert self.traced_run(program, entry) == ("3\n", stats, sum(stats.values()), events)
 
     def test_weekday_2004_02_05_is_thursday(self):
         result = run_entry(
@@ -502,7 +568,33 @@ class TestHeap:
             heap_put(heap, leaf(rng.randrange(10**6)), ctx)
             heap_get(heap, ctx)
         assert ctx.stats["call"] > 300 * 10
-        assert scans[0] / ctx.stats["call"] <= 6.5  # 6.24 with one frame record per call, 10.1 without
+        # 5.24 with the call's result taken from its record, 6.24 with one
+        # frame record per call, 10.1 without
+        assert scans[0] / ctx.stats["call"] <= 5.55
+
+    def test_a_compare_writes_three_nodes_and_scans_for_ip_once(self, rng, monkeypatch):
+        # counted work, not time: the operands go into args in one write,
+        # and the frame's ip node and result node are taken from the record
+        # of the run and the call, not found again
+        heap, _ = self.fresh_heap()
+        ctx = EvalContext(heap)
+        for _ in range(200):
+            heap_put(heap, leaf(rng.randrange(10**6)), ctx)
+        counts = {"become": 0, "index_of": 0}
+        for name in counts:
+            def counting(node, *args, _inner=getattr(Node, name), _name=name):
+                counts[_name] += 1
+                return _inner(node, *args)
+
+            monkeypatch.setattr(Node, name, counting)
+        ctx = EvalContext(heap)
+        for _ in range(300):
+            heap_put(heap, leaf(rng.randrange(10**6)), ctx)
+            heap_get(heap, ctx)
+        compares = ctx.stats["call"]
+        assert compares > 300 * 10
+        assert counts["become"] / compares <= 3  # 5.0 with a become per operand slot and set_child for ip
+        assert counts["index_of"] / compares <= 1  # 2.0 when ip was looked up again after each instruction
 
     def test_not_a_heap(self):
         with pytest.raises(EvalError):
