@@ -13,7 +13,6 @@ from .algebra import (
     BUILTIN_OPS,
     bool_lattice,
     coproduct,
-    if_arrow,
     nat_compare,
     nat_lattice,
     pair,
@@ -22,7 +21,7 @@ from .algebra import (
     select,
     struct_eq,
 )
-from .devices import CollectingOutput, DeviceTable, read_device, scripted_clock, write_device
+from .devices import CollectingOutput, DeviceTable, scripted_clock
 from .engine import (
     Binding,
     Formula,
@@ -87,7 +86,6 @@ __all__ = [
     "evaluator",
     "heap_get",
     "heap_put",
-    "if_arrow",
     "instantiate",
     "is_value",
     "load_stdlib",
@@ -100,7 +98,6 @@ __all__ = [
     "pair",
     "parse",
     "product",
-    "read_device",
     "remainder",
     "render",
     "replace_subtree",
@@ -116,5 +113,4 @@ __all__ = [
     "templates",
     "textio",
     "tree",
-    "write_device",
 ]

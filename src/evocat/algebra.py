@@ -62,15 +62,6 @@ def pair(f: Node, g: Node) -> Node:
     return new_node(SET, 0, [("fst", f.copy()), ("snd", g.copy())], None, None)
 
 
-def if_arrow(cond: Node, f: Node, g: Node) -> Node:
-    """f when cond is true(1), g when false(0).
-
-    This is the strict value-level form; the evaluator supplies the
-    branches unevaluated and only evaluates the one selected.
-    """
-    return (f if _bool(cond, "if") else g).copy()
-
-
 def nat_lattice(op: str, a: Node, b: Node) -> Node:
     """``min``, ``max`` or ``monus`` (truncated subtraction) of two naturals."""
     if op not in ("min", "max", "monus"):

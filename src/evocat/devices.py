@@ -1,13 +1,14 @@
 """Devices: the machine's boundary to its environment.
 
 A device is mounted at a reserved address (``dev.clock``, ``dev.stdin``,
-``dev.stdout``).  The table is keyed by ``Path``; ``mount``,
-``read_device`` and ``write_device`` also accept the dotted text of an
-address.  Reads and writes addressed to a mount are intercepted before the
-tree is touched: an input device produces a fresh value on every access
-(never memoized), an output device turns the written value into an effect.
-``DeviceTable.lookup`` is one dictionary lookup (a ``Path`` hashes as the
-tuple of its segments) and the one place that checks a mount's direction.
+``dev.stdout``).  The table is keyed by ``Path``; ``mount`` also accepts
+the dotted text of an address.  Reads and writes addressed to a mount are
+intercepted before the tree is touched: an input device produces a fresh
+value on every access (never memoized), an output device turns the written
+value into an effect.  ``DeviceTable.lookup`` is the one way in: one
+dictionary lookup (a ``Path`` hashes as the tuple of its segments) and the
+one place that checks a mount's direction; the caller then calls the
+device's ``read`` or ``write``.
 The table is injected at machine construction, so tests run against
 scripted fakes and stay deterministic.
 """
@@ -162,17 +163,3 @@ class CollectingOutput:
     @property
     def lines(self) -> list[str]:
         return "".join(self.chunks).splitlines()
-
-
-def read_device(table: DeviceTable, mount: Union[Path, str]) -> Node:
-    device = table.lookup(_as_path(mount), IN)
-    if device is None:
-        raise UnboundDevice(f"no input device at {mount}")
-    return device.read()
-
-
-def write_device(table: DeviceTable, mount: Union[Path, str], value: Node) -> None:
-    device = table.lookup(_as_path(mount), OUT)
-    if device is None:
-        raise UnboundDevice(f"no output device at {mount}")
-    device.write(value)

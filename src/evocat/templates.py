@@ -14,7 +14,9 @@ enclosing instance's fields through the reference scope chain).
 The heap appliance stores items as the unlabeled children of its ``data``
 child in implicit binary-heap order (children of slot k live at 2k+1 and
 2k+2), ordered by the instance's ``compare`` function when it has one and
-by natural-number ``<`` otherwise.  A failed compare leaves the heap as it was.
+by natural-number ``<`` otherwise.  A put or get makes every compare on the
+unchanged ``data`` and records the path its item takes; only then does it
+write, so a failed compare leaves the heap as it was.
 """
 
 from __future__ import annotations
@@ -214,49 +216,42 @@ def _heap_less(compare: Optional[Node], a: Node, b: Node, ctx: EvalContext) -> b
 
 
 def heap_put(heap: Node, item: Node, ctx: Optional[EvalContext] = None) -> None:
-    """Insert a copy of ``item`` and restore heap order."""
+    """Insert a copy of ``item`` and restore heap order: compare the copy with
+    its successive parents in the unchanged ``data``, recording each step up,
+    then add it and take the recorded steps."""
     ctx = ctx or EvalContext(heap)
     data, compare = _heap_parts(heap)
-    data.add_child(None, item.copy())
-    items = data.children  # changed only in place, by the heap, as a compare writes into its own frame
-    i, swaps = len(items) - 1, []
-    try:
-        while i > 0 and _heap_less(compare, items[i][1], items[parent := (i - 1) // 2][1], ctx):
-            data.swap_children(i, parent)
-            swaps.append((i, parent))
-            i = parent
-    except BaseException:  # undo the swaps, then the add
-        for i, j in reversed(swaps):
-            data.swap_children(i, j)
-        data.pop_child()
-        raise
+    items, new = data.children, item.copy()  # a compare writes only into its own frame
+    i, path = len(items), []
+    while i > 0 and _heap_less(compare, new, items[parent := (i - 1) // 2][1], ctx):
+        path.append((i, parent))
+        i = parent
+    data.add_child(None, new)
+    for i, parent in path:
+        data.swap_children(i, parent)
 
 
 def heap_get(heap: Node, ctx: Optional[EvalContext] = None) -> Node:
-    """Remove and return the minimum item under the heap's order."""
+    """Remove and return the minimum item under the heap's order: sink the
+    last item from the top against the unchanged children, recording each
+    step down, then move it to the top and take the recorded steps."""
     ctx = ctx or EvalContext(heap)
     data, compare = _heap_parts(heap)
     n = len(items := data.children) - 1  # the items left after the get; see heap_put on items
     if n < 0:
         raise EmptyHeap("get on an empty heap")
-    data.swap_children(0, n)  # the last item moves to the top
+    i, path = 0, []
+    while True:
+        smallest, low = i, items[n][1]  # the last item, as if on top
+        for child in (2 * i + 1, 2 * i + 2):
+            if child < n and _heap_less(compare, items[child][1], low, ctx):
+                smallest, low = child, items[child][1]
+        if smallest == i:
+            break
+        path.append((i, smallest))
+        i = smallest
+    data.swap_children(0, n)
     top = data.pop_child()
-    i, swaps = 0, []
-    try:
-        while True:
-            smallest = i
-            for child in (2 * i + 1, 2 * i + 2):
-                if child < n and _heap_less(compare, items[child][1], items[smallest][1], ctx):
-                    smallest = child
-            if smallest == i:
-                break
-            data.swap_children(i, smallest)
-            swaps.append((i, smallest))
-            i = smallest
-    except BaseException:  # undo the swaps, then put the minimum back on top
-        for i, j in reversed(swaps):
-            data.swap_children(i, j)
-        data.add_child(None, top)
-        data.swap_children(0, n)
-        raise
+    for i, child in path:
+        data.swap_children(i, child)
     return top

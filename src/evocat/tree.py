@@ -186,9 +186,6 @@ class Node:
 
     # --- children ---
 
-    def labels(self) -> list[Optional[str]]:
-        return [label for label, _ in self.children]
-
     def child(self, label: str) -> Optional["Node"]:
         for lab, node in self.children:
             if lab == label:
@@ -317,11 +314,6 @@ class Node:
 
     def data_of(self, at: Union[Path, str], ctx=None) -> "Node":
         return data_of(self, _as_path(at), ctx)
-
-    def render(self) -> str:
-        from . import textio
-
-        return textio.render(self)
 
     def __repr__(self) -> str:  # debugging aid only
         if self.kind == LEAF:

@@ -22,7 +22,7 @@ from evocat import (
     render,
     run_entry,
 )
-from evocat.algebra import bool_lattice, coproduct, if_arrow, product
+from evocat.algebra import bool_lattice, coproduct, product
 from evocat.errors import ParseError
 from evocat.evaluator import evaluate
 from evocat.templates import call, heap_get, heap_put, instantiate
@@ -124,8 +124,9 @@ def test_criterion_3_categorical_laws():
     assert len(coproduct(parse("a = 1").root, parse("a = 1").root).children) == 2
     # conditional truth table
     for f, g in itertools.product(range(3), range(3)):
-        assert if_arrow(leaf(1), leaf(f), leaf(g)).value == f
-        assert if_arrow(leaf(0), leaf(f), leaf(g)).value == g
+        for cond, want in ((1, f), (0, g)):
+            term = parse(f"t : if {{ #0 = {cond} #1 = {f} #2 = {g} }}").resolve("t")
+            assert evaluate(term, EvalContext(Node.set_node())).value == want
     # boolean lattice equals the truth tables on all inputs
     for x, y in itertools.product((0, 1), repeat=2):
         assert bool_lattice("and", leaf(x), leaf(y)).value == (x and y)

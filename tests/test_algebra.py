@@ -10,7 +10,6 @@ from evocat.algebra import (
     apply_builtin,
     bool_lattice,
     coproduct,
-    if_arrow,
     nat_compare,
     nat_lattice,
     pair,
@@ -29,9 +28,15 @@ from evocat.errors import (
     NotASet,
     NotBoolean,
 )
+from evocat.evaluator import evaluate
 from evocat.tree import Node, node_equal
 
 from helpers import gen_value_tree, leaf, setn
+
+
+def if_term(cond: Node, f: Node, g: Node) -> Node:
+    """Evaluate the term ``: if { cond f g }``, built of copies of its operands."""
+    return evaluate(setn(cond.copy(), f.copy(), g.copy(), op="if"), EvalContext(Node.set_node()))
 
 
 def bit(node):
@@ -104,20 +109,20 @@ class TestPairIf:
         assert node_equal(pair(f, leaf(2)).child("fst"), f)
 
     def test_if_selects(self):
-        assert if_arrow(leaf(1), leaf(10), leaf(20)).value == 10
-        assert if_arrow(leaf(0), leaf(10), leaf(20)).value == 20
+        assert if_term(leaf(1), leaf(10), leaf(20)).value == 10
+        assert if_term(leaf(0), leaf(10), leaf(20)).value == 20
 
     def test_if_not_boolean(self):
         with pytest.raises(NotBoolean):
-            if_arrow(leaf(7), leaf(1), leaf(2))
+            if_term(leaf(7), leaf(1), leaf(2))
         with pytest.raises(NotBoolean):
-            if_arrow(setn(), leaf(1), leaf(2))
+            if_term(setn(), leaf(1), leaf(2))
 
     def test_if_symmetry(self, rng):
         for c in (0, 1):
             f, g = gen_value_tree(rng, 1), gen_value_tree(rng, 1)
-            lhs = if_arrow(leaf(c), f, g)
-            rhs = if_arrow(bool_lattice("not", leaf(c)), g, f)
+            lhs = if_term(leaf(c), f, g)
+            rhs = if_term(setn(leaf(c), op="not"), g, f)
             assert node_equal(lhs, rhs)
 
 

@@ -10,11 +10,9 @@ from evocat import (
     EvalContext,
     StateTree,
     parse,
-    read_device,
     render,
     run_sequential,
     scripted_clock,
-    write_device,
 )
 from evocat.devices import IN, OUT, ClockDevice
 from evocat.errors import EndOfInput, NotEncodable, UnboundDevice
@@ -30,6 +28,16 @@ def table(lines=("hi",), clock_start=0):
     return t, out
 
 
+def read(t, mount):
+    """Read the input device at the dotted ``mount``, as the machine does."""
+    return t.lookup(Path.parse(mount), IN).read()
+
+
+def write(t, mount, value):
+    """Write ``value`` to the output device at the dotted ``mount``, as the machine does."""
+    t.lookup(Path.parse(mount), OUT).write(value)
+
+
 class TestReads:
     def test_clock_monotonic(self):
         # wall-clock device: two successive reads never go backwards
@@ -38,42 +46,41 @@ class TestReads:
 
     def test_stdin_line_is_code_points(self):
         t, _ = table(lines=["hi"])
-        node = read_device(t, "dev.stdin")
+        node = read(t, "dev.stdin")
         assert [c.value for _, c in node.children] == [104, 105]
 
     def test_end_of_input(self):
         t, _ = table(lines=[])
         with pytest.raises(EndOfInput):
-            read_device(t, "dev.stdin")
+            read(t, "dev.stdin")
 
     def test_read_on_output_mount(self):
         t, _ = table()
-        with pytest.raises(UnboundDevice):
-            read_device(t, "dev.stdout")
-        with pytest.raises(UnboundDevice):
-            read_device(t, "dev.nowhere")
+        with pytest.raises(UnboundDevice, match="cannot read from output device at dev.stdout"):
+            read(t, "dev.stdout")
+        assert t.lookup(Path.parse("dev.nowhere"), IN) is None
 
 
 class TestWrites:
     def test_leaf_prints_decimal(self):
         t, out = table()
-        write_device(t, "dev.stdout", leaf(42))
+        write(t, "dev.stdout", leaf(42))
         assert out.lines == ["42"]
 
     def test_string_sugar_prints_text(self):
         t, out = table()
-        write_device(t, "dev.stdout", parse('s = "ok"').resolve("s"))
+        write(t, "dev.stdout", parse('s = "ok"').resolve("s"))
         assert out.lines == ["ok"]
 
     def test_structured_set_not_encodable(self):
         t, _ = table()
         with pytest.raises(NotEncodable):
-            write_device(t, "dev.stdout", parse("a = 1 b { c = 2 }").root)
+            write(t, "dev.stdout", parse("a = 1 b { c = 2 }").root)
 
     def test_natural_with_too_many_digits(self):
         t, out = table()
         try:
-            write_device(t, "dev.stdout", leaf(10**4400))
+            write(t, "dev.stdout", leaf(10**4400))
         except NotEncodable:
             assert out.lines == []
         else:
@@ -81,8 +88,8 @@ class TestWrites:
 
     def test_write_on_input_mount(self):
         t, _ = table()
-        with pytest.raises(UnboundDevice):
-            write_device(t, "dev.stdin", leaf(1))
+        with pytest.raises(UnboundDevice, match="cannot write to input device at dev.stdin"):
+            write(t, "dev.stdin", leaf(1))
 
 
 class TestMachineIntegration:
@@ -200,4 +207,4 @@ class TestMounts:
         body = parse(f"b {{ #0 {instruction} }}").resolve("b")
         with pytest.raises(UnboundDevice, match=re.escape(path)):
             run_sequential(body, machine, EvalContext(machine, devices=t))
-        assert out.lines == [] and machine.labels() == ["ip"]
+        assert out.lines == [] and [label for label, _ in machine.children] == ["ip"]

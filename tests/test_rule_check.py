@@ -75,7 +75,7 @@ def _set(op, children):
     node = Node.set_node(op=op)
     for label, child in children:
         # a repeated label becomes no label
-        node.add_child(None if label in node.labels() else label, child)
+        node.add_child(None if label in [lab for lab, _ in node.children] else label, child)
     return node
 
 

@@ -1,11 +1,17 @@
 """Templates: instantiation by copy, the call protocol, heap appliance."""
 
 import datetime
+import heapq
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evocat import (
+    CollectingOutput,
+    DeviceTable,
     EvalContext,
     TraceSink,
     call,
@@ -24,6 +30,7 @@ from evocat.errors import (
     EmptyHeap,
     EvalError,
     EvoError,
+    FrozenCode,
     MissingArgument,
     PathUnresolvable,
     UnknownOperation,
@@ -31,7 +38,7 @@ from evocat.errors import (
 from evocat import templates
 from evocat.evaluator import evaluate
 from evocat.templates import bind_operands
-from evocat.tree import Node, node_equal
+from evocat.tree import LEAF, Node, node_equal
 
 from helpers import leaf, node_ids, setn
 
@@ -390,7 +397,7 @@ class TestBindOperands:
         operands = [setn(leaf(1), leaf(2)), leaf(3)]
         bind_operands(instance, operands)
         args = instance.child("args")
-        assert args.labels() == ["arg1", "arg2"]
+        assert [label for label, _ in args.children] == ["arg1", "arg2"]
         assert node_equal(args.child("arg1"), operands[0])
         assert node_equal(args.child("arg2"), operands[1])
         assert not node_ids(args) & (node_ids(operands[0]) | node_ids(operands[1]))
@@ -406,7 +413,53 @@ class TestBindOperands:
         instance = instantiate(load_stdlib(), "fact")
         with pytest.raises(MissingArgument, match="no argument slot named 'm'"):
             templates.assign_argument(instance, "m", leaf(1))
-        assert instance.child("args").labels() == ["n"]
+        assert [label for label, _ in instance.child("args").children] == ["n"]
+
+
+# --- a plain-Python model of the heap's sift-up and sift-down --------------------
+#
+# Items are keys, None standing for the item ``{ a = 1 }`` that every compare
+# with fails.  The model swaps as it compares and works on a copy, so a failed
+# operation leaves the caller's list as it was.
+
+
+class ModelFailed(Exception):
+    pass
+
+
+def model_less(calls, a, b):
+    calls.append((a, b))
+    if a is None or b is None:
+        raise ModelFailed
+    return a < b
+
+
+def model_put(items, key, calls):
+    items = items + [key]
+    i = len(items) - 1
+    while i > 0 and model_less(calls, items[i], items[parent := (i - 1) // 2]):
+        items[i], items[parent] = items[parent], items[i]
+        i = parent
+    return items
+
+
+def model_get(items, calls):
+    items, n = items[:], len(items) - 1
+    items[0], items[n] = items[n], items[0]
+    top, i = items.pop(), 0
+    while True:
+        smallest = i
+        for child in (2 * i + 1, 2 * i + 2):
+            if child < n and model_less(calls, items[child], items[smallest]):
+                smallest = child
+        if smallest == i:
+            return items, top
+        items[i], items[smallest] = items[smallest], items[i]
+        i = smallest
+
+
+def key_of(node):
+    return node.value if node.kind == LEAF else None
 
 
 class TestHeap:
@@ -548,6 +601,98 @@ class TestHeap:
         with pytest.raises(CompareFailed):
             heap_get(heap, ctx)
         self.check_left_as_it_was(heap, ctx, before, keys)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=st.lists(st.integers(-1, 30), max_size=30),  # -1 is a get, k a put of k
+        step=st.integers(0, 30),
+        slot=st.integers(0, 63),
+    )
+    def test_compares_and_order_follow_the_sift_model(self, ops, step, slot):
+        # at ``step`` the item in ``slot`` turns into { a = 1 }, or, on an
+        # empty heap, { a = 1 } is put; compares with it fail from then on
+        heap, ctx = self.fresh_heap()
+        data, model, mirror = heap.child("data"), [], []
+        calls, less = [], templates._heap_less
+
+        def spy(compare, a, b, ctx):
+            calls.append((key_of(a), key_of(b)))
+            return less(compare, a, b, ctx)
+
+        with mock.patch.object(templates, "_heap_less", spy):
+            for index, op in enumerate(ops):
+                if index == step and model:
+                    mirror.remove(model[slot % len(model)])
+                    heapq.heapify(mirror)
+                    model[slot % len(model)] = None
+                    data.child_at(slot % len(model)).become(setn(leaf(1), labels=["a"]))
+                elif index == step:
+                    heap_put(heap, setn(leaf(1), labels=["a"]), ctx)
+                    model = [None]
+                if op < 0 and not model:
+                    continue
+                before, calls[:], want = render(heap), [], []
+                try:
+                    if op < 0:
+                        model, top = model_get(model, want)
+                    else:
+                        model = model_put(model, op, want)
+                except ModelFailed:
+                    with pytest.raises(CompareFailed):
+                        heap_put(heap, leaf(op), ctx) if op >= 0 else heap_get(heap, ctx)
+                    assert render(heap) == before
+                else:
+                    if op < 0:
+                        got = key_of(heap_get(heap, ctx))
+                        assert got == top and (got is None or got == heapq.heappop(mirror))
+                    else:
+                        heap_put(heap, leaf(op), ctx)
+                        heapq.heappush(mirror, op)
+                assert calls == want
+                assert [key_of(node) for _, node in data.children] == model
+
+    def test_a_compare_reads_the_heap_as_it_was_before_the_operation(self):
+        # each compare writes the heap's first two items to stdout; a put or
+        # get compares before it writes, so every compare sees the heap as
+        # it was before the operation, not half sifted or without its top
+        out = CollectingOutput()
+        machine = parse(
+            """heap {
+                 data { }
+                 compare {
+                   args { arg1 = $arg1 arg2 = $arg2 }
+                   mode = 0
+                   body {
+                     #0 { at = [dev.stdout] to = [heap.data.#0] }
+                     #1 { at = [dev.stdout] to = [heap.data.#1] }
+                     #2 { at = [result] to : lt { #0 = [args.arg1] #1 = [args.arg2] } }
+                   }
+                   result = 0
+                 }
+               }"""
+        )
+        heap = machine.child("heap")
+        for key in (3, 5, 8):
+            heap.child("data").add_child(None, leaf(key))
+        ctx = EvalContext(machine, devices=DeviceTable.standard(stdin=[], stdout=out))
+        heap_put(heap, leaf(1), ctx)  # 1 goes above 5, then above 3
+        assert out.lines == ["3", "5", "3", "5"]  # swapping as it compared showed 3 1 at the second
+        del out.chunks[:]
+        assert heap_get(heap, ctx).value == 1  # 5 from the end goes below 3 and 8
+        assert out.lines == ["1", "3", "1", "3"]  # popping the top first showed 5 3 twice
+        assert [key_of(node) for _, node in heap.child("data").children] == [3, 5, 8]
+
+    @pytest.mark.parametrize("op", ["put", "get"])
+    def test_a_frozen_heap_refuses_the_write_after_its_compares(self, op):
+        heap, ctx = self.fresh_heap()
+        for key in (3, 5, 8, 9):
+            heap_put(heap, leaf(key), ctx)
+        heap.child("data").freeze()
+        before, calls = render(heap), ctx.stats["call"]
+        with pytest.raises(FrozenCode):
+            heap_put(heap, leaf(1), ctx) if op == "put" else heap_get(heap, ctx)
+        assert ctx.stats["call"] - calls == 2  # 1 above 5 and 3, or 9 against 5 and 8
+        assert render(heap) == before
 
     def test_a_compare_scans_frames_at_most_six_and_a_half_times(self, rng, monkeypatch):
         # counted work, not time: a call finds args, mode and code once,

@@ -497,8 +497,8 @@ class TestOneWriter:
     def test_swap_and_pop_children(self):
         t = T("a = 1 b = 2 c = 3")
         t.swap_children(0, 2)
-        assert t.labels() == ["c", "b", "a"]
+        assert [label for label, _ in t.children] == ["c", "b", "a"]
         t.swap_children(1, 1)
-        assert t.labels() == ["c", "b", "a"]
+        assert [label for label, _ in t.children] == ["c", "b", "a"]
         assert t.pop_child().value == 1
-        assert t.labels() == ["c", "b"]
+        assert [label for label, _ in t.children] == ["c", "b"]
