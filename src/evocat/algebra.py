@@ -41,25 +41,25 @@ def _bool(node: Node, who: str = "boolean operation") -> int:
 def product(a: Node, b: Node) -> Node:
     """Leaves multiply; sets make all pairs {fst snd}, labeled p0, p1, ..."""
     if a.kind == LEAF and b.kind == LEAF:
-        return new_node(LEAF, a.value * b.value, [], None, None)
+        return new_node(LEAF, a.value * b.value, [], None)
     if a.kind == SET and b.kind == SET:
         pairs = [pair(ca, cb) for _, ca in a.children for _, cb in b.children]
-        return new_node(SET, 0, [(f"p{k}", p) for k, p in enumerate(pairs)], None, None)
+        return new_node(SET, 0, [(f"p{k}", p) for k, p in enumerate(pairs)], None)
     raise MixedKinds(f"product of {a!r} and {b!r}")
 
 
 def coproduct(a: Node, b: Node) -> Node:
     """Leaves add; sets concatenate children, duplicates preserved."""
     if a.kind == LEAF and b.kind == LEAF:
-        return new_node(LEAF, a.value + b.value, [], None, None)
+        return new_node(LEAF, a.value + b.value, [], None)
     if a.kind == SET and b.kind == SET:
         kids = a.children + b.children
-        return new_node(SET, 0, [(f"p{k}", c.copy()) for k, (_, c) in enumerate(kids)], None, None)
+        return new_node(SET, 0, [(f"p{k}", c.copy()) for k, (_, c) in enumerate(kids)], None)
     raise MixedKinds(f"coproduct of {a!r} and {b!r}")
 
 
 def pair(f: Node, g: Node) -> Node:
-    return new_node(SET, 0, [("fst", f.copy()), ("snd", g.copy())], None, None)
+    return new_node(SET, 0, [("fst", f.copy()), ("snd", g.copy())], None)
 
 
 def nat_lattice(op: str, a: Node, b: Node) -> Node:
@@ -74,7 +74,7 @@ def remainder(a: Node, b: Node) -> Node:
     x, y = _nat(a, "rem"), _nat(b, "rem")
     if y == 0:
         raise DivisionByZero(f"rem({x}, 0)")
-    return new_node(LEAF, x % y, [], None, None)
+    return new_node(LEAF, x % y, [], None)
 
 
 def bool_lattice(op: str, *args: Node) -> Node:
@@ -96,7 +96,7 @@ def nat_compare(op: str, a: Node, b: Node) -> Node:
 
 def struct_eq(a: Node, b: Node) -> Node:
     """1 iff the trees are structurally equal (order-sensitive)."""
-    return new_node(LEAF, int(node_equal(a, b)), [], None, None)
+    return new_node(LEAF, int(node_equal(a, b)), [], None)
 
 
 def select(m: Node, predicate: Node, ctx) -> Node:
@@ -128,7 +128,7 @@ def select(m: Node, predicate: Node, ctx) -> Node:
             ctx.scope = scope
         if _bool(result, "select predicate"):
             kept.append((label, child.copy()))
-    return new_node(SET, 0, kept, None, None)
+    return new_node(SET, 0, kept, None)
 
 
 def _predicate_vars(node: Node) -> set[str]:
@@ -137,7 +137,7 @@ def _predicate_vars(node: Node) -> set[str]:
     while stack:
         node = stack.pop()
         if node.kind == VAR:
-            names.add(node.var)
+            names.add(node.value)
         elif node.kind == SET:
             if node.op is not None and node.op.startswith("$"):
                 raise EvalError("function variables are not allowed in select predicates")
@@ -149,17 +149,16 @@ def _predicate_vars(node: Node) -> set[str]:
 _EAGER_OPS = {
     "prod": (2, product), "sum": (2, coproduct), "pair": (2, pair),
     "rem": (2, remainder), "seteq": (2, struct_eq),
-    "not": (1, lambda a: new_node(LEAF, 1 - _bool(a, "not"), [], None, None)),
-    "min": (2, lambda a, b: new_node(LEAF, min(_nat(a, "min"), _nat(b, "min")), [], None, None)),
-    "max": (2, lambda a, b: new_node(LEAF, max(_nat(a, "max"), _nat(b, "max")), [], None, None)),
-    "monus": (2, lambda a, b: new_node(LEAF, max(_nat(a, "monus") - _nat(b, "monus"), 0), [], None, None)),
-    "and": (2, lambda a, b: new_node(LEAF, _bool(a, "and") & _bool(b, "and"), [], None, None)),
-    "or": (2, lambda a, b: new_node(LEAF, _bool(a, "or") | _bool(b, "or"), [], None, None)),
-    "implies": (2, lambda a, b: new_node(
-        LEAF, (1 - _bool(a, "implies")) | _bool(b, "implies"), [], None, None)),
-    "eq": (2, lambda a, b: new_node(LEAF, int(_nat(a, "eq") == _nat(b, "eq")), [], None, None)),
-    "le": (2, lambda a, b: new_node(LEAF, int(_nat(a, "le") <= _nat(b, "le")), [], None, None)),
-    "lt": (2, lambda a, b: new_node(LEAF, int(_nat(a, "lt") < _nat(b, "lt")), [], None, None)),
+    "not": (1, lambda a: new_node(LEAF, 1 - _bool(a, "not"), [], None)),
+    "min": (2, lambda a, b: new_node(LEAF, min(_nat(a, "min"), _nat(b, "min")), [], None)),
+    "max": (2, lambda a, b: new_node(LEAF, max(_nat(a, "max"), _nat(b, "max")), [], None)),
+    "monus": (2, lambda a, b: new_node(LEAF, max(_nat(a, "monus") - _nat(b, "monus"), 0), [], None)),
+    "and": (2, lambda a, b: new_node(LEAF, _bool(a, "and") & _bool(b, "and"), [], None)),
+    "or": (2, lambda a, b: new_node(LEAF, _bool(a, "or") | _bool(b, "or"), [], None)),
+    "implies": (2, lambda a, b: new_node(LEAF, (1 - _bool(a, "implies")) | _bool(b, "implies"), [], None)),
+    "eq": (2, lambda a, b: new_node(LEAF, int(_nat(a, "eq") == _nat(b, "eq")), [], None)),
+    "le": (2, lambda a, b: new_node(LEAF, int(_nat(a, "le") <= _nat(b, "le")), [], None)),
+    "lt": (2, lambda a, b: new_node(LEAF, int(_nat(a, "lt") < _nat(b, "lt")), [], None)),
 }
 
 #: Operation identifiers recognized by the evaluator (case-sensitive).

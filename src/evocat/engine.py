@@ -57,7 +57,7 @@ from .evaluator import (
     Frame,
     compile_term,
     evaluate,
-    is_function_instance,
+    frame_of,
     is_value,
     run_term,
     sweep_enters,
@@ -133,16 +133,16 @@ class Pattern:
         while work:
             p, *where = work.pop()
             if p.kind == VAR:
-                steps.append((_SAME if p.var in bound else _BIND, *where, p.var, None))
-                bound.add(p.var)
+                steps.append((_SAME if p.value in bound else _BIND, *where, p.value, None))
+                bound.add(p.value)
             elif p.kind in (LEAF, REF):
-                steps.append((p.kind, *where, p.value, p.ref))
+                steps.append((p.kind, *where, p.value, None))
             elif p.kind == HOLE:
                 raise EvalError("hole nodes cannot appear in patterns")
             elif p.op is not None and p.op.startswith("$"):  # not looked into
                 if len(p.children) != 1 or p.children[0][1].kind != VAR:
                     raise EvalError(f"function variable {p.op} must be applied to exactly one variable")
-                applied.append((p.op[1:], p.children[0][1].var))
+                applied.append((p.op[1:], p.children[0][1].value))
                 steps.append((_DEFER, *where, *applied[-1]))
             else:
                 steps.append((SET, *where, p.op, len(p.children)))
@@ -158,9 +158,9 @@ class Pattern:
 
 class Template:
     """An rhs as a postorder list of build steps ``(kind, label, arity,
-    value, name, ref)``, each pushing a ``(label, node)`` pair: a skeleton
-    node of ``kind`` over the last ``arity`` pairs, a copy of the binding
-    of ``name`` (``VAR``), or ``$name`` plugged with what template ``ref``
+    value, name)``, each pushing a ``(label, node)`` pair: a skeleton node
+    of ``kind`` over the last ``arity`` pairs, a copy of the binding of
+    ``name`` (``VAR``), or ``$name`` plugged with what template ``value``
     builds (``_PLUG``).  ``closed``: the skeleton has no reference and no
     ``select``; ``copies`` and ``plugs`` are the variables and ``(name,
     argument template)`` pairs used."""
@@ -179,10 +179,10 @@ class Template:
         while work:
             node, label, into = work.pop()
             if node.kind == VAR:
-                if node.var not in bound:
-                    raise UnboundVariable(f"${node.var} is not bound")
-                into.copies.add(node.var)
-                into.steps.append((VAR, label, 0, 0, node.var, None))
+                if node.value not in bound:
+                    raise UnboundVariable(f"${node.value} is not bound")
+                into.copies.add(node.value)
+                into.steps.append((VAR, label, 0, 0, node.value))
             elif node.kind == HOLE:
                 raise EvalError("hole nodes cannot appear in templates")
             elif node.op is not None and node.op.startswith("$"):
@@ -193,11 +193,11 @@ class Template:
                     raise EvalError(f"function variable ${name} must be applied to exactly one argument")
                 templates.append(cls())
                 into.plugs.append((name, templates[-1]))
-                into.steps.append((_PLUG, label, 0, 0, name, templates[-1]))
+                into.steps.append((_PLUG, label, 0, templates[-1], name))
                 work.append((node.children[0][1], None, templates[-1]))
             else:
                 into.closed = into.closed and node.kind != REF and node.op != "select"
-                into.steps.append((node.kind, label, len(node.children), node.value, node.op, node.ref))
+                into.steps.append((node.kind, label, len(node.children), node.value, node.op))
                 work += [(c, lab, into) for lab, c in reversed(node.children)]
         for template in templates:
             template.steps.reverse()
@@ -233,17 +233,13 @@ def match(pattern: Union[Pattern, Node], subject: Node) -> Optional[Binding]:
             registers.append(node.children)
         elif code == _BIND:
             bound[a] = node
-        elif code == LEAF:
-            if node.kind != LEAF or node.value != a:
-                return None
         elif code == _SAME:
             if not node_equal(bound[a], node):
                 return None
-        elif code == REF:
-            if node.kind != REF or node.ref != b:
-                return None
-        else:
+        elif code == _DEFER:
             deferred.append((a, b, node))
+        elif node.kind != code or node.value != a:  # a leaf or a reference
+            return None
     binding = Binding(bound)
     if deferred and not _abstract(deferred, binding):
         return None
@@ -275,16 +271,16 @@ def substitute(template: Union[Template, Node], binding: Binding) -> Node:
     if not isinstance(template, Template):
         template = Template.of(template, binding.vars, binding.funcs)
     stack: list[tuple[Optional[str], Node]] = []
-    for kind, label, arity, value, name, ref in template.steps:
+    for kind, label, arity, value, name in template.steps:
         if kind == VAR:
             node = binding.vars[name].copy()
         elif kind == _PLUG:
-            node = binding.funcs[name].plug(substitute(ref, binding))
+            node = binding.funcs[name].plug(substitute(value, binding))
         else:
             kids = stack[: -arity - 1 : -1]  # the last pushed is the leftmost
             if arity:
                 del stack[-arity:]
-            node = new_node(kind, value, kids, name, ref)
+            node = new_node(kind, value, kids, name)
         stack.append((label, node))
     return stack[0][1]
 
@@ -305,7 +301,7 @@ def instructions_from(body: Node) -> list[Instruction]:
             raise EvalError(f"instruction #{index} must have exactly 'at' and 'to'")
         if at.kind != REF:
             raise EvalError(f"instruction #{index}: 'at' must be an address [path]")
-        program.append(Instruction(at.ref, compile_term(to)))
+        program.append(Instruction(at.value, compile_term(to)))
     return program
 
 
@@ -361,7 +357,7 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None, r
     record.program = _program(body, instructions_from)
     try:
         index, kids = 0, frame.children
-        ip_node = frame.set_child("ip", new_node(LEAF, 0, [], None, None))
+        ip_node = frame.set_child("ip", new_node(LEAF, 0, [], None))
         while index < len(record.program):
             inst = record.program[index]
             if ctx.trace is not None:
@@ -371,7 +367,7 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None, r
                 _apply_write(frame, inst.at, run_term(inst.steps, ctx), ctx)
                 trusted, kids = frame.children is kids and ip_node.frozen is None, frame.children
                 if inst.at != _IP:
-                    ip = new_node(LEAF, index + 1, [], None, None)
+                    ip = new_node(LEAF, index + 1, [], None)
                     ip_node = ip_node.become(ip) if trusted else frame.set_child("ip", ip)
                 elif not trusted:
                     ip_node = frame.child("ip")
@@ -425,9 +421,9 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
     Later formulas scan the whole frame.  It does so when the one-hit
     round's sweep forced no reference, ``h`` is not a leaf, holds no
     reference and no ``select``, sits where the sweep goes, and was not
-    written at a label that ``is_function_instance`` reads; and when,
-    after ``evaluate(h)``, ``h`` is still not a value.  Otherwise the
-    round runs in full.  Why that is exact:
+    written at a label that ``frame_of`` reads; and when, after
+    ``evaluate(h)``, ``h`` is still not a value.  Otherwise the round runs
+    in full.  Why that is exact:
 
     - After a sweep the frame is in sweep-normal form: a second sweep fires
       nothing and spends no fuel.  A sweep that forced a reference may
@@ -577,7 +573,7 @@ def _collect_matches(
             hits.append((node, Path(segs), binding))
             return
     # only an op-less set can be a function instance; the scan stops there
-    if node.kind != SET or (node.op is None and is_function_instance(node)):
+    if node.kind != SET or (node.op is None and frame_of(node)):
         return
     for index, (label, child) in enumerate(node.children):
         # a child that is not a set is visited only when it may match

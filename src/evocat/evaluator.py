@@ -152,8 +152,8 @@ class EvalContext:
                 record.code, record.program = twin, instructions_from(twin)
 
 
-#: the labels ``is_function_instance`` reads: a write below one of them may
-#: change whether its holder is a function instance
+#: the labels ``frame_of`` reads: a write below one of them may change
+#: whether its holder is a function instance
 SHAPE_LABELS = frozenset({"args", "mode", "result", *_CODE_LABELS.values()})
 
 
@@ -182,16 +182,12 @@ def frame_of(node: Node) -> Optional[Frame]:
     return Frame(node, args, mode, code, result) if code is not None and code.kind == SET else None
 
 
-def is_function_instance(node: Node) -> Optional[Node]:
-    """``frame_of(node)``'s code node, or None."""
-    return (record := frame_of(node)) and record.code
-
-
 def freeze_code(template: Node) -> Optional[Node]:
-    """``is_function_instance(template)``, frozen: copies share a frozen root."""
-    if (code := is_function_instance(template)) is not None:
-        code.freeze()
-    return code
+    """``frame_of(template)``'s code node, frozen: copies share a frozen root."""
+    if (record := frame_of(template)) is None:
+        return None
+    record.code.freeze()
+    return record.code
 
 
 def instance_args_ready(record: Frame) -> Optional[str]:
@@ -217,7 +213,7 @@ def is_value(node: Node) -> bool:
     stack = [node]
     while stack:
         node = stack.pop()
-        if is_function_instance(node):
+        if frame_of(node):
             continue
         for _, child in node.children:
             kind = child.kind
@@ -322,7 +318,7 @@ def evaluate(node: Node, ctx: EvalContext, lenient: bool = False) -> Node:
     """
     kind = node.kind
     if kind == REF:
-        value = deref(node.ref, ctx, lenient)
+        value = deref(node.value, ctx, lenient)
         ctx.transition("deref")
         return node.become(value)
     if kind != SET:
@@ -330,7 +326,7 @@ def evaluate(node: Node, ctx: EvalContext, lenient: bool = False) -> Node:
     op = node.op
     if op is None:
         # only an op-less set can be a function instance
-        if not is_function_instance(node):
+        if not frame_of(node):
             _eval_children(node, ctx, lenient)
         return node
     if op == "if":
@@ -440,10 +436,8 @@ def compile_term(term: Node) -> list[tuple]:
     while work:
         node = work.pop()
         kind = node.kind
-        if kind == LEAF:
-            steps.append((LEAF, node.value, 0))
-        elif kind == REF:
-            steps.append((REF, node.ref, 0))
+        if kind == LEAF or kind == REF:
+            steps.append((kind, node.value, 0))
         elif kind == SET and node.op in algebra._EAGER_OPS:
             steps.append((SET, node.op, len(node.children)))
             work.extend([child for _, child in node.children])
@@ -465,7 +459,7 @@ def run_term(steps: list[tuple], ctx: EvalContext) -> Node:
             value = deref(payload, ctx)
             ctx.transition("deref")
         elif code == LEAF:
-            value = new_node(LEAF, payload, [], None, None)
+            value = new_node(LEAF, payload, [], None)
         elif code == SET:
             cut = len(stack) - arity
             value = algebra.apply_builtin(payload, stack[cut:])

@@ -186,11 +186,11 @@ def _parse(tokens: list[str], allow_vars: bool) -> Node:
         elif not stack:
             if tok:
                 raise _Fault(ParseError, "expected an entry", i)
-            return new_node(SET, 0, kids, None, None)
+            return new_node(SET, 0, kids, None)
         else:
             if tok != "}":
                 raise _Fault(ParseError, "expected '}'", i)
-            node = new_node(SET, 0, kids, op, None)
+            node = new_node(SET, 0, kids, op)
             kids, seen, op, label = stack.pop()
             i += 1
             if kids is None:
@@ -203,7 +203,7 @@ def _parse(tokens: list[str], allow_vars: bool) -> Node:
         if tok == "=":
             tok = tokens[i + 2]
             if tok.isdigit():
-                kids.append((label, new_node(LEAF, int(tok), [], None, None)))
+                kids.append((label, new_node(LEAF, int(tok), [], None)))
                 i += 3
             else:
                 node, i = _value(tokens, i + 2, allow_vars)
@@ -242,7 +242,7 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
     index after it."""
     tok = tokens[i]
     if tok.isdigit():
-        return new_node(LEAF, int(tok), [], None, None), i + 1
+        return new_node(LEAF, int(tok), [], None), i + 1
     c = tok[:1]
     if c == '"':
         text = tok[1:-1]
@@ -252,7 +252,7 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
     if c == "$":
         if not allow_vars:
             raise _Fault(VariablesOutsideRules, f"variable {tok} in a plain state file", i)
-        return new_node(VAR, 0, [], None, None, tok[1:]), i + 1
+        return new_node(VAR, tok[1:], [], None), i + 1
     if tok != "[":
         raise _Fault(ParseError, "expected a value", i)
     segs: list = []
@@ -270,7 +270,7 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
         i += 1
     if tokens[i + 1] != "]":
         raise _Fault(ParseError, "expected ']'", i + 1)
-    return new_node(REF, 0, [], None, Path(segs)), i + 2
+    return new_node(REF, Path(segs), [], None), i + 2
 
 
 # --- string sugar ---------------------------------------------------------
@@ -278,8 +278,8 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
 
 def encode_text(text: str) -> Node:
     """A string as a set node of unlabeled code-point leaves."""
-    kids = [(None, new_node(LEAF, ord(ch), [], None, None)) for ch in text]
-    return new_node(SET, 0, kids, None, None)
+    kids = [(None, new_node(LEAF, ord(ch), [], None)) for ch in text]
+    return new_node(SET, 0, kids, None)
 
 
 def decode_text(node: Node) -> Optional[str]:
@@ -331,9 +331,9 @@ def _atom(node: Node) -> Optional[str]:
     if kind == LEAF:
         return str(node.value)
     if kind == REF:
-        return f"[{node.ref}]"
+        return f"[{node.value}]"
     if kind == VAR:
-        return f"${node.var}"
+        return f"${node.value}"
     if kind == HOLE:
         return "$__hole__"
     sugar = _sugar_text(node)

@@ -5,7 +5,10 @@ significant, labels unique among siblings, a child may also be unlabeled and
 addressable only by position).  Leaves hold arbitrary-precision naturals.
 Two further node kinds exist for programs: a reference ``[path]`` and a
 pattern variable ``$x``; a fifth internal kind marks the hole of a
-function-variable abstraction and never appears in files.
+function-variable abstraction and never appears in files.  A node has one
+payload slot, ``value``: a leaf's natural, a reference's ``Path``, a
+variable's name, and 0 for a set or a hole.  ``Node.leaf``, ``ref_node``
+and ``var_node`` refuse a natural, segment or name that text cannot hold.
 
 Addressing follows the usual path discipline: the empty path is the
 identity, composition is concatenation, a label segment selects the child
@@ -17,12 +20,13 @@ replacement, implemented as in-place "becoming" so that views into a tree
 stay valid across transitions.  A machine state is just its root ``Node``, and a view is the
 subtree node itself, so a replacement through a view is seen outside it.
 
-This module is the only writer of a node's children: outside it
-``Node.children`` is read-only.  The writers are the constructors
-(``Node``, whose fields may be given by position or keyword, and the
-slot-setting ``new_node``, which the parser and the rhs builder use),
-``add_child``, ``set_child``, ``set_nodes``, ``swap_children``, ``pop_child``
-and ``become``; a copy with some subtrees replaced is built by ``rebuild``.
+This module is the only writer of a node's slots: outside it they are
+read-only.  The writers are the constructors (``Node(kind, value,
+children, op)``, whose fields may be given by position or keyword, and the
+unchecked ``new_node(kind, value, children, op)``, which the parser and
+the rhs builder use), ``add_child``, ``set_child``, ``set_nodes``,
+``swap_children``, ``pop_child`` and ``become``; a copy with some subtrees
+replaced is built by ``rebuild``.
 Copies share frozen template code (``Node.freeze``), which those writers
 refuse and ``replace_subtree`` un-shares before it writes: copy-on-write.
 """
@@ -134,32 +138,28 @@ class Node:
     ``()`` below a frozen code root, or on it a one-slot program cache.
     """
 
-    __slots__ = ("kind", "value", "children", "op", "ref", "var", "frozen")
+    __slots__ = ("kind", "value", "children", "op", "frozen")
 
     def __init__(
         self,
         kind: str,
-        value: int = 0,
+        value: Union[int, Path, str] = 0,
         children: Optional[list[tuple[Optional[str], "Node"]]] = None,
         op: Optional[str] = None,
-        ref: Optional[Path] = None,
-        var: Optional[str] = None,
     ):
         self.kind = kind
         self.value = value
         self.children: list[tuple[Optional[str], Node]] = children if children is not None else []
         self.op = op
-        self.ref = ref
-        self.var = var
         self.frozen = None
 
     # --- constructors ---
 
     @classmethod
     def leaf(cls, value: int) -> "Node":
-        if value < 0:
-            raise ValueError("leaf values are naturals")
-        return new_node(LEAF, value, [], None, None)
+        if type(value) is not int or value < 0:
+            raise ValueError(f"a leaf holds a natural, not {value!r}")
+        return new_node(LEAF, value, [], None)
 
     @classmethod
     def set_node(
@@ -174,11 +174,17 @@ class Node:
 
     @classmethod
     def ref_node(cls, path: Union[Path, str]) -> "Node":
-        return cls(REF, 0, None, None, _as_path(path))
+        path = _as_path(path)
+        for seg in path:
+            if not (_IDENT_RE.match(seg) if isinstance(seg, str) else type(seg) is int and seg >= 0):
+                raise ValueError(f"a path segment is an identifier or an ordinal, not {seg!r}")
+        return new_node(REF, Path(path), [], None)  # a Path, also when given a tuple
 
     @classmethod
     def var_node(cls, name: str) -> "Node":
-        return cls(VAR, 0, None, None, None, name)
+        if not _IDENT_RE.match(name):
+            raise ValueError(f"a variable is named by an identifier, not {name!r}")
+        return new_node(VAR, name, [], None)
 
     @classmethod
     def hole(cls) -> "Node":
@@ -254,8 +260,7 @@ class Node:
         new = dst = object.__new__(Node)
         src, work = self, []
         while True:
-            dst.kind, dst.value, dst.op = src.kind, src.value, src.op
-            dst.ref, dst.var, dst.frozen = src.ref, src.var, None
+            dst.kind, dst.value, dst.op, dst.frozen = src.kind, src.value, src.op, None
             dst.children = kids = []
             for label, child in src.children:
                 if child.frozen:  # share frozen code
@@ -266,7 +271,7 @@ class Node:
                     work.append((child, twin))
                 else:
                     twin.kind, twin.value, twin.op = child.kind, child.value, child.op
-                    twin.ref, twin.var, twin.children, twin.frozen = child.ref, child.var, [], None
+                    twin.children, twin.frozen = [], None
             if not work:
                 return new
             src, dst = work.pop()
@@ -293,8 +298,6 @@ class Node:
         self.value = other.value
         self.children = other.children
         self.op = other.op
-        self.ref = other.ref
-        self.var = other.var
         return self
 
     # --- the node as a machine state (path-addressed operations) ---
@@ -322,28 +325,23 @@ class Node:
             except ValueError:  # more digits than this interpreter converts
                 return f"<leaf of {self.value.bit_length()} bits>"
         if self.kind == REF:
-            return f"<ref [{self.ref}]>"
+            return f"<ref [{self.value}]>"
         if self.kind == VAR:
-            return f"<var ${self.var}>"
+            return f"<var ${self.value}>"
         if self.kind == HOLE:
             return "<hole>"
         op = f" :{self.op}" if self.op else ""
         return f"<set{op} |{len(self.children)}|>"
 
 
-def new_node(
-    kind: str, value: int, children: list, op: Optional[str], ref: Optional[Path],
-    var: Optional[str] = None,
-) -> Node:
-    """A node with its slots set directly, not through ``__init__``: it
-    adopts ``children`` as its list."""
+def new_node(kind: str, value: Union[int, Path, str], children: list, op: Optional[str]) -> Node:
+    """A node with its slots set directly, not through ``__init__`` and
+    unchecked: it adopts ``children`` as its list."""
     node = object.__new__(Node)
     node.kind = kind
     node.value = value
     node.children = children
     node.op = op
-    node.ref = ref
-    node.var = var
     node.frozen = None
     return node
 
@@ -359,18 +357,12 @@ def node_equal(a: Node, b: Node) -> bool:
         kind = a.kind
         if kind != b.kind:
             return False
-        if kind == LEAF:
+        if kind != SET:
             if a.value != b.value:
                 return False
-        elif kind == REF:
-            if a.ref != b.ref:
-                return False
-        elif kind == VAR:
-            if a.var != b.var:
-                return False
-        elif kind == SET:
-            if a.op != b.op or len(a.children) != len(b.children):
-                return False
+        elif a.op != b.op or len(a.children) != len(b.children):
+            return False
+        else:
             for (la, ca), (lb, cb) in zip(a.children, b.children):
                 if la != lb:
                     return False
@@ -395,8 +387,6 @@ def rebuild(node: Node, swap: Callable[[Node], Optional[Node]]) -> Node:
             new.kind = src.kind
             new.value = src.value
             new.op = src.op
-            new.ref = src.ref
-            new.var = src.var
             new.frozen = None
             new.children = into = []
             for lab, child in reversed(src.children):

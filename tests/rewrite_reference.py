@@ -20,7 +20,7 @@ from typing import Optional
 
 from evocat.engine import RESERVED_FRAME_LABELS, Formula, formulas_from
 from evocat.errors import EvalError, UnboundVariable
-from evocat.evaluator import EvalContext, evaluate, is_function_instance
+from evocat.evaluator import EvalContext, evaluate, frame_of
 from evocat.tree import HOLE, LEAF, REF, SET, VAR, Node, Path, Segment, node_equal, rebuild
 
 
@@ -64,16 +64,16 @@ def _walk(pattern: Node, subject: Node, binding: Binding, deferred: list) -> boo
         if pl != tl:
             return False
         if p.kind == VAR:
-            seen = binding.vars.get(p.var)
+            seen = binding.vars.get(p.value)
             if seen is None:
-                binding.vars[p.var] = t
+                binding.vars[p.value] = t
             elif not node_equal(seen, t):
                 return False
         elif p.kind == LEAF:
             if t.kind != LEAF or p.value != t.value:
                 return False
         elif p.kind == REF:
-            if t.kind != REF or p.ref != t.ref:
+            if t.kind != REF or p.value != t.value:
                 return False
         elif p.kind == HOLE:
             raise EvalError("hole nodes cannot appear in patterns")
@@ -82,7 +82,7 @@ def _walk(pattern: Node, subject: Node, binding: Binding, deferred: list) -> boo
                 raise EvalError(
                     f"function variable {p.op} must be applied to exactly one variable"
                 )
-            deferred.append((p.op[1:], p.children[0][1].var, t))
+            deferred.append((p.op[1:], p.children[0][1].value, t))
         elif t.kind != SET or p.op != t.op or len(p.children) != len(t.children):
             return False
         else:
@@ -116,9 +116,9 @@ def substitute(template: Node, binding: Binding) -> Node:
 
     def swap(node: Node) -> Optional[Node]:
         if node.kind == VAR:
-            bound = binding.vars.get(node.var)
+            bound = binding.vars.get(node.value)
             if bound is None:
-                raise UnboundVariable(f"${node.var} is not bound")
+                raise UnboundVariable(f"${node.value} is not bound")
             return bound.copy()
         if node.kind == HOLE:
             raise EvalError("hole nodes cannot appear in templates")
@@ -154,7 +154,7 @@ def _collect_matches(
             hits.append((node, Path(segs), binding))
             return
     # only an op-less set can be a function instance; the scan stops there
-    if node.kind != SET or (node.op is None and is_function_instance(node)):
+    if node.kind != SET or (node.op is None and frame_of(node)):
         return
     for index, (label, child) in enumerate(node.children):
         # a child that is not a set is visited only when it may match

@@ -50,6 +50,22 @@ class TestMatch:
     def test_literal_mismatch_fails(self):
         assert match(pat("p : gcd { #0 = $X #1 = 0 }"), gcd_term(7, 3)) is None
 
+    @pytest.mark.parametrize(
+        "lhs, subject, matches",
+        [
+            ("1", "1", True),
+            ("[a.#1]", "[a.#1]", True),
+            ("1", "[a]", False),
+            ("[a]", "1", False),
+            ("[a]", "[b]", False),
+            ("[a]", "[a.b]", False),
+            ("{ x = 0 }", "{ x { } }", False),  # a set's payload is 0 too
+            ("{ x = [a] y = 2 }", "{ x = [a] y = 2 }", True),
+        ],
+    )
+    def test_a_leaf_or_reference_matches_its_kind_and_payload(self, lhs, subject, matches):
+        assert (match(parse(lhs), parse(subject)) is not None) is matches
+
     def test_labels_and_arity_must_agree(self):
         assert match(pat("p { a = $X }"), parse("b = 1").root) is None
         assert match(pat("p { a = $X }"), parse("a = 1 b = 2").root) is None
@@ -195,7 +211,7 @@ class TestSubstitute:
 
             def walk(n):
                 if n.kind == "var":
-                    binding[n.var] = setn(leaf(rng.randrange(5)), op=None)
+                    binding[n.value] = setn(leaf(rng.randrange(5)), op=None)
                 for _, c in n.children:
                     walk(c)
 

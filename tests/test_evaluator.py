@@ -339,7 +339,7 @@ class TestTemplateValues:
         )
         g = t.data_of("g")
         assert g.child("mode").value == 0
-        assert g.child("args").child("n").var == "n"
+        assert g.child("args").child("n").value == "n"
 
 
 class TestLeanSweep:

@@ -55,10 +55,10 @@ def subjects(draw, lhs):
 
         def swap(n):
             if n.kind == VAR:
-                return next(sources)[n.var].copy()
+                return next(sources)[n.value].copy()
             if n.op != "$h":
                 return None
-            argument = next(sources)[n.children[0][1].var].copy()
+            argument = next(sources)[n.children[0][1].value].copy()
             return {"term": setn(argument, leaf(1), op="g"), "constant": leaf(2), "identity": argument}[
                 next(picks)
             ]

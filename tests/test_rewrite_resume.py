@@ -47,7 +47,7 @@ def listing(frame):
     """Every node of ``frame`` in preorder, with what ``render`` would write
     of it; unlike ``render``, it takes trees deeper than 200 sets."""
     return [
-        (n.kind, n.value, n.op, n.ref, n.var, [label for label, _ in n.children]) for n in preorder(frame)
+        (n.kind, n.value, n.op, [label for label, _ in n.children]) for n in preorder(frame)
     ]
 
 
@@ -82,7 +82,7 @@ def variables(lhs):
     while work:
         node = work.pop()
         if node.kind == VAR:
-            names.add(node.var)
+            names.add(node.value)
         has_h = has_h or node.op == "$h"
         work.extend(child for _, child in node.children)
     return sorted(names), has_h

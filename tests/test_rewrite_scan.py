@@ -8,7 +8,7 @@ from evocat import EvalContext, TraceSink, load_stdlib, parse, render, run_entry
 from evocat import engine
 from evocat.engine import Formula, Pattern, _collect_matches, match, run_rewrite
 from evocat.errors import EvoError
-from evocat.evaluator import is_function_instance
+from evocat.evaluator import frame_of
 from evocat.tree import SET, VAR, Node, Path, node_equal, rebuild
 
 from helpers import atom_x, filled, leaf, make_instance, patterns, setn, shapes
@@ -21,7 +21,7 @@ def reference_collect(lhs, node, path, hits):
     if binding is not None:
         hits.append((node, path, binding))
         return
-    if node.kind != SET or is_function_instance(node):
+    if node.kind != SET or frame_of(node):
         return
     for index, (label, child) in enumerate(node.children):
         seg = label if label is not None else index

@@ -18,7 +18,7 @@ def _collect_vars(
     node: Node, index: int, side: str, first_order: set, funcs: set, fn_args: set
 ) -> None:
     if node.kind == VAR:
-        first_order.add(node.var)
+        first_order.add(node.value)
         return
     if node.kind == HOLE:
         raise EvalError(f"formula #{index}: hole nodes cannot appear in the {side}")
@@ -35,7 +35,7 @@ def _collect_vars(
             )
         funcs.add(node.op[1:])
         if argument.kind == VAR:
-            fn_args.add(argument.var)
+            fn_args.add(argument.value)
         else:
             _collect_vars(argument, index, side, first_order, funcs, fn_args)
         return
@@ -175,7 +175,7 @@ def rules(src: str) -> Node:
 )
 def test_a_rejection_names_the_formula_and_side(formula, error, message):
     text = f"#0 {{ lhs = 1 rhs = 2 }} #1 {{ {formula} }}"
-    holed = rebuild(rules(text), lambda n: Node.hole() if n.kind == VAR and n.var == "H" else None)
+    holed = rebuild(rules(text), lambda n: Node.hole() if n.kind == VAR and n.value == "H" else None)
     with pytest.raises(error) as info:
         formulas_from(holed)
     assert type(info.value) is error

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from evocat import EvalContext, TraceSink, instantiate, load_stdlib, parse, render, run_entry
 from evocat import engine
 from evocat.errors import EvoError, FrozenCode
-from evocat.evaluator import is_function_instance
+from evocat.evaluator import frame_of
 from evocat.tree import Node, node_equal
 
 from helpers import node_ids, transitions
@@ -199,7 +199,7 @@ class TestSharing:
         for name, code in (("fact", "body"), ("gcd", "rules")):
             inst = instantiate(lib, name)
             assert inst.child(code) is lib.resolve(name).child(code)
-            assert is_function_instance(inst) is inst.child(code)
+            assert frame_of(inst).code is inst.child(code)
         # the node copied is private; only the code root is shared
         assert inst is not lib.resolve("gcd")
         assert inst.child("args") is not lib.resolve("gcd.args")

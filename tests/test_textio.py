@@ -44,11 +44,11 @@ class TestParse:
 
     def test_reference(self):
         t = parse("a = [x.y.#2]")
-        assert t.resolve("a").ref == Path.parse("x.y.#2")
+        assert t.resolve("a").value == Path.parse("x.y.#2")
 
     def test_variables_gated(self):
         t = parse("p = $X")
-        assert t.resolve("p").var == "X"
+        assert t.resolve("p").value == "X"
         with pytest.raises(VariablesOutsideRules):
             parse("p = $X", allow_vars=False)
         with pytest.raises(VariablesOutsideRules):
@@ -96,7 +96,7 @@ class TestParse:
 
     def test_bare_body_documents(self):
         assert parse("5").root.value == 5
-        assert parse("[a.b]").root.ref == Path.parse("a.b")
+        assert parse("[a.b]").root.value == Path.parse("a.b")
         assert parse('"hi"').root.children[1][1].value == ord("i")
         assert parse(": sum { #0 = 1 #1 = 2 }").root.op == "sum"
         assert parse("{ a = 1 }").resolve("a").value == 1

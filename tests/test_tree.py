@@ -1,5 +1,6 @@
 """Addressing, replacement, and view semantics of the state tree."""
 
+import itertools
 import random
 import re
 from pathlib import Path as FsPath
@@ -8,11 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evocat import load_stdlib, parse, render
-from evocat.engine import run_rewrite, run_sequential
-from evocat.errors import NotASet, OrdinalInMeet, PathUnresolvable
+from evocat import EvalContext, load_stdlib, parse, render
+from evocat.algebra import _EAGER_OPS, apply_builtin
+from evocat.engine import match, run_rewrite, run_sequential, substitute
+from evocat.errors import EvoError, NotASet, OrdinalInMeet, PathUnresolvable
+from evocat.evaluator import evaluate
 from evocat.textio import encode_text
 from evocat.tree import (
+    HOLE,
+    LEAF,
+    REF,
+    SET,
     VAR,
     Node,
     Path,
@@ -78,7 +85,7 @@ def snapshot(root: Node) -> list:
     out, stack = [], [(0, None, root)]
     while stack:
         depth, label, node = stack.pop()
-        out.append((depth, label, node.kind, node.value, node.op, node.ref, node.var))
+        out.append((depth, label, node.kind, node.value, node.op))
         stack.extend((depth + 1, lab, kid) for lab, kid in reversed(node.children))
     return out
 
@@ -275,7 +282,7 @@ class TestCopy:
         assert node_equal(dup, tree)
         assert not node_ids(dup) & node_ids(tree)
         assert snapshot(tree) == before
-        assert snapshot(dup) == before  # payloads, ``ref`` paths included
+        assert snapshot(dup) == before  # payloads, reference paths included
 
     def test_node_equal_tells_deep_chains_apart(self):
         assert node_equal(chain(5000, Node.leaf(1)), chain(5000, Node.leaf(1)))
@@ -289,14 +296,28 @@ class TestCopy:
         assert not node_equal(Node.var_node("X"), Node.var_node("Y"))
 
 
+#: the type of ``value`` for each kind; a set's and a hole's is 0
+PAYLOAD_TYPES = {LEAF: int, REF: Path, VAR: str, SET: int, HOLE: int}
+
+
+def check_payload(*roots):
+    """Every node below ``roots`` holds its kind's payload in ``value``: a
+    leaf an ``int``, a reference a ``Path``, a variable a ``str``, a set or
+    a hole 0."""
+    for root in roots:
+        for node in preorder(root):
+            assert type(node.value) is PAYLOAD_TYPES[node.kind], node
+            assert node.kind in (LEAF, REF, VAR) or node.value == 0
+
+
 def check_constructed(*roots):
-    """Every node below ``roots`` is unfrozen, has a ``var`` only if it is
-    a variable, and owns its ``children`` list."""
+    """Every node below ``roots`` is unfrozen, holds its kind's payload,
+    and owns its ``children`` list."""
     owners = {}
+    check_payload(*roots)
     for root in roots:
         for node in preorder(root):
             assert node.frozen is None
-            assert node.var is None or node.kind == VAR
             assert owners.setdefault(id(node.children), node) is node
 
 
@@ -326,12 +347,67 @@ class TestConstructors:
         ]:
             parse(text)
         assert calls == []
-        Node(VAR, var="x")
+        Node(VAR, value="x")
         assert calls == [(VAR,)]  # the spy sees a constructor call
 
     def test_fields_by_position_or_keyword(self):
-        for node in [Node("ref", 0, None, None, Path.of("a")), Node("ref", ref=Path.of("a"))]:
-            assert (node.kind, node.value, node.children, node.ref) == ("ref", 0, [], ("a",))
+        for node in [Node("ref", Path.of("a"), None, None), Node("ref", value=Path.of("a"))]:
+            assert (node.kind, node.value, node.children, node.op) == ("ref", ("a",), [], None)
+        assert Node.__slots__ == ("kind", "value", "children", "op", "frozen")
+
+    @given(any_trees, any_trees)
+    @settings(max_examples=100, deadline=None)
+    def test_rebuild_and_substitute_keep_the_payloads(self, tree, other):
+        check_payload(rebuild(tree, lambda n: other.copy() if n.kind == VAR else None))
+        inner = Node.set_node([(None, tree.copy()), (None, other), (None, Node.ref_node("a.#0"))], op="h")
+        subject = Node.set_node([(None, tree), (None, inner)], op="g")
+        binding = match(parse(": g { #0 = $x #1 : $f { #0 = $x } }"), subject)
+        check_payload(substitute(parse(": k { #0 : $f { #0 = [b.#1] } #1 = $x }"), binding))
+
+    def test_become_across_kinds_keeps_the_payloads(self):
+        samples = [Node.leaf(3), Node.ref_node("a.#1"), Node.var_node("x"), Node.hole(), parse("a = 1 b = [c]")]
+        for target in samples:
+            for source in samples:
+                node = target.copy().become(source.copy())
+                check_payload(node)
+                assert node_equal(node, source)
+
+    def test_built_in_results_keep_the_payloads(self):
+        operands = [Node.leaf(0), Node.leaf(1), Node.leaf(7), parse("a = 1 b { c = 2 }")]
+        for op, (arity, _) in _EAGER_OPS.items():
+            for args in itertools.product(operands, repeat=arity):
+                try:
+                    check_payload(apply_builtin(op, [arg.copy() for arg in args]))
+                except EvoError:
+                    pass
+        term = parse("t : select { #0 { a = 1 b = 2 c = 1 } #1 : eq { #0 = $x #1 = 1 } }")
+        check_payload(evaluate(term.child("t"), EvalContext(term)))
+
+    @pytest.mark.parametrize(
+        "make, payload",
+        [
+            (Node.leaf, True), (Node.leaf, False), (Node.leaf, 1.5), (Node.leaf, -1), (Node.leaf, "1"),
+            (Node.var_node, "a b"), (Node.var_node, ""), (Node.var_node, "1x"), (Node.var_node, "é"),
+            (Node.var_node, "x$"), (Node.var_node, "x\n"),
+            (Node.ref_node, Path(("a b",))), (Node.ref_node, Path(("a", ""))), (Node.ref_node, Path((-1,))),
+            (Node.ref_node, Path((True,))), (Node.ref_node, Path((1.5,))), (Node.ref_node, Path(("é",))),
+        ],
+    )
+    def test_constructors_reject_payloads_that_render_cannot_write_back(self, make, payload):
+        with pytest.raises(ValueError):
+            make(payload)
+
+    @given(
+        st.integers(0, 10**30),
+        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True),
+        st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True) | st.integers(0, 10**6),
+                 min_size=1, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_good_payloads_parse_back(self, value, name, segs):
+        for node in [Node.leaf(value), Node.var_node(name), Node.ref_node(tuple(segs))]:
+            check_payload(node)
+            assert node_equal(parse(render(node)), node)
 
 
 class TestView:

@@ -369,9 +369,9 @@ def _render_bare(node: Node, out: list[str]) -> None:
     if node.kind == LEAF:
         out.append(f"{node.value}\n")
     elif node.kind == REF:
-        out.append(f"[{node.ref}]\n")
+        out.append(f"[{node.value}]\n")
     elif node.kind == VAR:
-        out.append(f"${node.var}\n")
+        out.append(f"${node.value}\n")
     elif node.kind == HOLE:
         out.append("$__hole__\n")
     elif sugar is not None:
@@ -400,10 +400,10 @@ def _render_body(node: Node, depth: int, out: list[str]) -> None:
         out.append(f" = {node.value}\n")
         return
     if node.kind == REF:
-        out.append(f" = [{node.ref}]\n")
+        out.append(f" = [{node.value}]\n")
         return
     if node.kind == VAR:
-        out.append(f" = ${node.var}\n")
+        out.append(f" = ${node.value}\n")
         return
     if node.kind == HOLE:
         out.append(" = $__hole__\n")
