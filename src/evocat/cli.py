@@ -12,7 +12,8 @@ Program files merge as additional children of the machine root; a
 duplicate top-level label is a load error.  The optional state file is
 parsed in plain mode, where ``$`` forms are rejected.  Exit status: 0 ok,
 1 parse or load error, 2 an error in the entry or its ``--arg`` slots,
-before the call makes any transition, 3 any later (runtime) error.
+before the call makes any transition, 3 any later (runtime) error.  A
+parse or load error names its file and its class.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_run_flags(sub.add_parser("trace", help="like run, printing every transition"))
 
     fmt = sub.add_parser("fmt", help="parse a file and print its canonical form")
-    fmt.add_argument("file", metavar="FILE")
+    fmt.add_argument("files", nargs=1, metavar="FILE")
+    fmt.set_defaults(plain=False)
 
     check = sub.add_parser("check", help="parse files, reporting the first error")
     check.add_argument("files", nargs="+", metavar="FILE")
@@ -99,7 +101,7 @@ def _read(path: str) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        raise ParseError(f"not valid UTF-8 at byte {err.start} of {path}") from None
+        raise ParseError(f"not valid UTF-8 at byte {err.start}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")  # as a text-mode read
 
 
@@ -110,16 +112,9 @@ def _parse_arg_value(text: str) -> Node:
     return tree.children[0][1]
 
 
-def _load_machine(args) -> Node:
-    if args.state is not None:
-        machine = textio.parse(_read(args.state), allow_vars=False)
-        if machine.kind != "set":
-            raise ParseError("a state file must be a set of entries")
-    else:
-        machine = Node.set_node()
-    for path in args.programs:
-        merge_program(machine, textio.parse(_read(path)))
-    return machine
+def _named(path: str, err: Exception) -> str:
+    """How a parse or load error is reported: its file, class and message."""
+    return f"{path}: {type(err).__name__}: {err}"
 
 
 def _make_devices(args) -> DeviceTable:
@@ -128,10 +123,15 @@ def _make_devices(args) -> DeviceTable:
 
 
 def _cmd_run(args, traced: bool) -> int:
+    path = args.state
     try:
-        machine = _load_machine(args)
-    except (OSError, ParseError, EvoError) as err:
-        print(f"evocat: load error: {err}", file=sys.stderr)
+        machine = Node.set_node() if path is None else textio.parse(_read(path), allow_vars=False)
+        if machine.kind != "set":
+            raise ParseError("a state file must be a set of entries")
+        for path in args.programs:
+            merge_program(machine, textio.parse(_read(path)))
+    except (OSError, EvoError) as err:
+        print(f"evocat: load error: {_named(path, err)}", file=sys.stderr)
         return EXIT_PARSE
 
     try:
@@ -183,23 +183,17 @@ def _cmd_run(args, traced: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_fmt(args) -> int:
-    try:
-        tree = textio.parse(_read(args.file))
-    except (OSError, ParseError) as err:
-        print(f"evocat: {args.file}: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    sys.stdout.write(textio.render(tree))
-    return EXIT_OK
-
-
-def _cmd_check(args) -> int:
+def _cmd_parse(args) -> int:
+    """``check``: parse each file, stopping at the first error; ``fmt``
+    also prints its one file in canonical form."""
     for path in args.files:
         try:
-            textio.parse(_read(path), allow_vars=not args.plain)
+            tree = textio.parse(_read(path), allow_vars=not args.plain)
         except (OSError, ParseError) as err:
-            print(f"evocat: {path}: {err}", file=sys.stderr)
+            print(f"evocat: {_named(path, err)}", file=sys.stderr)
             return EXIT_PARSE
+        if args.command == "fmt":
+            sys.stdout.write(textio.render(tree))
     return EXIT_OK
 
 
@@ -209,9 +203,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _cmd_run(args, traced=False)
     if args.command == "trace":
         return _cmd_run(args, traced=True)
-    if args.command == "fmt":
-        return _cmd_fmt(args)
-    return _cmd_check(args)
+    return _cmd_parse(args)
 
 
 if __name__ == "__main__":

@@ -24,15 +24,13 @@ matching or substituting could, so none comes after a rule loads.  A
 template also knows which bound values it uses, so a replacement's
 closedness is known without walking it.  The match scan is indexed by the
 pattern's root symbol, its key (root-symbol discrimination, as in McCune's
-term indexing): it calls ``match`` only on nodes whose root agrees, so only
-those allocate a ``Binding``, and it builds a ``Path`` only for a hit.
+term indexing): a round walks the frame once per key it needs, and
+``match`` runs only on the nodes whose root agrees.
 
-A round that follows a one-hit round resumes where that hit changed the
-tree: it sweeps the replaced node, tries the formulas up to the one that
-fired on the node's ancestors and inside it, and scans the whole frame
-only for later formulas (``run_rewrite`` says when that is exact).  So
-``div``, which fires once per round at the bottom of a growing
-``if``/``sum`` spine, no longer re-walks the spine each round.
+A round that follows a one-hit round works only where that hit changed
+the tree, at a cost bounded by what changed (``run_rewrite`` says how, and
+why that is exact).  So ``div``, which fires once per round at the bottom
+of a growing ``if``/``sum`` spine, neither re-walks nor re-reads it.
 
 Compiled instructions: ``instructions_from`` compiles each instruction's
 ``to`` term once with ``evaluator.compile_term``, and ``run_sequential``
@@ -62,21 +60,7 @@ from .evaluator import (
     run_term,
     sweep_enters,
 )
-from .tree import (
-    HOLE,
-    LEAF,
-    REF,
-    SET,
-    VAR,
-    Node,
-    Path,
-    Segment,
-    new_node,
-    node_equal,
-    rebuild,
-    replace_subtree,
-    resolve_chain,
-)
+from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path, new_node, node_equal, rebuild, replace_subtree
 
 #: frame children the rewrite engine must not scan or rewrite
 RESERVED_FRAME_LABELS = SHAPE_LABELS - {"result"} | {"ip"}
@@ -122,16 +106,19 @@ class Pattern:
     a, b)`` of child ``index`` in the children list ``register``; register
     0 is ``[(None, subject)]``, and a set check appends its node's children.
     ``vars`` and ``funcs`` are the names bound; ``key`` is what a subject's
-    root must agree with: (kind, op, arity), op and arity compared for a
-    set only; None when any subject may match."""
+    root must agree with: (kind, op, arity), where only a set has an op or
+    children; None when any subject may match.  ``depth`` is how far below
+    its subject a match reads: that of its deepest check, or None when a
+    repeated variable or a ``$f`` compares or abstracts whole subtrees."""
 
-    __slots__ = ("steps", "key", "vars", "funcs")
+    __slots__ = ("steps", "key", "vars", "funcs", "depth")
 
     def __init__(self, lhs: Node):
-        steps, bound, applied = [], set(), []
-        work, registers = [(lhs, 0, 0, None)], 1
+        steps, bound, applied, depth = [], set(), [], 0
+        work, registers = [(lhs, 0, 0, 0, None)], 1
         while work:
-            p, *where = work.pop()
+            p, below, *where = work.pop()
+            depth = max(depth, below)
             if p.kind == VAR:
                 steps.append((_SAME if p.value in bound else _BIND, *where, p.value, None))
                 bound.add(p.value)
@@ -146,7 +133,7 @@ class Pattern:
                 steps.append((_DEFER, *where, *applied[-1]))
             else:
                 steps.append((SET, *where, p.op, len(p.children)))
-                work += reversed([(c, registers, i, lab) for i, (lab, c) in enumerate(p.children)])
+                work += reversed([(c, below + 1, registers, i, lab) for i, (lab, c) in enumerate(p.children)])
                 registers += 1
         for fname, argname in applied:
             if argname not in bound:
@@ -154,6 +141,7 @@ class Pattern:
                 raise EvalError(f"function variable ${fname} {never}")
         self.steps, self.vars, self.funcs = steps, bound, {fname for fname, _ in applied}
         self.key = None if steps[0][0] in (_BIND, _DEFER) else (lhs.kind, lhs.op, len(lhs.children))
+        self.depth = None if any(step[0] in (_SAME, _DEFER) for step in steps) else depth
 
 
 class Template:
@@ -414,11 +402,16 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
     read once: a run reads a ``Formula`` only through ``pattern``,
     ``template``, ``key`` and ``index``, values that no write changes.
 
+    A round walks the frame once per key (``_scan``); each formula with
+    that key matches the nodes kept, in preorder, skipping those below its
+    own last hit.  No write comes between the walk and the formulas, and a
+    node's descendants follow it, so each gets the hits of a walk of its own.
+
     A round that follows a one-hit round, one that replaced a single node
-    ``h``, works only where that hit changed the tree (``_resume``): its
-    sweep is ``evaluate(h)``, and its scan of the formulas up to the one
-    that fired looks at ``h``'s ancestors, top-down, and then below ``h``.
-    Later formulas scan the whole frame.  It does so when the one-hit
+    ``h``, works only where that hit changed the tree: its sweep is
+    ``evaluate(h)``, and its scan of the formulas up to the one that fired
+    looks at ``h``'s ancestors, top-down, and then below ``h``.  Later
+    formulas scan the whole frame.  It does so when the one-hit
     round's sweep forced no reference, ``h`` is not a leaf, holds no
     reference and no ``select``, sits where the sweep goes, and was not
     written at a label that ``frame_of`` reads; and when, after
@@ -445,91 +438,113 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
     - So only ``h``'s subtree and its ancestors' own matches can change,
       and effects happen in the same order: the trace, ``stats``, fuel
       and the partial state after an error are those of the full round.
+    - Nor can an ancestor farther above ``h`` than a pattern's ``depth``
+      start a match: there the pattern reads only what it read before the
+      firing, when it did not match.  A pattern that compares or abstracts
+      whole subtrees has no ``depth`` and tries every ancestor.
+
+    The nodes and segments down to ``h`` are one list each, cut and
+    extended in place; a hit's ``Path`` is built only for the trace.
     """
     if frame.kind != SET:
         raise EvalError("a rewrite frame must be a set node")
     if ctx is None:
         ctx = EvalContext(frame)
     formulas = _program(rules, formulas_from)
-    last = None  # (scanned, path, chain) after a one-hit round
+    chain: list[Node] = []  # the nodes down to the last one-hit round's hit
+    segs: list = []  # and the segments of its path
+    resume = 0  # how many formulas that round scanned, when this one may resume
     while True:
         derefs = ctx.stats["deref"]
-        hits: list[tuple[Node, Path, Binding]] = []
-        resumed = _resume(last, formulas, ctx, hits) if last is not None else None
-        if resumed is None:
-            resumed = (0, [])
+        hits: list[tuple[Node, Optional[tuple], Binding]] = []
+        if resume:
+            evaluate(h := chain[-1], ctx, True)
+            if h.kind == LEAF or (h.op is None and is_value(h)):
+                resume = 0
+        if resume:
+            scanned = _scan(formulas, 0, resume, [(h, None)], hits, chain, segs)
+        else:
+            scanned = 0
             for label, child in frame.children:
                 if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
                     evaluate(child, ctx, True)
-        scanned, chain = resumed
-        while not hits and scanned < len(formulas):
-            formula = formulas[scanned]
-            scanned += 1
-            for index, (label, child) in enumerate(frame.children):
-                if label in RESERVED_FRAME_LABELS:
-                    continue
-                _collect_matches(formula, child, [label if label is not None else index], hits)
         if not hits:
-            break
+            del chain[:], segs[:]
+            roots = [
+                (c, (None, i if lab is None else lab, c))
+                for i, (lab, c) in enumerate(frame.children)
+                if lab not in RESERVED_FRAME_LABELS
+            ]
+            scanned = _scan(formulas, scanned, len(formulas), roots, hits)
+            if not hits:
+                break
         fired = formulas[scanned - 1]
-        for node, path, binding in hits:
+        for node, cell, binding in hits:
             replacement = substitute(fired.template, binding)
-            ctx.emit("rew", fired.index + 1, path)
+            if ctx.trace is not None:
+                ctx.emit("rew", fired.index + 1, Path([*segs, *(seg for seg, _ in _below(cell))]))
             ctx.transition("firing")
             node.become(replacement)
-        last = None
-        if len(hits) == 1 and ctx.stats["deref"] == derefs:
-            chain = _hit_chain(frame, chain, hits[0], fired.template)
-            if chain is not None:
-                last = (scanned, hits[0][1], chain)
+        one = len(hits) == 1 and ctx.stats["deref"] == derefs
+        resume = scanned if one and _descend(chain, segs, hits[0], fired.template) else 0
     return frame
 
 
-def _hit_chain(frame: Node, chain: list[Node], hit: tuple, template: Template) -> Optional[list[Node]]:
-    """The nodes down the path of a round's one hit, the first of which are
-    ``chain``, when the next round may resume there; else None.
-
-    Each node is a data child or an operand of the one before it, and the
-    sweep must go from each into the next.  ``chain`` is already checked,
-    so only the nodes below it are."""
-    node, path, binding = hit
-    if path[-1] in SHAPE_LABELS or node.kind == LEAF or not _builds_closed(template, binding):
-        return None
-    known = len(chain)
-    chain = chain + resolve_chain(chain[-1] if chain else frame, path[known:])
-    start = max(known - 1, 0)
-    if all(map(sweep_enters, chain[start:-1], chain[start + 1 :])):
-        return chain
-    return None
-
-
-def _resume(last: tuple, formulas: list, ctx: EvalContext, hits: list) -> Optional[tuple[int, list]]:
-    """Sweep and scan where the one hit of the last round changed the tree.
-
-    ``last`` holds how many of the formulas that round scanned, its hit's
-    path and the nodes down that path.  Returns how many formulas this
-    round has scanned, with the nodes down to its hit if it found one;
-    None when the round must sweep and scan in full."""
-    scanned, path, chain = last
-    node = chain[-1]
-    evaluate(node, ctx, True)
-    if node.kind == LEAF or (node.op is None and is_value(node)):
-        return None
-    ancestors = chain[:-1]
-    segs = list(path)
-    for count, formula in enumerate(formulas[:scanned], 1):
-        key = formula.key
-        if key is None or key[0] == SET:  # every ancestor is a set
-            for depth, ancestor in enumerate(ancestors):
-                if (key is None or (ancestor.op == key[1] and len(ancestor.children) == key[2])) and (
-                    binding := match(formula.pattern, ancestor)
-                ) is not None:
-                    hits.append((ancestor, Path(path[: depth + 1]), binding))
-                    return count, chain[: depth + 1]
-        _collect_matches(formula, node, segs, hits)
+def _scan(formulas: list, first: int, stop: int, roots: list, hits: list, chain=None, segs=None) -> int:
+    """Try ``formulas[first:stop]`` until one has hits; how many are tried.
+    Given ``chain``, in a resumed round, each first tries the ancestors on
+    it from ``_highest`` down, and cuts ``chain`` and ``segs`` at a hit
+    there.  Then it tries what ``_candidates`` keeps for its key below each
+    ``(node, cell)`` of ``roots``: one walk per key."""
+    walks: dict = {}
+    for count in range(first, stop):
+        pattern, key = formulas[count].pattern, formulas[count].key
+        if chain is not None and (key is None or key[0] == SET):  # every ancestor is a set
+            for at in range(_highest(pattern, chain), len(chain) - 1):
+                ancestor = chain[at]
+                agrees = key is None or (ancestor.kind, ancestor.op, len(ancestor.children)) == key
+                if agrees and (binding := match(pattern, ancestor)) is not None:
+                    hits.append((ancestor, None, binding))
+                    del chain[at + 1 :], segs[at + 1 :]
+                    return count + 1
+        candidates = walks.get(key)
+        if candidates is None:
+            candidates = walks[key] = []
+            for node, cell in roots:
+                _candidates(key, node, cell, candidates)
+        at, size = 0, len(candidates)
+        while at < size:
+            node, cell, end = candidates[at]
+            binding = match(pattern, node)
+            if binding is None:
+                at += 1
+            else:  # the next candidate not below this hit
+                hits.append((node, cell, binding))
+                at = end
         if hits:
-            return count, chain
-    return scanned, []
+            return count + 1
+    return stop
+
+
+def _highest(pattern: Pattern, chain: list[Node]) -> int:
+    """Where on ``chain`` the highest ancestor is at which a match of
+    ``pattern`` may read the last node (``run_rewrite`` says why)."""
+    return 0 if pattern.depth is None else max(len(chain) - 1 - pattern.depth, 0)
+
+
+def _descend(chain: list[Node], segs: list, hit: tuple, template: Template) -> bool:
+    """Extend ``chain`` and ``segs`` in place down to a round's one hit;
+    whether the next round may resume there.  The sweep must go from each
+    node into the next; the nodes already on ``chain`` are checked."""
+    node, cell, binding = hit
+    last = segs[-1] if cell is None else cell[1]
+    if last in SHAPE_LABELS or node.kind == LEAF or not _builds_closed(template, binding):
+        return False
+    start = max(len(chain) - 1, 0)
+    for seg, child in _below(cell):
+        segs.append(seg)
+        chain.append(child)
+    return all(map(sweep_enters, chain[start:-1], chain[start + 1 :]))
 
 
 def _builds_closed(template: Template, binding: Binding) -> bool:
@@ -554,30 +569,29 @@ def _closed(node: Node, holes: bool = True) -> bool:
     return True
 
 
-def _collect_matches(
-    formula: Formula, node: Node, segs: list[Segment], hits: list[tuple[Node, Path, Binding]]
-) -> None:
-    """Append ``formula``'s outermost matches under ``node``, in preorder.
+def _candidates(key: Optional[tuple], node: Node, cell: Optional[tuple], out: list) -> None:
+    """Append ``(n, cell, end)`` for each node ``n`` at or below ``node``
+    whose root agrees with ``key``, in preorder: ``end`` is where ``n``'s
+    descendants end in ``out``, a cell ``(outer cell, segment, node)`` is one
+    step down from where the walk started (None).  The walk stops below a
+    function instance, and visits a non-set child only when it may agree."""
+    agrees = key is None or (node.kind, node.op, len(node.children)) == key
+    if agrees:
+        at = len(out)
+        out.append(None)
+    # only an op-less set can be a function instance
+    if node.kind == SET and (node.op is not None or not frame_of(node)):
+        for index, (label, child) in enumerate(node.children):
+            if child.kind == SET or key is None or child.kind == key[0]:
+                _candidates(key, child, (cell, label if label is not None else index, child), out)
+    if agrees:
+        out[at] = (node, cell, len(out))
 
-    ``segs`` is the path of ``node`` as a segment list, extended and
-    shrunk in place; a ``Path`` is built only for a hit.  A node whose
-    root disagrees with the formula's root key cannot match, so ``match``
-    runs only on the nodes that agree."""
-    key = formula.key
-    if key is None or (
-        node.kind == key[0]
-        and (key[0] != SET or (node.op == key[1] and len(node.children) == key[2]))
-    ):
-        binding = match(formula.pattern, node)
-        if binding is not None:
-            hits.append((node, Path(segs), binding))
-            return
-    # only an op-less set can be a function instance; the scan stops there
-    if node.kind != SET or (node.op is None and frame_of(node)):
-        return
-    for index, (label, child) in enumerate(node.children):
-        # a child that is not a set is visited only when it may match
-        if child.kind == SET or key is None or child.kind == key[0]:
-            segs.append(label if label is not None else index)
-            _collect_matches(formula, child, segs, hits)
-            segs.pop()
+
+def _below(cell: Optional[tuple]) -> list[tuple]:
+    """The segments and nodes from where a walk started down to ``cell``."""
+    down = []
+    while cell is not None:
+        cell, seg, node = cell
+        down.append((seg, node))
+    return down[::-1]

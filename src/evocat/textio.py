@@ -326,11 +326,13 @@ def _escape(text: str) -> str:
 
 def _atom(node: Node) -> Optional[str]:
     """The text of a node written without braces; None for a set that
-    needs them."""
+    needs them.  A reference to the identity path is NotEncodable."""
     kind = node.kind
     if kind == LEAF:
         return str(node.value)
     if kind == REF:
+        if not node.value:
+            raise NotEncodable("the identity path has no text form")
         return f"[{node.value}]"
     if kind == VAR:
         return f"${node.value}"

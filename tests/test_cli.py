@@ -315,6 +315,36 @@ class TestFmtCheck:
         bad.write_text("{{{")
         assert evocat("check", str(bad)).returncode == 1
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (["check", "--plain"], "v = $x\n", "VariablesOutsideRules: 1:5: variable $x in a plain state file"),
+            (["check"], "a = @", "ParseError: 1:5: unexpected character '@'"),
+            (["fmt"], "a = 1\nb =\n", "ParseError: 3:1: expected a value"),
+        ],
+    )
+    def test_a_parse_error_names_its_file_and_class(self, tmp_path, capsys, command, text, message):
+        bad = tmp_path / "bad.evo"
+        bad.write_text(text)
+        assert cli.main([*command, str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"evocat: {bad}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "files, text, message",
+        [
+            (["--state", "BAD", "GOOD"], "a = 1\nb =\n", "ParseError: 3:1: expected a value"),
+            ([str(STDLIB), "BAD", "GOOD"], "a = 1\nb =\n", "ParseError: 3:1: expected a value"),
+            ([str(STDLIB), "GOOD", "BAD"], "gcd { x = 1 }", "DuplicateSibling: duplicate top-level label 'gcd'"),
+        ],
+    )
+    def test_a_load_error_names_the_file_that_failed(self, tmp_path, capsys, files, text, message):
+        good, bad = tmp_path / "good.evo", tmp_path / "bad.evo"
+        good.write_text("main = 1\n")
+        bad.write_text(text)
+        named = {"GOOD": str(good), "BAD": str(bad)}
+        assert cli.main(["run", *[named.get(f, f) for f in files], "--entry", "main"]) == 1
+        assert capsys.readouterr().err == f"evocat: load error: {bad}: {message}\n"
 
 class TestBadInput:
     @pytest.mark.parametrize("spec", ["abc", "5:x", "-3", "5:-10"])

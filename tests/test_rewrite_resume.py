@@ -1,10 +1,12 @@
 """A rewrite round that follows a one-hit round resumes where that hit
-changed the tree: the engine against the full-round loop it replaced,
-with the generic matcher and ``substitute`` (``rewrite_reference.py``),
-pinned cases for each reason a round must run in full, and the work
-``div`` does as its quotient doubles."""
+changed the tree, and a round walks the frame once per root key: the
+engine against the full-round loop it replaced, with the generic matcher
+and ``substitute`` (``rewrite_reference.py``), pinned cases for each
+reason a round must run in full, and the work ``div`` does as its
+quotient doubles."""
 
 import sys
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from evocat import engine, evaluator
 from evocat.engine import formulas_from, run_rewrite
 from evocat.errors import EvoError, FuelExhausted
 from evocat.evaluator import DEFAULT_FUEL
-from evocat.tree import REF, VAR, Node, node_equal, rebuild
+from evocat.tree import REF, SET, VAR, Node, node_equal, rebuild
 
 from helpers import SCAN_LABELS, SCAN_OPS, filled, leaf, make_set, patterns, preorder, setn, shapes
 from helpers import transitions
@@ -126,6 +128,38 @@ def planted(draw, rules):
     return rebuild(host, lambda n: filled(guest) if n is spot else None)
 
 
+def height(node):
+    """How far below ``node`` its deepest node is."""
+    return max((1 + height(child) for _, child in node.children), default=0)
+
+
+def repeated(lhs):
+    """The variables that ``lhs`` binds more than once, outside ``$h``
+    applications: those its matches compare."""
+    seen, twice, work = set(), set(), [lhs]
+    while work:
+        node = work.pop()
+        if node.kind == VAR:
+            (twice if node.value in seen else seen).add(node.value)
+        elif node.op != "$h":
+            work.extend(child for _, child in node.children)
+    return sorted(twice)
+
+
+@st.composite
+def nested(draw, rules):
+    """A subject of a left side whose variables hold subjects of it too:
+    the outermost is a hit, and the ones inside it must not be."""
+    lhs = draw(st.sampled_from(rules))[0]
+    return rebuild(lhs, lambda n: leaf(1) if n.op == "$h" else filled(lhs) if n.kind == VAR else None)
+
+
+@st.composite
+def sharing(draw, lhs):
+    """A left side with the root key of ``lhs``, a set, and other children."""
+    return make_set(lhs.op, [(label, draw(patterns(1))) for label, _ in lhs.children])
+
+
 @st.composite
 def operand(draw, rules):
     """A subject as the operand of a built-in: rewritten to a value, it
@@ -175,8 +209,14 @@ def without_references(pattern):
 def frames(draw):
     # mostly without references: a sweep that forces one is followed by a
     # full round, and most of them do not resolve
-    lhs = st.one_of(patterns(), *[patterns().map(without_references)] * 3).filter(checked)
+    simple = patterns().map(without_references)
+    lhs = st.one_of(patterns(), *[simple] * 3, simple.map(lambda p: setn(p, p.copy(), op="f"))).filter(checked)
     lhss = draw(st.lists(lhs, min_size=1, max_size=3))
+    # formulas that share a root key share the round's walk
+    keyed = [lhs for lhs in lhss if lhs.kind == SET and lhs.op != "$h"]
+    if keyed and draw(st.booleans()):
+        twin = draw(sharing(draw(st.sampled_from(keyed))).filter(checked))
+        lhss.insert(draw(st.integers(0, len(lhss))), twin)
     # parts of subjects that are terms: a right side that is one may make
     # its ancestor a subject again, and it is not yet a value
     pieces = [node for lhs in lhss for node in preorder(filled(lhs)) if node.op is not None]
@@ -186,13 +226,48 @@ def frames(draw):
         if pieces:
             rhs = st.one_of(rhs, st.sampled_from(pieces).map(Node.copy))
         rules.append((lhs, draw(rhs)))
-    item = st.one_of(planted(rules), data(rules), operand(rules))
-    items = draw(st.lists(st.tuples(SCAN_LABELS, item), min_size=1, max_size=2))
+    item = st.one_of(planted(rules), data(rules), operand(rules), nested(rules))
+    return framed(rules, draw(st.lists(st.tuples(SCAN_LABELS, item), min_size=1, max_size=3)))
+
+
+@st.composite
+def spanning(draw):
+    """A frame whose first formula compares copies of a variable and whose
+    second builds a term that stays one.  Its data is a subject of the first
+    whose copies are equal but for one, which holds a subject of the second
+    where the others hold what the second builds from it, farther below the
+    subject than the first pattern is deep.  Once the second fires, the
+    first matches at an ancestor of the hit that a depth bound would not
+    reach."""
+    double = patterns().map(without_references).map(lambda p: setn(p, p.copy(), op="f"))
+    host = draw(double.filter(lambda p: repeated(p) and checked(p)))
+    guest = draw(patterns().map(without_references).filter(checked))
+    rhs = setn(draw(right_sides(*variables(guest), [])), op="g")
+    subject = filled(guest)
+    built = reference.substitute(rhs, reference.match(guest, subject))
+    name, odd, copies = draw(st.sampled_from(repeated(host))), draw(st.integers(0, 1)), count()
+
+    def fill(n):
+        if n.op == "$h" or (n.kind == VAR and n.value != name):
+            return leaf(1)
+        if n.kind != VAR:
+            return None
+        inner = subject.copy() if next(copies) == odd else built.copy()
+        for _ in range(height(host)):
+            inner = setn(inner, op="g")
+        return inner
+
+    rules = [(host, draw(right_sides(*variables(host), []))), (guest, rhs)]
+    return framed(rules, [(draw(SCAN_LABELS), rebuild(host, fill))])
+
+
+def framed(rules, items):
+    """A rewrite frame: the ``(lhs, rhs)`` pairs as its rules, then ``items``."""
     formulas = [(None, Node.set_node([("lhs", lhs), ("rhs", rhs)])) for lhs, rhs in rules]
     return make_set(None, [("rules", Node.set_node(formulas)), *items])
 
 
-@given(frame=frames())
+@given(frame=st.one_of(frames(), spanning()))
 @settings(max_examples=300, deadline=None)
 def test_engine_equals_the_full_round_loop(frame):
     got, want = both(frame)
@@ -285,24 +360,35 @@ def test_a_sweep_that_forced_a_call_is_followed_by_a_full_round():
 
 
 def test_div_work_grows_linearly_with_the_quotient(monkeypatch):
-    counts = {"evaluate": 0, "collect": 0}
-    evaluate, collect = evaluator.evaluate, engine._collect_matches
+    counts = {"evaluate": 0, "walk": 0, "ancestors": 0, "resumed": 0}
+    evaluate, walk, highest, scan = evaluator.evaluate, engine._candidates, engine._highest, engine._scan
 
     def evaluate_spy(node, ctx, lenient=False):
         counts["evaluate"] += 1
         return evaluate(node, ctx, lenient)
 
-    def collect_spy(*args):
-        counts["collect"] += 1
-        return collect(*args)
+    def walk_spy(*args):
+        counts["walk"] += 1
+        return walk(*args)
+
+    def highest_spy(pattern, chain):
+        first = highest(pattern, chain)
+        counts["ancestors"] += len(chain) - 1 - first  # the ancestors a resumed round tries
+        return first
+
+    def scan_spy(formulas, first, stop, roots, hits, chain=None, segs=None):
+        counts["resumed"] += chain is not None
+        return scan(formulas, first, stop, roots, hits, chain, segs)
 
     monkeypatch.setattr(evaluator, "evaluate", evaluate_spy)
     monkeypatch.setattr(engine, "evaluate", evaluate_spy)
-    monkeypatch.setattr(engine, "_collect_matches", collect_spy)
+    monkeypatch.setattr(engine, "_candidates", walk_spy)
+    monkeypatch.setattr(engine, "_highest", highest_spy)
+    monkeypatch.setattr(engine, "_scan", scan_spy)
     got = {}
     limit = sys.getrecursionlimit()
     for q in (40, 80, 160):
-        counts.update(evaluate=0, collect=0)
+        counts.update(evaluate=0, walk=0, ancestors=0, resumed=0)
         lib = load_stdlib()
         ctx = EvalContext(lib)
         sys.setrecursionlimit(10_000)  # the last sweep still recurses down the spine
@@ -312,8 +398,13 @@ def test_div_work_grows_linearly_with_the_quotient(monkeypatch):
             sys.setrecursionlimit(limit)
         assert ctx.stats == {"call": 1, "deref": 2, "firing": q + 1, "op": 4 * q + 2}
         assert DEFAULT_FUEL - ctx.fuel == 5 * q + 6
-        got[q] = (counts["evaluate"], counts["collect"])
-    # the full-round loop: (1845, 1682), (6885, 6562), (26565, 25922)
+        # div's pattern has depth 1: a resumed round tries the hit's parent
+        # alone.  All rounds resume but the first two and the last, in which
+        # the hit became a value.
+        assert counts["resumed"] == counts["ancestors"] == q - 1
+        got[q] = (counts["evaluate"], counts["walk"])
+    # the full-round loop: (1845, 1682), (6885, 6562), (26565, 25922); the
+    # ancestors tried before the depth bound: 1560, 6320, 25440
     assert got == {40: (285, 122), 80: (565, 242), 160: (1125, 482)}
     for small, large in ((40, 80), (80, 160)):
         assert all(b <= 2.2 * a for a, b in zip(got[small], got[large]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from evocat import EvalContext, TraceSink, load_stdlib, parse, render, run_entry
 from evocat import engine
-from evocat.engine import Formula, Pattern, _collect_matches, match, run_rewrite
+from evocat.engine import Formula, Pattern, _below, match, run_rewrite
 from evocat.errors import EvoError
 from evocat.evaluator import frame_of
 from evocat.tree import SET, VAR, Node, Path, node_equal, rebuild
@@ -108,10 +108,13 @@ def outcome(scan):
     return hits
 
 
-def scanned(lhs):
-    """A formula of ``lhs`` alone, as the scan reads it."""
+def collect(lhs, subject, hits):
+    """The engine's scan of ``subject``, at ``goal``, with a formula of
+    ``lhs`` alone; each hit is appended with its path."""
     pattern = Pattern(lhs)
-    return Formula(lhs, leaf(0), 0, pattern.key, pattern, None)
+    found = []
+    engine._scan([Formula(lhs, leaf(0), 0, pattern.key, pattern, None)], 0, 1, [(subject, (None, "goal", subject))], found)
+    hits += [(node, Path(seg for seg, _ in _below(cell)), binding) for node, cell, binding in found]
 
 
 def same_bindings(a, b):
@@ -130,7 +133,7 @@ def test_indexed_scan_equals_reference(lhs, shape):
     start = Path.of("goal")
     want = outcome(lambda hits: reference_collect(lhs, subject, start, hits))
     # a pattern that applies $h to an unbound variable raises when it compiles
-    got = outcome(lambda hits: _collect_matches(scanned(lhs), subject, ["goal"], hits))
+    got = outcome(lambda hits: collect(lhs, subject, hits))
     if not isinstance(want, list):
         assert got == want
         return
@@ -147,7 +150,7 @@ def test_scan_stops_at_function_instances_but_may_match_one():
         (make_instance(Node.var_node("X")), [Path.of("goal", 0)]),
     ]:
         hits = []
-        _collect_matches(scanned(lhs), subject, ["goal"], hits)
+        collect(lhs, subject, hits)
         assert [path for _, path, _ in hits] == want
 
 

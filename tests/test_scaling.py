@@ -1,0 +1,91 @@
+"""Work that grows with the input.  Each row runs a library call at three
+sizes, each twice the one before, and counts the work the rewrite engine
+does to keep its place, not the time it takes: that count may grow at most
+``GROWTH`` times per doubling.
+
+The count is taken by spies on the engine's helpers:
+
+- ancestors tried: the ancestors of the last hit that a resumed round
+  tries, from the one ``_highest`` names down to the hit's parent;
+- entries copied or built: the scan of each resumed round is handed the
+  nodes and the segments down to the last hit.  For each of the two lists,
+  the entries added since the round before count, or all of them when the
+  list is not the one that round was handed.
+"""
+
+import sys
+
+import pytest
+
+from evocat import EvalContext, engine, load_stdlib, run_entry
+from evocat.errors import FuelExhausted
+from evocat.tree import Node
+
+GROWTH = 2.3
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """The running count, and how many rounds resumed."""
+    counts = {"work": 0, "resumed": 0}
+    held = [(None, 0), (None, 0)]  # each list handed to the last resumed round, and its length after
+    highest, scan = engine._highest, engine._scan
+
+    def highest_spy(pattern, chain):
+        first = highest(pattern, chain)
+        counts["work"] += len(chain) - 1 - first
+        return first
+
+    def scan_spy(formulas, first, stop, roots, hits, chain=None, segs=None):
+        if chain is None:  # a full round
+            return scan(formulas, first, stop, roots, hits)
+        counts["resumed"] += 1
+        for at, entries in enumerate((chain, segs)):
+            before, length = held[at]
+            counts["work"] += max(len(entries) - length, 0) if entries is before else len(entries)
+        scanned = scan(formulas, first, stop, roots, hits, chain, segs)
+        held[:] = [(chain, len(chain)), (segs, len(segs))]
+        return scanned
+
+    monkeypatch.setattr(engine, "_highest", highest_spy)
+    monkeypatch.setattr(engine, "_scan", scan_spy)
+    return counts
+
+
+def div(a, b, fuel=None):
+    """``div a b`` on the stdlib machine, with a recursion limit that lets
+    the last sweep go down the whole spine."""
+    lib = load_stdlib()
+    ctx = EvalContext(lib) if fuel is None else EvalContext(lib, fuel=fuel)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        return run_entry(lib, "div", {"a": Node.leaf(a), "b": Node.leaf(b)}, ctx)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def grows_linearly(counts):
+    """Each count at most ``GROWTH`` times the one before it."""
+    return all(large <= GROWTH * small for small, large in zip(counts, counts[1:]))
+
+
+def test_div_by_seven_as_the_quotient_doubles(work):
+    got = []
+    for q in (40, 80, 160):
+        work.update(work=0, resumed=0)
+        assert div(7 * q + 3, 7).value == q
+        assert work["resumed"] == q - 1  # all rounds but the first two and the last
+        got.append(work["work"])
+    assert grows_linearly(got), got
+
+
+def test_div_by_zero_as_the_fuel_doubles(work):
+    got = []
+    for fuel in (2_500, 5_000, 10_000):
+        work.update(work=0, resumed=0)
+        with pytest.raises(FuelExhausted):
+            div(1, 0, fuel)
+        assert work["resumed"] == fuel // 3 - 2  # a firing and two operations per round
+        got.append(work["work"])
+    assert grows_linearly(got), got

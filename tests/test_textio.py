@@ -208,6 +208,15 @@ class TestRender:
             assert node_equal(parse(text), tree)
         assert repr(big).startswith("<leaf ")
 
+    def test_a_reference_to_the_identity_path_is_not_encodable(self):
+        # a path in text has at least one segment, so "[.]" would not parse
+        identity = Node.ref_node("")
+        for tree in (identity, Node.set_node([("at", identity), ("b", Node.ref_node("a"))])):
+            with pytest.raises(NotEncodable, match="the identity path has no text form"):
+                render(tree)
+        with pytest.raises(ParseError):
+            parse("at = [.]")
+
 
 def chain(depth: int) -> Node:
     """``a { a { ... } }``: a root holding ``depth`` nested sets."""
