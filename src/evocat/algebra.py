@@ -105,10 +105,9 @@ def select(m: Node, predicate: Node, ctx) -> Node:
     The predicate is a term with at most one distinct variable; each child
     is substituted for that variable.  The child is also pushed as the
     innermost reference scope, so field access like ``[name]`` works on
-    record children.  The predicate is evaluated strictly, also when the
-    ``select`` was fired by the rewrite engine's lenient ready-term sweep
-    (``evaluate`` is strict unless it is told otherwise): it must reduce
-    to a boolean leaf.
+    record children.  The predicate is run by ``evaluate``, also when the
+    ``select`` was fired by the rewrite engine's ready-term ``sweep``,
+    which never enters a predicate: it must reduce to a boolean leaf.
     """
     from .evaluator import evaluate  # local import: select drives evaluation
 

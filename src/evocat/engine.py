@@ -54,10 +54,10 @@ from .evaluator import (
     EvalContext,
     Frame,
     compile_term,
-    evaluate,
     frame_of,
     is_value,
     run_term,
+    sweep,
     sweep_enters,
 )
 from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path, new_node, node_equal, rebuild, replace_subtree
@@ -394,7 +394,7 @@ def _apply_write(root: Node, at: Path, value: Node, ctx: EvalContext) -> None:
 def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> Node:
     """Rewrite the frame's data children to a normal form under the rules.
 
-    Loop: (1) evaluate every ready sub-term (built-in operations with fully
+    Loop: (1) ``sweep`` fires every ready sub-term (built-ins with fully
     evaluated operands, references); (2) take the first formula with
     matches, collected preorder and outermost first, skipping descendants
     of matched nodes; (3) replace them all with instantiated right sides.
@@ -409,13 +409,13 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
 
     A round that follows a one-hit round, one that replaced a single node
     ``h``, works only where that hit changed the tree: its sweep is
-    ``evaluate(h)``, and its scan of the formulas up to the one that fired
+    ``sweep(h)``, and its scan of the formulas up to the one that fired
     looks at ``h``'s ancestors, top-down, and then below ``h``.  Later
     formulas scan the whole frame.  It does so when the one-hit
     round's sweep forced no reference, ``h`` is not a leaf, holds no
     reference and no ``select``, sits where the sweep goes, and was not
     written at a label that ``frame_of`` reads; and when, after
-    ``evaluate(h)``, ``h`` is still not a value.  Otherwise the round runs
+    ``sweep(h)``, ``h`` is still not a value.  Otherwise the round runs
     in full.  Why that is exact:
 
     - After a sweep the frame is in sweep-normal form: a second sweep fires
@@ -427,7 +427,7 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
       only at ``h``.
     - The firing changed only ``h``.  The full sweep would reach ``h``
       (``sweep_enters`` on each ancestor) and find the rest of the frame
-      already swept; evaluating an ``h`` with no reference and no
+      already swept; sweeping an ``h`` with no reference and no
       ``select`` reads and writes nothing outside ``h``.  That is read off
       the formula (``_builds_closed``), as a replacement is made only of
       its skeleton, bound values' copies, and bodies plugged with arguments.
@@ -458,7 +458,7 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
         derefs = ctx.stats["deref"]
         hits: list[tuple[Node, Optional[tuple], Binding]] = []
         if resume:
-            evaluate(h := chain[-1], ctx, True)
+            sweep(h := chain[-1], ctx)
             if h.kind == LEAF or (h.op is None and is_value(h)):
                 resume = 0
         if resume:
@@ -467,7 +467,7 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
             scanned = 0
             for label, child in frame.children:
                 if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
-                    evaluate(child, ctx, True)
+                    sweep(child, ctx)
         if not hits:
             del chain[:], segs[:]
             roots = [

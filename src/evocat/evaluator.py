@@ -19,23 +19,27 @@ set of in-progress paths turns reference cycles into errors, not hangs.
 Forcing a reference whose target is a leaf, variable or hole is skipped,
 since evaluation would leave that target as it is.
 
-The mode is an argument: only the rewrite engine's ready-term sweep calls
-``evaluate(node, ctx, lenient=True)``.  It goes down through the operands
-and through a reference whose target is a term: ``deriv`` reads its
-symbolic argument that way, and forcing it strictly would raise
-UnknownOperation for the symbol ``x``.  A call body and a ``select``
-predicate start strict, also when the sweep forced the call or fired the
-``select``.  The sweep never enters a leaf: the frame loop and every
-operand loop skip one, since it is already a value, and only an op-less
-set is asked whether it is a function instance.  ``sweep_enters`` tells
-the rewrite engine whether the sweep goes from a node into an operand.
+Two walkers reduce a term: ``evaluate``, and ``sweep``, the rewrite
+engine's ready-term sweep.  They share the rule for which operands are
+reduced (``sweep_enters``), the checks made before any operand
+(``_check``) and the firing of a built-in (``_apply``).  ``evaluate``
+calls a template by name; ``sweep`` calls none, fires a built-in only
+when the operands it entered are values, and forces a reference with
+itself: ``deref`` and ``_force_at`` take the walker that reduces a term
+target.  ``deriv`` reads its symbolic argument that way, where
+``evaluate`` would raise UnknownOperation for the symbol ``x``.  A call
+body and a ``select`` predicate are run by ``evaluate``, also when the
+sweep forced the call or fired the ``select``.  Neither walker enters a
+leaf, since it is already a value, and only an op-less set is asked
+whether it is a function instance.  The rewrite engine asks
+``sweep_enters`` too, whether the sweep goes from a node into an operand.
 
 Compiled instructions: ``compile_term`` turns a sequential instruction's
 frozen ``to`` term, once, into a postorder list of steps, and ``run_term``
 runs them on a value stack in one loop, in place of evaluating a copy of
 the term.  A leaf step pushes a fresh leaf, a reference step does what
 ``evaluate``'s reference branch does, and an eager built-in pops its
-operands and fires as ``_eval_eager`` does.  Every other subterm (``if``,
+operands and fires as ``_apply`` does.  Every other subterm (``if``,
 ``select``, a template call, an op-less set, a variable), and a whole
 ``to`` that is not frozen, is one step that evaluates a copy of it.  So
 effects, fuel, ``stats`` and errors come in ``evaluate``'s order, and a
@@ -110,9 +114,9 @@ class EvalContext:
     the outermost node, normally the machine root.  A frame is pushed as
     ``(inner, ctx.scope)``, which shares the outer chain, and the saved
     chain is restored in a ``finally``.  ``fuel`` decreases by one on every
-    transition and exhaustion raises instead of hanging.  The evaluation
-    mode is not kept here: it is ``evaluate``'s ``lenient`` argument,
-    which only the rewrite engine's sweep sets.  ``running`` holds the
+    transition and exhaustion raises instead of hanging.  No evaluation
+    mode is kept here: the rewrite engine calls ``sweep`` and everything
+    else ``evaluate``, and ``deref`` is told which.  ``running`` holds the
     ``Frame`` of each sequential run: a rewrite run cannot see writes into its rules.
     """
 
@@ -237,10 +241,10 @@ def _device_read(ctx: EvalContext, path: Path) -> Optional[Node]:
     return device.read()
 
 
-def _force_at(scope: tuple, path: Path, ctx: EvalContext, lenient: bool = False) -> Optional[Node]:
+def _force_at(scope: tuple, path: Path, ctx: EvalContext, reduce=None) -> Optional[Node]:
     """Resolve ``path`` from ``scope[0]`` and force the target: call it
-    if it is a filled function instance, evaluate it (in the ``lenient``
-    mode given) if it is a term.
+    if it is a filled function instance, reduce it with ``reduce``
+    (``evaluate`` unless given) if it is a term.
     A leaf, variable or hole target is returned without forcing.
     Returns the in-tree node, or None when the path does not resolve; the
     identity path addresses the scope itself."""
@@ -268,7 +272,7 @@ def _force_at(scope: tuple, path: Path, ctx: EvalContext, lenient: bool = False)
 
             templates.call(target, ctx, record)
         else:
-            evaluate(target, ctx, lenient)
+            (reduce or evaluate)(target, ctx)
     finally:
         ctx.scope = saved
         ctx.in_progress.discard(key)
@@ -288,14 +292,15 @@ def tree_data_of(root: Node, at: Path, ctx: Optional[EvalContext] = None) -> Nod
     return target
 
 
-def deref(path: Path, ctx: EvalContext, lenient: bool = False) -> Node:
+def deref(path: Path, ctx: EvalContext, reduce=None) -> Node:
     """Contents of the addressed node, searched innermost scope first,
-    returned as a fresh copy (a term consumes a value, not an alias)."""
+    returned as a fresh copy (a term consumes a value, not an alias).
+    ``reduce`` forces a term target, as ``_force_at`` says."""
     if ctx.devices is not None and (device := _device_read(ctx, path)) is not None:
         return device
     scope = ctx.scope
     while scope is not None:
-        target = _force_at(scope, path, ctx, lenient)
+        target = _force_at(scope, path, ctx, reduce)
         if target is not None:
             if target.kind == SET:
                 freeze_code(target)
@@ -307,114 +312,103 @@ def deref(path: Path, ctx: EvalContext, lenient: bool = False) -> Node:
 # --- the evaluator ----------------------------------------------------------
 
 
-def evaluate(node: Node, ctx: EvalContext, lenient: bool = False) -> Node:
+def evaluate(node: Node, ctx: EvalContext) -> Node:
     """Reduce ``node`` to a value in place and return it.
 
-    Strict mode raises UnknownOperation for unresolvable identifiers and
-    calls templates for known ones; ``lenient`` mode (the rewrite engine's
-    ready-term sweep) fires built-ins whose operands are values and leaves
-    everything else untouched.  A leaf is returned as it is; the sweep and
-    the operand loops here test for one themselves and never pass it in.
+    Reduces the operands that ``sweep_enters`` names, then fires a
+    built-in (``_apply``) or calls the template the operation names;
+    an identifier that names neither raises UnknownOperation before any
+    operand is reduced.  A leaf is returned as it is; the operand loops
+    here and in ``sweep`` test for one themselves and never pass it in.
     """
     kind = node.kind
     if kind == REF:
-        value = deref(node.value, ctx, lenient)
+        value = deref(node.value, ctx, evaluate)
         ctx.transition("deref")
         return node.become(value)
-    if kind != SET:
-        return node
     op = node.op
-    if op is None:
-        # only an op-less set can be a function instance
-        if not frame_of(node):
-            _eval_children(node, ctx, lenient)
+    if kind != SET or (op is None and frame_of(node)):  # only an op-less set is an instance
         return node
-    if op == "if":
-        return _eval_if(node, ctx, lenient)
-    if op == "select":
-        return _eval_select(node, ctx, lenient)
-    if op in algebra.BUILTIN_OPS:
-        return _eval_eager(node, ctx, lenient)
-    if op.startswith("$"):
-        raise UnboundVariable(f"function variable {op} outside a rewrite rule")
-    if lenient:
-        _eval_children(node, ctx, True)
+    template = None
+    if op is not None and op not in algebra._EAGER_OPS and not _check(node):
+        from . import templates
+
+        if (template := templates.lookup_template(op, ctx)) is None:
+            raise UnknownOperation(f"unknown operation {op!r}")
+    guarded = op == "if" or op == "select"
+    for _, child in node.children:
+        if child.kind != LEAF and (not guarded or sweep_enters(node, child)):
+            evaluate(child, ctx)
+    if template is not None:
+        return node.become(templates._call_copy(template, [child for _, child in node.children], ctx))
+    return node if op is None else _apply(node, ctx)
+
+
+def sweep(node: Node, ctx: EvalContext) -> Node:
+    """The rewrite engine's ready-term sweep of ``node``, in place: what
+    ``evaluate`` does, but a term that is not ready is left where it is
+    (the module docstring says how)."""
+    kind = node.kind
+    if kind == REF:
+        value = deref(node.value, ctx, sweep)
+        ctx.transition("deref")
+        return node.become(value)
+    op = node.op
+    if kind != SET or (op is None and frame_of(node)):
         return node
-    return _eval_call(node, ctx)
+    ready = op is not None and (op in algebra._EAGER_OPS or _check(node))  # while operands are values
+    guarded = op == "if" or op == "select"
+    for _, child in node.children:
+        if child.kind != LEAF and (not guarded or sweep_enters(node, child)):
+            sweep(child, ctx)
+            # a set with an operation is not a value: is_value is asked of none
+            ready = ready and (child.kind == LEAF or not child.op and is_value(child))
+    return _apply(node, ctx) if ready else node
 
 
 def sweep_enters(node: Node, operand: Node) -> bool:
-    """Whether the lenient sweep, having reached the term or op-less set
-    ``node`` in a frame it has already swept, goes on into ``operand``.
-    It does not go into an ``if`` branch while the condition is not a
-    boolean leaf, nor into the branch not taken, nor into a ``select``
-    predicate.  Swept once, the node passed the arity and boolean checks."""
+    """Whether ``evaluate`` and ``sweep`` reduce ``operand`` of the term or
+    op-less set ``node``: every operand, but of an ``if`` only the condition
+    and, once it is a boolean leaf, the branch it picks, and of a ``select``
+    only the source, never its predicate.  The rewrite engine asks it too,
+    of a node already swept, before it resumes a round below it."""
     if node.op == "if":
         cond = node.children[0][1]
-        return operand is cond or (cond.kind == LEAF and operand is node.children[1 if cond.value else 2][1])
+        return operand is cond or (
+            cond.kind == LEAF and cond.value in (0, 1) and operand is node.children[1 if cond.value else 2][1]
+        )
     return node.op != "select" or operand is node.children[0][1]
 
 
-def _eval_children(node: Node, ctx: EvalContext, lenient: bool = False) -> None:
-    for _, child in node.children:
-        if child.kind != LEAF:
-            evaluate(child, ctx, lenient)
+def _check(node: Node) -> bool:
+    """Whether ``node``'s operation is a built-in.  It raises, before any
+    operand is reduced, for an ``if`` or ``select`` of the wrong arity and
+    for a function variable ``$f`` outside a rule.  The walkers test for an
+    eager built-in first, inline, as that is the sweep's hottest path; such
+    an operation has nothing to check."""
+    op = node.op
+    if op == "if" or op == "select":
+        arity = 3 if op == "if" else 2
+        if len(node.children) != arity:
+            raise EvalError(f"{op} expects {arity} operands, got {len(node.children)}")
+        return True
+    if op.startswith("$"):
+        raise UnboundVariable(f"function variable {op} outside a rewrite rule")
+    return op in algebra.BUILTIN_OPS
 
 
-def _fire(node: Node, result: Node, ctx: EvalContext) -> Node:
+def _apply(node: Node, ctx: EvalContext) -> Node:
+    """Fire the ``if``, ``select`` or eager built-in ``node``, whose
+    operands ``sweep_enters`` names are reduced: it becomes its value."""
+    op, kids = node.op, node.children
+    if op == "if":
+        result = kids[1 if algebra._bool(kids[0][1], "if") else 2][1]
+    elif op == "select":
+        result = algebra.select(kids[0][1], kids[1][1], ctx)
+    else:
+        result = algebra.apply_builtin(op, [child for _, child in kids])
     ctx.transition("op")
     return node.become(result)
-
-
-def _eval_if(node: Node, ctx: EvalContext, lenient: bool) -> Node:
-    if len(node.children) != 3:
-        raise EvalError(f"if expects 3 operands, got {len(node.children)}")
-    cond = node.children[0][1]
-    if cond.kind != LEAF:
-        evaluate(cond, ctx, lenient)
-        if lenient and cond.kind != LEAF and (cond.op or not is_value(cond)):
-            return node
-    branch = node.children[1][1] if algebra._bool(cond, "if") else node.children[2][1]
-    if branch.kind != LEAF:
-        evaluate(branch, ctx, lenient)
-        if lenient and branch.kind != LEAF and (branch.op or not is_value(branch)):
-            return node
-    return _fire(node, branch, ctx)
-
-
-def _eval_select(node: Node, ctx: EvalContext, lenient: bool) -> Node:
-    if len(node.children) != 2:
-        raise EvalError(f"select expects 2 operands, got {len(node.children)}")
-    source = node.children[0][1]
-    if source.kind != LEAF:
-        evaluate(source, ctx, lenient)
-        if lenient and source.kind != LEAF and (source.op or not is_value(source)):
-            return node
-    result = algebra.select(source, node.children[1][1], ctx)
-    return _fire(node, result, ctx)
-
-
-def _eval_eager(node: Node, ctx: EvalContext, lenient: bool) -> Node:
-    # the loop of _eval_children, inline: this is the sweep's hottest path
-    for _, child in node.children:
-        if child.kind != LEAF:
-            evaluate(child, ctx, lenient)
-    if lenient:
-        for _, child in node.children:
-            if child.kind != LEAF and (child.op or not is_value(child)):
-                return node
-    result = algebra.apply_builtin(node.op, [child for _, child in node.children])
-    return _fire(node, result, ctx)
-
-
-def _eval_call(node: Node, ctx: EvalContext) -> Node:
-    from . import templates
-
-    template = templates.lookup_template(node.op, ctx)
-    if template is None:
-        raise UnknownOperation(f"unknown operation {node.op!r}")
-    _eval_children(node, ctx)
-    return node.become(templates._call_copy(template, [child for _, child in node.children], ctx))
 
 
 # --- compiled instruction terms -----------------------------------------------

@@ -103,8 +103,8 @@ def call(instance: Node, ctx: EvalContext, record: Optional[Frame] = None) -> No
     ``record`` is the instance's ``Frame``, built here if not given.  The
     instance frame becomes the innermost reference scope; its body executes
     under the engine selected by ``mode``, strictly, also when the call was
-    forced from the rewrite engine's ready-term sweep, since only the sweep
-    itself passes ``lenient``.  Afterwards the ``result`` slot takes the
+    forced from the rewrite engine's ready-term sweep: only the rewrite
+    engine calls ``sweep``, on its own frame.  Afterwards the ``result`` slot takes the
     instance node's place and is returned: ``record.result``, found anew
     only if a write at the identity path replaced the instance's child list
     or that node is frozen (see ``run_sequential``).  Each call counts as

@@ -22,7 +22,8 @@ subtree node itself, so a replacement through a view is seen outside it.
 
 This module is the only writer of a node's slots: outside it they are
 read-only.  The writers are the constructors (``Node(kind, value,
-children, op)``, whose fields may be given by position or keyword, and the
+children, op)``, whose fields may be given by position or keyword and
+which refuses a non-set with children or an op, and the
 unchecked ``new_node(kind, value, children, op)``, which the parser and
 the rhs builder use), ``add_child``, ``set_child``, ``set_nodes``,
 ``swap_children``, ``pop_child`` and ``become``; a copy with some subtrees
@@ -147,6 +148,8 @@ class Node:
         children: Optional[list[tuple[Optional[str], "Node"]]] = None,
         op: Optional[str] = None,
     ):
+        if kind != SET and (children or op is not None):
+            raise ValueError(f"a {kind} node has no children and no operation")
         self.kind = kind
         self.value = value
         self.children: list[tuple[Optional[str], Node]] = children if children is not None else []

@@ -20,7 +20,7 @@ from typing import Optional
 
 from evocat.engine import RESERVED_FRAME_LABELS, Formula, formulas_from
 from evocat.errors import EvalError, UnboundVariable
-from evocat.evaluator import EvalContext, evaluate, frame_of
+from evocat.evaluator import EvalContext, frame_of, sweep
 from evocat.tree import HOLE, LEAF, REF, SET, VAR, Node, Path, Segment, node_equal, rebuild
 
 
@@ -181,7 +181,7 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
     while True:
         for label, child in frame.children:
             if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
-                evaluate(child, ctx, True)
+                sweep(child, ctx)
         hits: list[tuple[Node, Path, Binding]] = []
         fired: Optional[Formula] = None
         for formula in formulas:

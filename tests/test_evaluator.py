@@ -348,16 +348,21 @@ class TestLeanSweep:
 
     def test_no_leaf_enters_evaluate_and_counts_are_pinned(self, monkeypatch):
         seen = []
-        inner = evaluator.evaluate
+        inner, inner_sweep = evaluator.evaluate, evaluator.sweep
 
-        def spy(node, ctx, lenient=False):
+        def spy(node, ctx):
             seen.append(node.kind)
-            return inner(node, ctx, lenient)
+            return inner(node, ctx)
+
+        def sweep_spy(node, ctx):
+            seen.append(node.kind)
+            return inner_sweep(node, ctx)
 
         # the evaluator's own recursion looks the name up in its module;
         # the engine holds the name it imported
         monkeypatch.setattr(evaluator, "evaluate", spy)
-        monkeypatch.setattr(engine, "evaluate", spy)
+        monkeypatch.setattr(evaluator, "sweep", sweep_spy)
+        monkeypatch.setattr(engine, "sweep", sweep_spy)
         e = parse(
             "e : prod { #0 : sum { #0 : prod { #0 : x { } #1 = 2 } #1 = 3 }"
             " #1 : sum { #0 = 1 #1 : prod { #0 = 4 #1 : x { } } } }"
@@ -425,19 +430,24 @@ class TestCompiledInstructions:
 
     @staticmethod
     def spy(monkeypatch) -> dict:
-        calls = {"evaluate": 0, "copy": 0}
-        inner_evaluate, inner_copy = evaluator.evaluate, Node.copy
+        calls = {"evaluate": 0, "copy": 0}  # sweep counts as evaluate
+        inner_evaluate, inner_sweep, inner_copy = evaluator.evaluate, evaluator.sweep, Node.copy
 
-        def evaluate_spy(node, ctx, lenient=False):
+        def evaluate_spy(node, ctx):
             calls["evaluate"] += 1
-            return inner_evaluate(node, ctx, lenient)
+            return inner_evaluate(node, ctx)
+
+        def sweep_spy(node, ctx):
+            calls["evaluate"] += 1
+            return inner_sweep(node, ctx)
 
         def copy_spy(node):
             calls["copy"] += 1
             return inner_copy(node)
 
         monkeypatch.setattr(evaluator, "evaluate", evaluate_spy)
-        monkeypatch.setattr(engine, "evaluate", evaluate_spy)
+        monkeypatch.setattr(evaluator, "sweep", sweep_spy)
+        monkeypatch.setattr(engine, "sweep", sweep_spy)
         monkeypatch.setattr(Node, "copy", copy_spy)
         return calls
 
@@ -480,23 +490,31 @@ class TestCompiledInstructions:
             ": lt { #0 = [s] #1 = 1 }",
             ": sum { #0 = [nope] #1 : rem { #0 = 1 #1 = 0 } }",
             ": sum { #0 : if { #0 = 1 #1 = [x] #2 = 0 } #1 : not { #0 : lt { #0 = [x] #1 = 9 } } }",
+            ": if { #0 = 5 #1 : sum { #0 = 1 #1 = [nope] } #2 = 0 }",  # no branch before NotBoolean
+            ": if { #0 = [s] #1 = 1 #2 = 0 }",  # a condition that is a set
+            ": if { #0 = 1 #1 = 2 }",
+            ": select { #0 = [s] #1 : lt { #0 = $v #1 = 2 } }",
+            ": if { #0 = 1 #1 = [x] #2 : rem { #0 = 1 #1 = 0 } }",  # the branch not taken
+            ": sum { #0 = [x] #1 : select { #0 = [x] #1 = 1 } }",
         ],
     )
     def test_steps_do_what_evaluate_does_to_a_copy(self, term):
-        def run(compiled):
+        # ... and what the rewrite engine's sweep does to a copy: a term
+        # of built-ins whose operands become values is reduced alike
+        def run(leg):
             root = parse(f"x = 4 s {{ a = 1 }} t {term}")
             to, ctx = root.resolve("t"), EvalContext(root)
             to.freeze()
             try:
-                if compiled:
+                if leg == "compiled":
                     result = render(evaluator.run_term(evaluator.compile_term(to), ctx))
                 else:
-                    result = render(evaluate(to.copy(), ctx))
+                    result = render(getattr(evaluator, leg)(to.copy(), ctx))
             except EvoError as err:
                 result = (type(err).__name__, str(err))
             return result, dict(ctx.stats), DEFAULT_FUEL - ctx.fuel
 
-        assert run(True) == run(False)
+        assert run("compiled") == run("evaluate") == run("sweep")
 
     def test_a_deep_instruction_term_needs_no_interpreter_stack(self):
         chain = Node.leaf(1)

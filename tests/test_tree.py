@@ -397,6 +397,14 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make(payload)
 
+    @pytest.mark.parametrize("kind", [LEAF, REF, VAR, HOLE])
+    def test_a_non_set_has_no_children_and_no_op(self, kind):
+        with pytest.raises(ValueError):
+            Node(kind, 1, [(None, Node.leaf(2))])
+        with pytest.raises(ValueError):
+            Node(kind, 1, op="f")
+        assert Node(kind, 1, [], None).children == []
+
     @given(
         st.integers(0, 10**30),
         st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True),
