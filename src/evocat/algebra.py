@@ -7,10 +7,11 @@ min/max with truncated subtraction as supplement; booleans are the leaves
 0 and 1.  ``select`` filters a set by a predicate term, the pullback-style
 query operation.
 
-All operations are pure: results are freshly built, with ``new_node``,
-and never alias their operands.  The eager operations are one table,
-``_EAGER_OPS``: each entry is the function that computes its operation,
-and ``nat_lattice``, ``bool_lattice`` and ``nat_compare`` call into it.
+All operations are pure: results are freshly built, with ``new_atom``
+and ``new_set``, and never alias their operands.  The eager operations are
+one table, ``_EAGER_OPS``: each entry is the function that computes its
+operation, and ``nat_lattice``, ``bool_lattice`` and ``nat_compare`` call
+into it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     NotASet,
     NotBoolean,
 )
-from .tree import LEAF, SET, VAR, Node, new_node, node_equal, rebuild
+from .tree import LEAF, SET, VAR, Node, new_atom, new_set, node_equal, pairs, rebuild
 
 
 def _nat(node: Node, who: str) -> int:
@@ -41,25 +42,25 @@ def _bool(node: Node, who: str = "boolean operation") -> int:
 def product(a: Node, b: Node) -> Node:
     """Leaves multiply; sets make all pairs {fst snd}, labeled p0, p1, ..."""
     if a.kind == LEAF and b.kind == LEAF:
-        return new_node(LEAF, a.value * b.value, [], None)
+        return new_atom(LEAF, a.value * b.value)
     if a.kind == SET and b.kind == SET:
-        pairs = [pair(ca, cb) for _, ca in a.children for _, cb in b.children]
-        return new_node(SET, 0, [(f"p{k}", p) for k, p in enumerate(pairs)], None)
+        pairs = [pair(ca, cb) for ca in a.nodes for cb in b.nodes]
+        return new_set(pairs, [f"p{k}" for k in range(len(pairs))] or None, None)
     raise MixedKinds(f"product of {a!r} and {b!r}")
 
 
 def coproduct(a: Node, b: Node) -> Node:
     """Leaves add; sets concatenate children, duplicates preserved."""
     if a.kind == LEAF and b.kind == LEAF:
-        return new_node(LEAF, a.value + b.value, [], None)
+        return new_atom(LEAF, a.value + b.value)
     if a.kind == SET and b.kind == SET:
-        kids = a.children + b.children
-        return new_node(SET, 0, [(f"p{k}", c.copy()) for k, (_, c) in enumerate(kids)], None)
+        kids = [c.copy() for c in a.nodes + b.nodes]
+        return new_set(kids, [f"p{k}" for k in range(len(kids))] or None, None)
     raise MixedKinds(f"coproduct of {a!r} and {b!r}")
 
 
 def pair(f: Node, g: Node) -> Node:
-    return new_node(SET, 0, [("fst", f.copy()), ("snd", g.copy())], None)
+    return new_set([f.copy(), g.copy()], ["fst", "snd"], None)
 
 
 def nat_lattice(op: str, a: Node, b: Node) -> Node:
@@ -74,7 +75,7 @@ def remainder(a: Node, b: Node) -> Node:
     x, y = _nat(a, "rem"), _nat(b, "rem")
     if y == 0:
         raise DivisionByZero(f"rem({x}, 0)")
-    return new_node(LEAF, x % y, [], None)
+    return new_atom(LEAF, x % y)
 
 
 def bool_lattice(op: str, *args: Node) -> Node:
@@ -96,7 +97,7 @@ def nat_compare(op: str, a: Node, b: Node) -> Node:
 
 def struct_eq(a: Node, b: Node) -> Node:
     """1 iff the trees are structurally equal (order-sensitive)."""
-    return new_node(LEAF, int(node_equal(a, b)), [], None)
+    return new_atom(LEAF, int(node_equal(a, b)))
 
 
 def select(m: Node, predicate: Node, ctx) -> Node:
@@ -116,8 +117,8 @@ def select(m: Node, predicate: Node, ctx) -> Node:
     names = _predicate_vars(predicate)
     if len(names) > 1:
         raise EvalError(f"select predicate uses several variables: {sorted(names)}")
-    kept = []
-    for label, child in m.children:
+    kept, labels = [], []
+    for label, child in pairs(m):
         # the predicate's one variable, if any, is every VAR node in it
         pred = rebuild(predicate, lambda n: child.copy() if n.kind == VAR else None)
         scope, ctx.scope = ctx.scope, (child, ctx.scope)
@@ -126,8 +127,9 @@ def select(m: Node, predicate: Node, ctx) -> Node:
         finally:
             ctx.scope = scope
         if _bool(result, "select predicate"):
-            kept.append((label, child.copy()))
-    return new_node(SET, 0, kept, None)
+            kept.append(child.copy())
+            labels.append(label)
+    return new_set(kept, labels if labels.count(None) < len(labels) else None, None)
 
 
 def _predicate_vars(node: Node) -> set[str]:
@@ -140,7 +142,7 @@ def _predicate_vars(node: Node) -> set[str]:
         elif node.kind == SET:
             if node.op is not None and node.op.startswith("$"):
                 raise EvalError("function variables are not allowed in select predicates")
-            stack.extend(child for _, child in node.children)
+            stack.extend(node.nodes)
     return names
 
 
@@ -148,16 +150,16 @@ def _predicate_vars(node: Node) -> set[str]:
 _EAGER_OPS = {
     "prod": (2, product), "sum": (2, coproduct), "pair": (2, pair),
     "rem": (2, remainder), "seteq": (2, struct_eq),
-    "not": (1, lambda a: new_node(LEAF, 1 - _bool(a, "not"), [], None)),
-    "min": (2, lambda a, b: new_node(LEAF, min(_nat(a, "min"), _nat(b, "min")), [], None)),
-    "max": (2, lambda a, b: new_node(LEAF, max(_nat(a, "max"), _nat(b, "max")), [], None)),
-    "monus": (2, lambda a, b: new_node(LEAF, max(_nat(a, "monus") - _nat(b, "monus"), 0), [], None)),
-    "and": (2, lambda a, b: new_node(LEAF, _bool(a, "and") & _bool(b, "and"), [], None)),
-    "or": (2, lambda a, b: new_node(LEAF, _bool(a, "or") | _bool(b, "or"), [], None)),
-    "implies": (2, lambda a, b: new_node(LEAF, (1 - _bool(a, "implies")) | _bool(b, "implies"), [], None)),
-    "eq": (2, lambda a, b: new_node(LEAF, int(_nat(a, "eq") == _nat(b, "eq")), [], None)),
-    "le": (2, lambda a, b: new_node(LEAF, int(_nat(a, "le") <= _nat(b, "le")), [], None)),
-    "lt": (2, lambda a, b: new_node(LEAF, int(_nat(a, "lt") < _nat(b, "lt")), [], None)),
+    "not": (1, lambda a: new_atom(LEAF, 1 - _bool(a, "not"))),
+    "min": (2, lambda a, b: new_atom(LEAF, min(_nat(a, "min"), _nat(b, "min")))),
+    "max": (2, lambda a, b: new_atom(LEAF, max(_nat(a, "max"), _nat(b, "max")))),
+    "monus": (2, lambda a, b: new_atom(LEAF, max(_nat(a, "monus") - _nat(b, "monus"), 0))),
+    "and": (2, lambda a, b: new_atom(LEAF, _bool(a, "and") & _bool(b, "and"))),
+    "or": (2, lambda a, b: new_atom(LEAF, _bool(a, "or") | _bool(b, "or"))),
+    "implies": (2, lambda a, b: new_atom(LEAF, (1 - _bool(a, "implies")) | _bool(b, "implies"))),
+    "eq": (2, lambda a, b: new_atom(LEAF, int(_nat(a, "eq") == _nat(b, "eq")))),
+    "le": (2, lambda a, b: new_atom(LEAF, int(_nat(a, "le") <= _nat(b, "le")))),
+    "lt": (2, lambda a, b: new_atom(LEAF, int(_nat(a, "lt") < _nat(b, "lt")))),
 }
 
 #: Operation identifiers recognized by the evaluator (case-sensitive).

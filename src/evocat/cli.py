@@ -107,9 +107,9 @@ def _read(path: str) -> str:
 
 def _parse_arg_value(text: str) -> Node:
     tree = textio.parse(f"value = {text}", allow_vars=False)
-    if len(tree.children) != 1:
+    if len(tree.nodes) != 1:
         raise ParseError(f"--arg value {text!r} is not a single literal")
-    return tree.children[0][1]
+    return tree.nodes[0]
 
 
 def _named(path: str, err: Exception) -> str:

@@ -60,7 +60,8 @@ from .evaluator import (
     sweep,
     sweep_enters,
 )
-from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path, new_node, node_equal, rebuild, replace_subtree
+from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path, new_atom, new_set, node_equal, pairs, rebuild
+from .tree import replace_subtree
 
 #: frame children the rewrite engine must not scan or rewrite
 RESERVED_FRAME_LABELS = SHAPE_LABELS - {"result"} | {"ip"}
@@ -102,9 +103,10 @@ _BIND, _SAME, _DEFER, _PLUG = "bind", "same", "defer", "plug"
 
 
 class Pattern:
-    """An lhs as a preorder list of checks ``(code, register, index, label,
-    a, b)`` of child ``index`` in the children list ``register``; register
-    0 is ``[(None, subject)]``, and a set check appends its node's children.
+    """An lhs as a preorder list of checks ``(code, register, index, a, b,
+    c)`` of child ``index`` in the node list ``register``; register 0 is
+    ``[subject]``, and a set check, of op ``a``, arity ``b`` and labels
+    ``c``, appends its node's list.
     ``vars`` and ``funcs`` are the names bound; ``key`` is what a subject's
     root must agree with: (kind, op, arity), where only a set has an op or
     children; None when any subject may match.  ``depth`` is how far below
@@ -115,43 +117,43 @@ class Pattern:
 
     def __init__(self, lhs: Node):
         steps, bound, applied, depth = [], set(), [], 0
-        work, registers = [(lhs, 0, 0, 0, None)], 1
+        work, registers = [(lhs, 0, 0, 0)], 1
         while work:
             p, below, *where = work.pop()
             depth = max(depth, below)
             if p.kind == VAR:
-                steps.append((_SAME if p.value in bound else _BIND, *where, p.value, None))
+                steps.append((_SAME if p.value in bound else _BIND, *where, p.value, None, None))
                 bound.add(p.value)
             elif p.kind in (LEAF, REF):
-                steps.append((p.kind, *where, p.value, None))
+                steps.append((p.kind, *where, p.value, None, None))
             elif p.kind == HOLE:
                 raise EvalError("hole nodes cannot appear in patterns")
             elif p.op is not None and p.op.startswith("$"):  # not looked into
-                if len(p.children) != 1 or p.children[0][1].kind != VAR:
+                if len(p.nodes) != 1 or p.nodes[0].kind != VAR:
                     raise EvalError(f"function variable {p.op} must be applied to exactly one variable")
-                applied.append((p.op[1:], p.children[0][1].value))
-                steps.append((_DEFER, *where, *applied[-1]))
+                applied.append((p.op[1:], p.nodes[0].value))
+                steps.append((_DEFER, *where, *applied[-1], None))
             else:
-                steps.append((SET, *where, p.op, len(p.children)))
-                work += reversed([(c, below + 1, registers, i, lab) for i, (lab, c) in enumerate(p.children)])
+                steps.append((SET, *where, p.op, len(p.nodes), p.labels))
+                work += reversed([(c, below + 1, registers, i) for i, c in enumerate(p.nodes)])
                 registers += 1
         for fname, argname in applied:
             if argname not in bound:
                 never = f"applied to ${argname}, which the pattern never binds"
                 raise EvalError(f"function variable ${fname} {never}")
         self.steps, self.vars, self.funcs = steps, bound, {fname for fname, _ in applied}
-        self.key = None if steps[0][0] in (_BIND, _DEFER) else (lhs.kind, lhs.op, len(lhs.children))
+        self.key = None if steps[0][0] in (_BIND, _DEFER) else (lhs.kind, lhs.op, len(lhs.nodes))
         self.depth = None if any(step[0] in (_SAME, _DEFER) for step in steps) else depth
 
 
 class Template:
-    """An rhs as a postorder list of build steps ``(kind, label, arity,
-    value, name)``, each pushing a ``(label, node)`` pair: a skeleton node
-    of ``kind`` over the last ``arity`` pairs, a copy of the binding of
-    ``name`` (``VAR``), or ``$name`` plugged with what template ``value``
-    builds (``_PLUG``).  ``closed``: the skeleton has no reference and no
-    ``select``; ``copies`` and ``plugs`` are the variables and ``(name,
-    argument template)`` pairs used."""
+    """An rhs as a postorder list of build steps ``(kind, labels, arity,
+    value, name)``, each pushing a node: a skeleton node of ``kind`` over
+    the last ``arity`` nodes, labeled by a copy of ``labels``, a copy of
+    the binding of ``name`` (``VAR``), or ``$name`` plugged with what
+    template ``value`` builds (``_PLUG``).  ``closed``: the skeleton has
+    no reference and no ``select``; ``copies`` and ``plugs`` are the
+    variables and ``(name, argument template)`` pairs used."""
 
     __slots__ = ("steps", "copies", "plugs", "closed")
 
@@ -163,30 +165,30 @@ class Template:
         """Compile ``rhs`` with its names among ``bound`` and ``funcs``.  The
         walk is preorder, as errors must be; steps are its reverse."""
         templates = [cls()]
-        work = [(rhs, None, templates[0])]
+        work = [(rhs, templates[0])]
         while work:
-            node, label, into = work.pop()
+            node, into = work.pop()
             if node.kind == VAR:
                 if node.value not in bound:
                     raise UnboundVariable(f"${node.value} is not bound")
                 into.copies.add(node.value)
-                into.steps.append((VAR, label, 0, 0, node.value))
+                into.steps.append((VAR, None, 0, 0, node.value))
             elif node.kind == HOLE:
                 raise EvalError("hole nodes cannot appear in templates")
             elif node.op is not None and node.op.startswith("$"):
                 name = node.op[1:]
                 if name not in funcs:
                     raise UnboundVariable(f"${name} is not bound")
-                if len(node.children) != 1:
+                if len(node.nodes) != 1:
                     raise EvalError(f"function variable ${name} must be applied to exactly one argument")
                 templates.append(cls())
                 into.plugs.append((name, templates[-1]))
-                into.steps.append((_PLUG, label, 0, templates[-1], name))
-                work.append((node.children[0][1], None, templates[-1]))
+                into.steps.append((_PLUG, None, 0, templates[-1], name))
+                work.append((node.nodes[0], templates[-1]))
             else:
                 into.closed = into.closed and node.kind != REF and node.op != "select"
-                into.steps.append((node.kind, label, len(node.children), node.value, node.op))
-                work += [(c, lab, into) for lab, c in reversed(node.children)]
+                into.steps.append((node.kind, node.labels, len(node.nodes), node.value, node.op))
+                work += [(c, into) for c in reversed(node.nodes)]
         for template in templates:
             template.steps.reverse()
         return templates[0]
@@ -210,15 +212,13 @@ def match(pattern: Union[Pattern, Node], subject: Node) -> Optional[Binding]:
     bare ``Node`` is compiled first, so a malformed one always raises."""
     if not isinstance(pattern, Pattern):
         pattern = Pattern(pattern)
-    registers, bound, deferred = [[(None, subject)]], {}, []
-    for code, register, index, label, a, b in pattern.steps:
-        got, node = registers[register][index]
-        if got != label:
-            return None
+    registers, bound, deferred = [[subject]], {}, []
+    for code, register, index, a, b, c in pattern.steps:
+        node = registers[register][index]
         if code == SET:
-            if node.kind != SET or node.op != a or len(node.children) != b:
+            if node.kind != SET or node.op != a or len(node.nodes) != b or node.labels != c:
                 return None
-            registers.append(node.children)
+            registers.append(node.nodes)
         elif code == _BIND:
             bound[a] = node
         elif code == _SAME:
@@ -258,19 +258,21 @@ def substitute(template: Union[Template, Node], binding: Binding) -> Node:
     bare ``Node`` is compiled first, against the names ``binding`` binds."""
     if not isinstance(template, Template):
         template = Template.of(template, binding.vars, binding.funcs)
-    stack: list[tuple[Optional[str], Node]] = []
-    for kind, label, arity, value, name in template.steps:
+    stack: list[Node] = []
+    for kind, labels, arity, value, name in template.steps:
         if kind == VAR:
             node = binding.vars[name].copy()
         elif kind == _PLUG:
             node = binding.funcs[name].plug(substitute(value, binding))
-        else:
+        elif kind == SET:
             kids = stack[: -arity - 1 : -1]  # the last pushed is the leftmost
             if arity:
                 del stack[-arity:]
-            node = new_node(kind, value, kids, name)
-        stack.append((label, node))
-    return stack[0][1]
+            node = new_set(kids, labels and labels[:], name)
+        else:
+            node = new_atom(kind, value)
+        stack.append(node)
+    return stack[0]
 
 
 # --- program extraction -------------------------------------------------------
@@ -280,12 +282,12 @@ def instructions_from(body: Node) -> list[Instruction]:
     """Read ``{ at = [path] to = ... }`` entries out of a body node and
     compile each ``to`` term (``compile_term``)."""
     program: list[Instruction] = []
-    for index, (_, node) in enumerate(body.children):
+    for index, node in enumerate(body.nodes):
         if node.kind != SET:
             raise EvalError(f"instruction #{index} is not a set node")
         at = node.child("at")
         to = node.child("to")
-        if at is None or to is None or len(node.children) != 2:
+        if at is None or to is None or len(node.nodes) != 2:
             raise EvalError(f"instruction #{index} must have exactly 'at' and 'to'")
         if at.kind != REF:
             raise EvalError(f"instruction #{index}: 'at' must be an address [path]")
@@ -298,7 +300,7 @@ def formulas_from(rules: Node) -> list[Formula]:
     each one as the module docstring says.  An error keeps its class and
     its message names the formula and side."""
     formulas: list[Formula] = []
-    for index, (_, node) in enumerate(rules.children):
+    for index, node in enumerate(rules.nodes):
         if node.kind != SET:
             raise EvalError(f"formula #{index} is not a set node")
         lhs = node.child("lhs")
@@ -329,9 +331,9 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None, r
     instruction.  ``record``, the call's ``Frame`` or else a bare one, is
     held in ``ctx.running``.
 
-    The ``ip`` node found by the first write is kept while ``frame.children``
+    The ``ip`` node found by the first write is kept while ``frame.nodes``
     is the list it was found in and it is not frozen.  This is exact:
-    ``tree.py`` gives a node a new child list only in ``become``, a write at
+    ``tree.py`` gives a node a new node list only in ``become``, a write at
     the identity path, and changes one in place only to append, to swap or
     pop heap items, to fill a call's ``args``, and in ``unshare_path``, only
     over frozen children.  A write at ``ip``, by name or ordinal, keeps the
@@ -344,8 +346,8 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None, r
     ctx.running.append(record := record or Frame(frame, code=body))
     record.program = _program(body, instructions_from)
     try:
-        index, kids = 0, frame.children
-        ip_node = frame.set_child("ip", new_node(LEAF, 0, [], None))
+        index, kids = 0, frame.nodes
+        ip_node = frame.set_child("ip", new_atom(LEAF, 0))
         while index < len(record.program):
             inst = record.program[index]
             if ctx.trace is not None:
@@ -353,9 +355,9 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None, r
             try:
                 ctx.transition("instruction")
                 _apply_write(frame, inst.at, run_term(inst.steps, ctx), ctx)
-                trusted, kids = frame.children is kids and ip_node.frozen is None, frame.children
+                trusted, kids = frame.nodes is kids and ip_node.frozen is None, frame.nodes
                 if inst.at != _IP:
-                    ip = new_node(LEAF, index + 1, [], None)
+                    ip = new_atom(LEAF, index + 1)
                     ip_node = ip_node.become(ip) if trusted else frame.set_child("ip", ip)
                 elif not trusted:
                     ip_node = frame.child("ip")
@@ -465,14 +467,14 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
             scanned = _scan(formulas, 0, resume, [(h, None)], hits, chain, segs)
         else:
             scanned = 0
-            for label, child in frame.children:
+            for label, child in pairs(frame):
                 if child.kind != LEAF and label not in RESERVED_FRAME_LABELS:
                     sweep(child, ctx)
         if not hits:
             del chain[:], segs[:]
             roots = [
                 (c, (None, i if lab is None else lab, c))
-                for i, (lab, c) in enumerate(frame.children)
+                for i, (lab, c) in enumerate(pairs(frame))
                 if lab not in RESERVED_FRAME_LABELS
             ]
             scanned = _scan(formulas, scanned, len(formulas), roots, hits)
@@ -502,7 +504,7 @@ def _scan(formulas: list, first: int, stop: int, roots: list, hits: list, chain=
         if chain is not None and (key is None or key[0] == SET):  # every ancestor is a set
             for at in range(_highest(pattern, chain), len(chain) - 1):
                 ancestor = chain[at]
-                agrees = key is None or (ancestor.kind, ancestor.op, len(ancestor.children)) == key
+                agrees = key is None or (ancestor.kind, ancestor.op, len(ancestor.nodes)) == key
                 if agrees and (binding := match(pattern, ancestor)) is not None:
                     hits.append((ancestor, None, binding))
                     del chain[at + 1 :], segs[at + 1 :]
@@ -565,7 +567,7 @@ def _closed(node: Node, holes: bool = True) -> bool:
         node = work.pop()
         if node.kind == REF or node.op == "select" or (node.kind == HOLE and not holes):
             return False
-        work.extend([child for _, child in node.children])
+        work.extend(node.nodes)
     return True
 
 
@@ -575,15 +577,17 @@ def _candidates(key: Optional[tuple], node: Node, cell: Optional[tuple], out: li
     descendants end in ``out``, a cell ``(outer cell, segment, node)`` is one
     step down from where the walk started (None).  The walk stops below a
     function instance, and visits a non-set child only when it may agree."""
-    agrees = key is None or (node.kind, node.op, len(node.children)) == key
+    agrees = key is None or (node.kind, node.op, len(node.nodes)) == key
     if agrees:
         at = len(out)
         out.append(None)
     # only an op-less set can be a function instance
     if node.kind == SET and (node.op is not None or not frame_of(node)):
-        for index, (label, child) in enumerate(node.children):
+        labels = node.labels
+        for index, child in enumerate(node.nodes):
             if child.kind == SET or key is None or child.kind == key[0]:
-                _candidates(key, child, (cell, label if label is not None else index, child), out)
+                seg = index if labels is None or labels[index] is None else labels[index]
+                _candidates(key, child, (cell, seg, child), out)
     if agrees:
         out[at] = (node, cell, len(out))
 

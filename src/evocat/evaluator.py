@@ -70,7 +70,7 @@ from .tree import (
     VAR,
     Node,
     Path,
-    new_node,
+    new_atom,
     resolve_chain,
     unshare_path,
 )
@@ -176,14 +176,15 @@ class Frame:
 def frame_of(node: Node) -> Optional[Frame]:
     """The record of a set shaped like a function/appliance frame: args,
     mode, result, and a body (sequential) or rules (rewrite) child; else None."""
-    if node.kind != SET or node.op is not None:
+    labels = node.labels
+    if node.kind != SET or node.op is not None or labels is None or "mode" not in labels:
         return None
-    kids = dict(node.children)
-    args, mode, result = kids.get("args"), kids.get("mode"), kids.get("result")
-    if args is None or result is None or mode is None or mode.kind != LEAF:
+    nodes, at = node.nodes, labels.index  # a frame has few labels: scans in C beat a dict
+    mode = nodes[at("mode")]
+    code = _CODE_LABELS.get(mode.value, "") if mode.kind == LEAF else ""
+    if code not in labels or "args" not in labels or "result" not in labels or nodes[at(code)].kind != SET:
         return None
-    code = kids.get(_CODE_LABELS.get(mode.value, ""))
-    return Frame(node, args, mode, code, result) if code is not None and code.kind == SET else None
+    return Frame(node, nodes[at("args")], mode, nodes[at(code)], nodes[at("result")])
 
 
 def freeze_code(template: Node) -> Optional[Node]:
@@ -197,9 +198,10 @@ def freeze_code(template: Node) -> Optional[Node]:
 def instance_args_ready(record: Frame) -> Optional[str]:
     """Name of the first argument slot that is still a ``$`` placeholder,
     else None.  A filled slot may hold a template, placeholders and all."""
-    for index, (label, slot) in enumerate(record.args.children):
+    labels = record.args.labels
+    for index, slot in enumerate(record.args.nodes):
         if slot.kind == VAR:
-            return label if label is not None else f"#{index}"
+            return labels[index] if labels and labels[index] is not None else f"#{index}"
     return None
 
 
@@ -219,7 +221,7 @@ def is_value(node: Node) -> bool:
         node = stack.pop()
         if frame_of(node):
             continue
-        for _, child in node.children:
+        for child in node.nodes:
             kind = child.kind
             if kind == LEAF:
                 continue
@@ -335,12 +337,12 @@ def evaluate(node: Node, ctx: EvalContext) -> Node:
 
         if (template := templates.lookup_template(op, ctx)) is None:
             raise UnknownOperation(f"unknown operation {op!r}")
-    guarded = op == "if" or op == "select"
-    for _, child in node.children:
-        if child.kind != LEAF and (not guarded or sweep_enters(node, child)):
+    guarded, kids = op == "if" or op == "select", node.nodes
+    for child in kids:  # the first operand of an if or select is always entered
+        if child.kind != LEAF and (not guarded or child is kids[0] or sweep_enters(node, child)):
             evaluate(child, ctx)
     if template is not None:
-        return node.become(templates._call_copy(template, [child for _, child in node.children], ctx))
+        return node.become(templates._call_copy(template, kids, ctx))
     return node if op is None else _apply(node, ctx)
 
 
@@ -357,9 +359,9 @@ def sweep(node: Node, ctx: EvalContext) -> Node:
     if kind != SET or (op is None and frame_of(node)):
         return node
     ready = op is not None and (op in algebra._EAGER_OPS or _check(node))  # while operands are values
-    guarded = op == "if" or op == "select"
-    for _, child in node.children:
-        if child.kind != LEAF and (not guarded or sweep_enters(node, child)):
+    guarded, kids = op == "if" or op == "select", node.nodes
+    for child in kids:
+        if child.kind != LEAF and (not guarded or child is kids[0] or sweep_enters(node, child)):
             sweep(child, ctx)
             # a set with an operation is not a value: is_value is asked of none
             ready = ready and (child.kind == LEAF or not child.op and is_value(child))
@@ -373,11 +375,11 @@ def sweep_enters(node: Node, operand: Node) -> bool:
     only the source, never its predicate.  The rewrite engine asks it too,
     of a node already swept, before it resumes a round below it."""
     if node.op == "if":
-        cond = node.children[0][1]
+        cond = node.nodes[0]
         return operand is cond or (
-            cond.kind == LEAF and cond.value in (0, 1) and operand is node.children[1 if cond.value else 2][1]
+            cond.kind == LEAF and cond.value in (0, 1) and operand is node.nodes[1 if cond.value else 2]
         )
-    return node.op != "select" or operand is node.children[0][1]
+    return node.op != "select" or operand is node.nodes[0]
 
 
 def _check(node: Node) -> bool:
@@ -389,8 +391,8 @@ def _check(node: Node) -> bool:
     op = node.op
     if op == "if" or op == "select":
         arity = 3 if op == "if" else 2
-        if len(node.children) != arity:
-            raise EvalError(f"{op} expects {arity} operands, got {len(node.children)}")
+        if len(node.nodes) != arity:
+            raise EvalError(f"{op} expects {arity} operands, got {len(node.nodes)}")
         return True
     if op.startswith("$"):
         raise UnboundVariable(f"function variable {op} outside a rewrite rule")
@@ -400,13 +402,13 @@ def _check(node: Node) -> bool:
 def _apply(node: Node, ctx: EvalContext) -> Node:
     """Fire the ``if``, ``select`` or eager built-in ``node``, whose
     operands ``sweep_enters`` names are reduced: it becomes its value."""
-    op, kids = node.op, node.children
+    op, kids = node.op, node.nodes
     if op == "if":
-        result = kids[1 if algebra._bool(kids[0][1], "if") else 2][1]
+        result = kids[1 if algebra._bool(kids[0], "if") else 2]
     elif op == "select":
-        result = algebra.select(kids[0][1], kids[1][1], ctx)
+        result = algebra.select(kids[0], kids[1], ctx)
     else:
-        result = algebra.apply_builtin(op, [child for _, child in kids])
+        result = algebra.apply_builtin(op, kids)
     ctx.transition("op")
     return node.become(result)
 
@@ -433,8 +435,8 @@ def compile_term(term: Node) -> list[tuple]:
         if kind == LEAF or kind == REF:
             steps.append((kind, node.value, 0))
         elif kind == SET and node.op in algebra._EAGER_OPS:
-            steps.append((SET, node.op, len(node.children)))
-            work.extend([child for _, child in node.children])
+            steps.append((SET, node.op, len(node.nodes)))
+            work.extend(node.nodes)
         else:
             steps.append((_COPY, node, 0))
     steps.reverse()
@@ -453,7 +455,7 @@ def run_term(steps: list[tuple], ctx: EvalContext) -> Node:
             value = deref(payload, ctx)
             ctx.transition("deref")
         elif code == LEAF:
-            value = new_node(LEAF, payload, [], None)
+            value = new_atom(LEAF, payload)
         elif code == SET:
             cut = len(stack) - arity
             value = algebra.apply_builtin(payload, stack[cut:])

@@ -44,7 +44,7 @@ from .evaluator import (
     freeze_code,
     instance_args_ready,
 )
-from .tree import LEAF, SET, Node, Path, _as_path, resolve
+from .tree import LEAF, SET, Node, Path, _as_path, pairs, resolve
 
 from . import textio
 
@@ -82,8 +82,8 @@ def bind_operands(instance: Node, operands: list[Node], record: Optional[Frame] 
     args = record.args if record is not None else instance.child("args")
     if args is None or args.kind != SET:
         raise EvalError("instance has no argument set")
-    if len(operands) != len(args.children):
-        raise MissingArgument(f"call provides {len(operands)} operands for {len(args.children)} slots")
+    if len(operands) != len(args.nodes):
+        raise MissingArgument(f"call provides {len(operands)} operands for {len(args.nodes)} slots")
     args.set_nodes(list(map(Node.copy, operands)))
 
 
@@ -106,7 +106,7 @@ def call(instance: Node, ctx: EvalContext, record: Optional[Frame] = None) -> No
     forced from the rewrite engine's ready-term sweep: only the rewrite
     engine calls ``sweep``, on its own frame.  Afterwards the ``result`` slot takes the
     instance node's place and is returned: ``record.result``, found anew
-    only if a write at the identity path replaced the instance's child list
+    only if a write at the identity path replaced the instance's node list
     or that node is frozen (see ``run_sequential``).  Each call counts as
     ``call`` in ``ctx.stats``.
     """
@@ -116,7 +116,7 @@ def call(instance: Node, ctx: EvalContext, record: Optional[Frame] = None) -> No
         raise MissingArgument(f"argument slot {unfilled!r} is still empty")
     ctx.transition("call")
     scope, ctx.scope = ctx.scope, (instance, ctx.scope)
-    kids = instance.children
+    kids = instance.nodes
     try:
         if record.mode.value == MODE_SEQUENTIAL:
             run_sequential(record.code, instance, ctx, record)
@@ -124,7 +124,7 @@ def call(instance: Node, ctx: EvalContext, record: Optional[Frame] = None) -> No
             run_rewrite(record.code, instance, ctx)
     finally:
         ctx.scope = scope
-    if instance.children is kids and record.result.frozen is None:
+    if instance.nodes is kids and record.result.frozen is None:
         result = record.result
     elif (result := instance.child("result")) is None:
         raise EvalError("instance lost its result slot")
@@ -174,7 +174,7 @@ def merge_program(base: Node, program: Node) -> Node:
     duplicate top-level label is a load error, not a shadowing."""
     if program.kind != SET:
         raise NotASet("a program file must be a set of top-level entries")
-    for label, child in program.children:
+    for label, child in pairs(program):
         if label is not None and base.child(label) is not None:
             raise DuplicateSibling(f"duplicate top-level label {label!r}")
         base.add_child(label, child)
@@ -221,9 +221,9 @@ def heap_put(heap: Node, item: Node, ctx: Optional[EvalContext] = None) -> None:
     then add it and take the recorded steps."""
     ctx = ctx or EvalContext(heap)
     data, compare = _heap_parts(heap)
-    items, new = data.children, item.copy()  # a compare writes only into its own frame
+    items, new = data.nodes, item.copy()  # a compare writes only into its own frame
     i, path = len(items), []
-    while i > 0 and _heap_less(compare, new, items[parent := (i - 1) // 2][1], ctx):
+    while i > 0 and _heap_less(compare, new, items[parent := (i - 1) // 2], ctx):
         path.append((i, parent))
         i = parent
     data.add_child(None, new)
@@ -237,15 +237,15 @@ def heap_get(heap: Node, ctx: Optional[EvalContext] = None) -> Node:
     step down, then move it to the top and take the recorded steps."""
     ctx = ctx or EvalContext(heap)
     data, compare = _heap_parts(heap)
-    n = len(items := data.children) - 1  # the items left after the get; see heap_put on items
+    n = len(items := data.nodes) - 1  # the items left after the get; see heap_put on items
     if n < 0:
         raise EmptyHeap("get on an empty heap")
     i, path = 0, []
     while True:
-        smallest, low = i, items[n][1]  # the last item, as if on top
+        smallest, low = i, items[n]  # the last item, as if on top
         for child in (2 * i + 1, 2 * i + 2):
-            if child < n and _heap_less(compare, items[child][1], low, ctx):
-                smallest, low = child, items[child][1]
+            if child < n and _heap_less(compare, items[child], low, ctx):
+                smallest, low = child, items[child]
         if smallest == i:
             break
         path.append((i, smallest))

@@ -38,12 +38,11 @@ The renderer is canonical: 2-space indentation, one entry per line,
 children in stored order, positional labels printed as ``#k``, string
 sugar re-applied whenever every child is an unlabeled leaf with a
 printable code point.  Equal trees render to identical text.  The sugar
-probe (``_atom``) runs only on the root and on a set child with no op
-whose first child is unlabelled; any other set is written with braces
-at once.
+probe (``_atom``) runs only on the root and on a non-empty set child with
+no op and no labels; any other set is written with braces at once.
 
-The parser and ``encode_text`` make every node with ``tree.new_node``,
-each set with a list of its own.
+The parser and ``encode_text`` make every node with ``tree.new_set`` or
+``tree.new_atom``, each set with lists of its own.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from itertools import islice
 from typing import Optional
 
 from .errors import DepthExceeded, DuplicateSibling, NotEncodable, ParseError, VariablesOutsideRules
-from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path, new_node
+from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path, new_atom, new_set
 
 MAX_DEPTH = 200
 
@@ -161,15 +160,16 @@ def _parse(tokens: list[str], allow_vars: bool) -> Node:
         if tokens[i]:
             raise _Fault(ParseError, "trailing input after document body", i)
         return node
-    # The open sets enclosing the current one, as (children, labels seen,
-    # op, label in its parent); a bare set document is held by a sentinel.
+    # The open sets enclosing the current one, as (nodes, labels, labels
+    # seen, op, label in its parent); a bare set document is held by a sentinel.
     stack: list[tuple] = []
-    kids: list[tuple[Optional[str], Node]] = []
+    kids: list[Node] = []
+    labels: list[Optional[str]] = []
     seen: set[str] = set()
     op: Optional[str] = None
     i = 0
     if first == "{" or first == ":":
-        stack.append((None, None, None, None))
+        stack.append((None, None, None, None, None))
         op, i = _open(tokens, 0, allow_vars)
     while True:
         tok = tokens[i]
@@ -186,32 +186,34 @@ def _parse(tokens: list[str], allow_vars: bool) -> Node:
         elif not stack:
             if tok:
                 raise _Fault(ParseError, "expected an entry", i)
-            return new_node(SET, 0, kids, None)
+            return new_set(kids, labels if seen else None, None)
         else:
             if tok != "}":
                 raise _Fault(ParseError, "expected '}'", i)
-            node = new_node(SET, 0, kids, op)
-            kids, seen, op, label = stack.pop()
+            node = new_set(kids, labels if seen else None, op)
+            kids, labels, seen, op, label = stack.pop()
             i += 1
             if kids is None:
                 if tokens[i]:
                     raise _Fault(ParseError, "trailing input after document body", i)
                 return node
-            kids.append((label, node))
+            kids.append(node)
+            labels.append(label)
             continue
         tok = tokens[i + 1]
         if tok == "=":
             tok = tokens[i + 2]
             if tok.isdigit():
-                kids.append((label, new_node(LEAF, int(tok), [], None)))
+                kids.append(new_atom(LEAF, int(tok)))
                 i += 3
             else:
                 node, i = _value(tokens, i + 2, allow_vars)
-                kids.append((label, node))
+                kids.append(node)
+            labels.append(label)
         elif tok == "{" or tok == ":":
-            stack.append((kids, seen, op, label))
+            stack.append((kids, labels, seen, op, label))
             op, i = _open(tokens, i + 1, allow_vars)
-            kids, seen = [], set()
+            kids, labels, seen = [], [], set()
             if len(stack) > MAX_DEPTH:
                 raise _Fault(ParseError, "nesting too deep", i)
         else:
@@ -242,7 +244,7 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
     index after it."""
     tok = tokens[i]
     if tok.isdigit():
-        return new_node(LEAF, int(tok), [], None), i + 1
+        return new_atom(LEAF, int(tok)), i + 1
     c = tok[:1]
     if c == '"':
         text = tok[1:-1]
@@ -252,7 +254,7 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
     if c == "$":
         if not allow_vars:
             raise _Fault(VariablesOutsideRules, f"variable {tok} in a plain state file", i)
-        return new_node(VAR, tok[1:], [], None), i + 1
+        return new_atom(VAR, tok[1:]), i + 1
     if tok != "[":
         raise _Fault(ParseError, "expected a value", i)
     segs: list = []
@@ -270,7 +272,7 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
         i += 1
     if tokens[i + 1] != "]":
         raise _Fault(ParseError, "expected ']'", i + 1)
-    return new_node(REF, Path(segs), [], None), i + 2
+    return new_atom(REF, Path(segs)), i + 2
 
 
 # --- string sugar ---------------------------------------------------------
@@ -278,8 +280,7 @@ def _value(tokens: list[str], i: int, allow_vars: bool) -> tuple[Node, int]:
 
 def encode_text(text: str) -> Node:
     """A string as a set node of unlabeled code-point leaves."""
-    kids = [(None, new_node(LEAF, ord(ch), [], None)) for ch in text]
-    return new_node(SET, 0, kids, None)
+    return new_set([new_atom(LEAF, ord(ch)) for ch in text], None, None)
 
 
 def decode_text(node: Node) -> Optional[str]:
@@ -289,11 +290,11 @@ def decode_text(node: Node) -> Optional[str]:
     Unicode scalars; printability is not required here, only for the
     renderer's sugar.
     """
-    if node.kind != SET or node.op is not None:
+    if node.kind != SET or node.op is not None or node.labels is not None:
         return None
     chars: list[str] = []
-    for label, child in node.children:
-        if label is not None or child.kind != LEAF:
+    for child in node.nodes:
+        if child.kind != LEAF:
             return None
         v = child.value
         if v > 0x10FFFF or 0xD800 <= v <= 0xDFFF:
@@ -305,7 +306,7 @@ def decode_text(node: Node) -> Optional[str]:
 def _sugar_text(node: Node) -> Optional[str]:
     # Renderer-side check: at least one child (so `a { }` stays braces) and
     # every character printable or newline, so the text re-parses.
-    if node.kind != SET or node.op is not None or not node.children:
+    if node.kind != SET or node.op is not None or not node.nodes:
         return None
     text = decode_text(node)
     if text is None:
@@ -362,19 +363,19 @@ def _render(root: Node) -> str:
         out, depth, close = [], 0, ""
     else:
         out, depth, close = [f": {root.op} {{\n"], 1, "}\n"
-    # The set being written is (children left, indent, closing line); the
-    # stack holds the same for each set that encloses it.
-    children, pad = enumerate(root.children), "  " * depth
+    # The set being written is (its children left, its labels, indent,
+    # closing line); the stack holds the same for each set that encloses it.
+    children, labels, pad = enumerate(root.nodes), root.labels, "  " * depth
     stack: list[tuple] = []
     while True:
-        for index, (label, child) in children:
+        for index, child in children:
+            label = labels[index] if labels is not None else None
             name = pad + label if label is not None else f"{pad}#{index}"
             if child.kind == LEAF:  # the common case, without the call
                 out.append(f"{name} = {child.value}\n")
                 continue
-            kids = child.children
-            # Only a set with no op whose first child is unlabelled can be sugar.
-            if child.kind != SET or (child.op is None and kids and kids[0][0] is None):
+            # Only a non-empty set with no op and no labels can be sugar.
+            if child.kind != SET or (child.op is None and child.labels is None and child.nodes):
                 atom = _atom(child)
                 if atom is not None:
                     out.append(f"{name} = {atom}\n")
@@ -382,11 +383,11 @@ def _render(root: Node) -> str:
             out.append(name + " {\n" if child.op is None else f"{name} : {child.op} {{\n")
             if depth + len(stack) + 1 > MAX_DEPTH:  # the depth of the set opened here
                 raise DepthExceeded(f"tree nested deeper than {MAX_DEPTH} sets cannot be rendered")
-            stack.append((children, pad, close))
-            children, pad, close = enumerate(kids), pad + "  ", pad + "}\n"
+            stack.append((children, labels, pad, close))
+            children, labels, pad, close = enumerate(child.nodes), child.labels, pad + "  ", pad + "}\n"
             break
         else:
             out.append(close)
             if not stack:
                 return "".join(out)
-            children, pad, close = stack.pop()
+            children, labels, pad, close = stack.pop()

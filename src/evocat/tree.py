@@ -10,6 +10,13 @@ payload slot, ``value``: a leaf's natural, a reference's ``Path``, a
 variable's name, and 0 for a set or a hole.  ``Node.leaf``, ``ref_node``
 and ``var_node`` refuse a natural, segment or name that text cannot hold.
 
+Layout: a set keeps its child nodes in a list, ``nodes``, and their labels
+apart in a parallel list, ``labels``, or None when no child is labeled.  A
+leaf, reference, variable or hole is one object: its ``nodes`` is the
+shared empty tuple, with no labels and no op.  ``children``, a tuple of
+``(label, node)`` pairs built on each read, is for callers outside the
+package; the package reads ``nodes`` and ``labels``.
+
 Addressing follows the usual path discipline: the empty path is the
 identity, composition is concatenation, a label segment selects the child
 with that label and an ordinal segment ``#k`` selects the k-th child by
@@ -21,11 +28,12 @@ stay valid across transitions.  A machine state is just its root ``Node``, and a
 subtree node itself, so a replacement through a view is seen outside it.
 
 This module is the only writer of a node's slots: outside it they are
-read-only.  The writers are the constructors (``Node(kind, value,
-children, op)``, whose fields may be given by position or keyword and
-which refuses a non-set with children or an op, and the
-unchecked ``new_node(kind, value, children, op)``, which the parser and
-the rhs builder use), ``add_child``, ``set_child``, ``set_nodes``,
+read-only.  The writers are the constructors, none of which builds a
+non-set with children or an op (``Node(kind, value, children, op)``, whose
+fields may be given by position or keyword, and ``Node.set_node`` take
+``(label, node)`` pairs; the unchecked ``new_set(nodes, labels, op)`` and
+``new_atom(kind, value)`` serve the parser, the rhs builder and the
+built-ins), ``add_child``, ``set_child``, ``set_nodes``,
 ``swap_children``, ``pop_child`` and ``become``; a copy with some subtrees
 replaced is built by ``rebuild``.
 Copies share frozen template code (``Node.freeze``), which those writers
@@ -35,6 +43,7 @@ refuse and ``replace_subtree`` un-shares before it writes: copy-on-write.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -134,12 +143,12 @@ def meet(e: Path, c: Path) -> Path:
 class Node:
     """A single vertex of the state tree.  Mutable; identity matters.
 
-    ``children`` is a list of ``(label, node)`` pairs; a label of ``None``
-    means the child is addressed only by its position.  ``frozen`` is None,
-    ``()`` below a frozen code root, or on it a one-slot program cache.
+    A label of ``None`` means the child is addressed only by its position.
+    ``frozen`` is None, ``()`` below a frozen code root, or on it a
+    one-slot program cache.
     """
 
-    __slots__ = ("kind", "value", "children", "op", "frozen")
+    __slots__ = ("kind", "value", "nodes", "labels", "op", "frozen")
 
     def __init__(
         self,
@@ -152,7 +161,9 @@ class Node:
             raise ValueError(f"a {kind} node has no children and no operation")
         self.kind = kind
         self.value = value
-        self.children: list[tuple[Optional[str], Node]] = children if children is not None else []
+        given = list(children or ())
+        self.nodes = [node for _, node in given] if kind == SET else ()
+        self.labels = [label for label, _ in given] if any(label is not None for label, _ in given) else None
         self.op = op
         self.frozen = None
 
@@ -162,7 +173,7 @@ class Node:
     def leaf(cls, value: int) -> "Node":
         if type(value) is not int or value < 0:
             raise ValueError(f"a leaf holds a natural, not {value!r}")
-        return new_node(LEAF, value, [], None)
+        return new_atom(LEAF, value)
 
     @classmethod
     def set_node(
@@ -181,13 +192,13 @@ class Node:
         for seg in path:
             if not (_IDENT_RE.match(seg) if isinstance(seg, str) else type(seg) is int and seg >= 0):
                 raise ValueError(f"a path segment is an identifier or an ordinal, not {seg!r}")
-        return new_node(REF, Path(path), [], None)  # a Path, also when given a tuple
+        return new_atom(REF, Path(path))  # a Path, also when given a tuple
 
     @classmethod
     def var_node(cls, name: str) -> "Node":
         if not _IDENT_RE.match(name):
             raise ValueError(f"a variable is named by an identifier, not {name!r}")
-        return new_node(VAR, name, [], None)
+        return new_atom(VAR, name)
 
     @classmethod
     def hole(cls) -> "Node":
@@ -195,86 +206,93 @@ class Node:
 
     # --- children ---
 
+    @property
+    def children(self) -> tuple[tuple[Optional[str], "Node"], ...]:
+        """The ``(label, node)`` pairs in order, as a tuple built on each read."""
+        return tuple(pairs(self))
+
     def child(self, label: str) -> Optional["Node"]:
-        for lab, node in self.children:
-            if lab == label:
-                return node
+        labels = self.labels
+        if labels is not None and label in labels:
+            return self.nodes[labels.index(label)]
         return None
 
     def child_at(self, index: int) -> Optional["Node"]:
-        if 0 <= index < len(self.children):
-            return self.children[index][1]
-        return None
+        nodes = self.nodes
+        return nodes[index] if 0 <= index < len(nodes) else None
 
     def index_of(self, label: str) -> Optional[int]:
-        for i, (lab, _) in enumerate(self.children):
-            if lab == label:
-                return i
-        return None
+        labels = self.labels
+        return labels.index(label) if labels is not None and label in labels else None
 
     def add_child(self, label: Optional[str], node: "Node") -> "Node":
         if self.frozen is not None:
             raise FrozenCode(_FROZEN)
-        if label is not None and self.child(label) is not None:
+        if label is not None and label in (self.labels or ()):
             raise DuplicateSibling(f"duplicate sibling label {label!r}")
-        self.children.append((label, node))
+        if self.kind != SET:
+            raise NotASet(f"a {self.kind} node has no children")
+        if self.labels is not None:
+            self.labels.append(label)
+        elif label is not None:
+            self.labels = [None] * len(self.nodes) + [label]
+        self.nodes.append(node)
         return node
 
     def set_child(self, label: str, node: "Node") -> "Node":
         """Replace the child carrying ``label`` in place, or append it."""
-        if self.frozen is not None:
-            raise FrozenCode(_FROZEN)
         idx = self.index_of(label)
-        if idx is None:
-            self.children.append((label, node))
-        else:
-            self.children[idx][1].become(node)
-            node = self.children[idx][1]
-        return node
+        return self.add_child(label, node) if idx is None else self.nodes[idx].become(node)
 
     def set_nodes(self, nodes: list["Node"]) -> None:
         """Put ``nodes`` in the place of the first children, in order; labels stay."""
-        kids = self.children
+        kids = self.nodes
         for i, node in enumerate(nodes):
-            if kids[i][1].frozen is not None:  # as become refuses; below frozen code all is frozen
+            if kids[i].frozen is not None:  # as become refuses; below frozen code all is frozen
                 raise FrozenCode(_FROZEN)
-            kids[i] = (kids[i][0], node)
+            kids[i] = node
 
     def swap_children(self, i: int, j: int) -> None:
         """Exchange the i-th and j-th children, labels included."""
         if self.frozen is not None:
             raise FrozenCode(_FROZEN)
-        kids = self.children
-        kids[i], kids[j] = kids[j], kids[i]
+        for kids in (self.nodes, self.labels) if self.labels else (self.nodes,):
+            kids[i], kids[j] = kids[j], kids[i]
 
     def pop_child(self) -> "Node":
         """Remove the last child and return its node."""
         if self.frozen is not None:
             raise FrozenCode(_FROZEN)
-        return self.children.pop()[1]
+        labels = self.labels
+        if labels is not None and labels.pop() is not None and labels.count(None) == len(labels):
+            self.labels = None  # the last label went
+        return self.nodes.pop()
 
     # --- whole-node operations ---
 
     def copy(self) -> "Node":
         """A deep copy in which only frozen code roots below ``self`` are
-        shared.  The copy is iterative, over a work list of (source, blank
-        copy) pairs, so its depth is not bounded by the interpreter's stack.
-        A childless child is copied where it is met, not through the list."""
+        shared.  The copy is iterative, over a work list of (source set,
+        blank copy) pairs, so its depth is not bounded by the interpreter's
+        stack.  A child that is not a set is copied where it is met."""
+        if self.kind != SET:
+            return new_atom(self.kind, self.value)
         new = dst = object.__new__(Node)
         src, work = self, []
         while True:
-            dst.kind, dst.value, dst.op, dst.frozen = src.kind, src.value, src.op, None
-            dst.children = kids = []
-            for label, child in src.children:
+            dst.kind, dst.value, dst.op, dst.frozen = SET, src.value, src.op, None
+            dst.labels = src.labels and src.labels[:]
+            dst.nodes = kids = []
+            for child in src.nodes:
                 if child.frozen:  # share frozen code
-                    kids.append((label, child))
+                    kids.append(child)
                     continue
-                kids.append((label, twin := object.__new__(Node)))
-                if child.children:
+                kids.append(twin := object.__new__(Node))
+                if child.kind == SET:
                     work.append((child, twin))
                 else:
-                    twin.kind, twin.value, twin.op = child.kind, child.value, child.op
-                    twin.children, twin.frozen = [], None
+                    twin.kind, twin.value, twin.nodes = child.kind, child.value, ()
+                    twin.labels = twin.op = twin.frozen = None
             if not work:
                 return new
             src, dst = work.pop()
@@ -286,7 +304,7 @@ class Node:
             while work:
                 node = work.pop()
                 node.frozen = ()
-                work.extend([child for _, child in node.children if child.frozen is None])
+                work.extend([child for child in node.nodes if child.frozen is None])
             self.frozen = [None]
 
     def become(self, other: "Node") -> "Node":
@@ -299,7 +317,8 @@ class Node:
             other = other.copy()
         self.kind = other.kind
         self.value = other.value
-        self.children = other.children
+        self.nodes = other.nodes
+        self.labels = other.labels
         self.op = other.op
         return self
 
@@ -334,19 +353,36 @@ class Node:
         if self.kind == HOLE:
             return "<hole>"
         op = f" :{self.op}" if self.op else ""
-        return f"<set{op} |{len(self.children)}|>"
+        return f"<set{op} |{len(self.nodes)}|>"
 
 
-def new_node(kind: str, value: Union[int, Path, str], children: list, op: Optional[str]) -> Node:
-    """A node with its slots set directly, not through ``__init__`` and
-    unchecked: it adopts ``children`` as its list."""
+def new_set(nodes: list[Node], labels: Optional[list], op: Optional[str]) -> Node:
+    """A set node with its slots set directly, not through ``__init__``,
+    and unchecked: it adopts ``nodes`` and ``labels`` as its lists, and
+    ``labels`` must hold a label or be None."""
     node = object.__new__(Node)
-    node.kind = kind
-    node.value = value
-    node.children = children
+    node.kind = SET
+    node.value = 0
+    node.nodes = nodes
+    node.labels = labels
     node.op = op
     node.frozen = None
     return node
+
+
+def new_atom(kind: str, value: Union[int, Path, str]) -> Node:
+    """A leaf, reference, variable or hole holding ``value``, unchecked."""
+    node = object.__new__(Node)
+    node.kind = kind
+    node.value = value
+    node.nodes = ()
+    node.labels = node.op = node.frozen = None
+    return node
+
+
+def pairs(node: Node) -> zip:
+    """The ``(label, node)`` pair of each child of ``node``, in order, lazily."""
+    return zip(node.labels or repeat(None), node.nodes)
 
 
 def node_equal(a: Node, b: Node) -> bool:
@@ -363,13 +399,10 @@ def node_equal(a: Node, b: Node) -> bool:
         if kind != SET:
             if a.value != b.value:
                 return False
-        elif a.op != b.op or len(a.children) != len(b.children):
+        elif a.op != b.op or a.labels != b.labels or len(a.nodes) != len(b.nodes):
             return False
         else:
-            for (la, ca), (lb, cb) in zip(a.children, b.children):
-                if la != lb:
-                    return False
-                work.append((ca, cb))
+            work.extend(zip(a.nodes, b.nodes))
     return True
 
 
@@ -378,24 +411,21 @@ def rebuild(node: Node, swap: Callable[[Node], Optional[Node]]) -> Node:
     returns a node is replaced by that node.  The replacement is adopted as
     it is and not descended into; ``node`` itself is never written.  ``swap``
     sees the nodes in preorder.  As in ``copy``, the walk is a work list of
-    (source, the children list its copy joins, label), not recursion;
-    siblings are popped in order, so each copy joins its list in order."""
+    (source, the node list its copy joins), not recursion; siblings are
+    popped in order, so each copy joins its list in order."""
     top: list = []
-    work = [(node, top, None)]
+    work = [(node, top)]
     while work:
-        src, kids, label = work.pop()
+        src, kids = work.pop()
         new = swap(src)
         if new is None:
-            new = object.__new__(Node)
-            new.kind = src.kind
-            new.value = src.value
-            new.op = src.op
-            new.frozen = None
-            new.children = into = []
-            for lab, child in reversed(src.children):
-                work.append((child, into, lab))
-        kids.append((label, new))
-    return top[0][1]
+            if src.kind != SET:
+                new = new_atom(src.kind, src.value)
+            else:
+                new = new_set([], src.labels and src.labels[:], src.op)
+                work += [(child, new.nodes) for child in reversed(src.nodes)]
+        kids.append(new)
+    return top[0]
 
 
 def resolve(context: Node, path: Path) -> Optional[Node]:
@@ -438,7 +468,7 @@ def _contains(node: Node, target: Node) -> bool:
         node = work.pop()
         if node is target:
             return True
-        work.extend([child for _, child in node.children])
+        work.extend(node.nodes)
     return False
 
 
@@ -462,7 +492,7 @@ def replace_subtree(root: Node, at: Path, new: Node, ctx=None) -> Node:
     seg = at.last()
     if isinstance(seg, int):
         existing = parent.child_at(seg)
-        if existing is None and seg != len(parent.children):
+        if existing is None and seg != len(parent.nodes):
             raise PathUnresolvable(f"no child #{seg} at {at.parent()}")
     else:
         existing = parent.child(seg)
@@ -470,12 +500,12 @@ def replace_subtree(root: Node, at: Path, new: Node, ctx=None) -> Node:
         unshare_path(root, at.parent() if existing is None else at, ctx)
         return replace_subtree(root, at, new, ctx)
     if seg == "mode":  # so shared code only sits in well-formed instances
-        for i in range(len(parent.children)):
+        for i in range(len(parent.nodes)):
             unshare_path(parent, (i,), ctx)
     if existing is None:
         parent.add_child(seg if isinstance(seg, str) else None, new)
     else:
-        if new is not existing and new.children and _contains(new, existing):
+        if new is not existing and new.nodes and _contains(new, existing):
             raise PathUnresolvable("replacement contains the node it replaces")
         existing.become(new)
     return root
@@ -491,7 +521,7 @@ def unshare_path(root: Node, path: Path, ctx=None) -> Node:
         child = node.child_at(seg) if isinstance(seg, int) else node.child(seg)
         if child.frozen is not None:
             twin = child.copy()
-            node.children[:] = [(lab, twin if c is child else c) for lab, c in node.children]
+            node.nodes[:] = [twin if c is child else c for c in node.nodes]
             if ctx is not None:
                 ctx.unshared(node, child, twin)
             child = twin

@@ -60,6 +60,26 @@ def node_ids(root: Node) -> set[int]:
     return ids
 
 
+# --- a large plain state ------------------------------------------------------
+
+
+def cli_state_text(records: int = 160, seed: int = 1) -> str:
+    """A plain state shaped like the ``cli_state`` benchmark's 36 KB file:
+    records holding a string, nested sets, a score and a ``sum`` term over
+    a reference into another record."""
+    rng = random.Random(seed)
+    lines = []
+    for r in range(records):
+        name = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(8))
+        lines.append(f'r{r} {{\n  name = "{name}"\n  tags {{')
+        for t in range(3):
+            k, lo, hi = rng.randint(100, 999), rng.randint(10, 99), rng.randint(100, 999)
+            lines.append(f"    #{t} {{ k = {k} v {{ lo = {lo} hi = {hi} }} }}")
+        lines.append(f"  }}\n  score = {rng.randint(1000, 9999)}")
+        lines.append(f"  bonus : sum {{ #0 = [r{rng.randrange(records)}.score] #1 = {rng.randint(1, 9)} }}\n}}")
+    return "\n".join(lines) + "\n"
+
+
 # --- random value trees (no terms) -----------------------------------------
 
 
@@ -70,7 +90,7 @@ def gen_value_tree(rng: random.Random, depth: int = 4, fanout: int = 5) -> Node:
     labels = rng.sample(LABELS, rng.randrange(fanout + 1))
     for label in labels:
         use_label = label if rng.random() < 0.7 else None
-        node.children.append((use_label, gen_value_tree(rng, depth - 1, fanout)))
+        node.add_child(use_label, gen_value_tree(rng, depth - 1, fanout))
     return node
 
 
@@ -99,7 +119,7 @@ def gen_any_tree(rng: random.Random, depth: int = 6, fanout: int = 5) -> Node:
     labels = rng.sample(LABELS, rng.randrange(min(fanout, 5) + 1))
     for label in labels:
         use_label = label if rng.random() < 0.6 else None
-        node.children.append((use_label, gen_any_tree(rng, depth - 1, fanout)))
+        node.add_child(use_label, gen_any_tree(rng, depth - 1, fanout))
     return node
 
 

@@ -242,7 +242,7 @@ class TestSelect:
         const_false = self.predicate("p : eq { #0 = 0 #1 = 1 }")
         everything = select(m, const_true, EvalContext(StateTree()))
         assert node_equal(everything, m)
-        assert select(m, const_false, EvalContext(StateTree())).children == []
+        assert select(m, const_false, EvalContext(StateTree())).children == ()
 
     def test_field_access_by_reference(self):
         m = parse('p0 { name = "John" age = 30 } p1 { name = "Ann" age = 40 }').root

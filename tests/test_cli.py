@@ -267,6 +267,19 @@ class TestRun:
         assert proc.returncode == 0
         assert proc.stdout == '"hey"\n'
 
+    def test_a_reference_reads_the_value_at_the_time_of_the_read(self, tmp_path):
+        # [j.args.n] is read as 5; forcing [j] then runs j in place, which
+        # writes 9 into that same args.n.  A deref that handed out the
+        # in-tree node instead of a copy would print fst = 9.
+        program = tmp_path / "read.evo"
+        program.write_text(
+            "t { args { } mode = 0"
+            " j { args { n = 5 } mode = 0 body { #0 { at = [args.n] to = 9 } #1 { at = [result] to = 1 } } result = 0 }"
+            " body { #0 { at = [result] to : pair { #0 = [j.args.n] #1 = [j] } } } result = 0 }"
+        )
+        proc = evocat("run", str(program), "--entry", "t")
+        assert (proc.returncode, proc.stdout) == (0, "fst = 5\nsnd = 1\n")
+
 
 class TestTrace:
     def test_gcd_firings_in_order(self):

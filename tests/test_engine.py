@@ -201,9 +201,7 @@ class TestSubstitute:
                 return Node.leaf(rng.randrange(10))
             node = Node.set_node(op=rng.choice([None, "f", "g"]))
             for label in rng.sample(LABELS, rng.randrange(4)):
-                node.children.append(
-                    (label if rng.random() < 0.5 else None, gen_pattern(depth - 1))
-                )
+                node.add_child(label if rng.random() < 0.5 else None, gen_pattern(depth - 1))
             return node
 
         def gen_fill(pattern):

@@ -481,6 +481,27 @@ class TestCompiledInstructions:
             66,
         )
 
+    def test_no_walker_asks_whether_it_enters_a_condition(self, monkeypatch):
+        # an if's condition, like a select's source, is always entered:
+        # evaluate and sweep ask sweep_enters only about the other operands
+        asked, inner = [], evaluator.sweep_enters
+
+        def sweep_enters_spy(node, operand):
+            asked.append((node.op, operand is node.nodes[0]))
+            return inner(node, operand)
+
+        calls = self.spy(monkeypatch)
+        monkeypatch.setattr(evaluator, "sweep_enters", sweep_enters_spy)
+        lib = load_stdlib()
+        assert run_entry(lib, "fact", {"n": Node.leaf(5)}).value == 120
+        assert ("if", True) not in asked  # fact's branches are leaves: nothing is asked
+        assert calls == {"evaluate": 19, "copy": 28}  # as test_fact_calls_evaluate_only_for_its_if pins
+        term = parse("t : if { #0 : lt { #0 = 1 #1 = 2 } #1 : sum { #0 = 1 #1 = 2 } #2 : sum { } }").resolve("t")
+        for walk in (evaluator.evaluate, evaluator.sweep):
+            asked[:] = []
+            assert walk(term.copy(), EvalContext(lib)).value == 3
+            assert asked == [("if", False), ("if", False)]
+
     @pytest.mark.parametrize(
         "term",
         [

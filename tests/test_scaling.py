@@ -11,15 +11,23 @@ The count is taken by spies on the engine's helpers:
   nodes and the segments down to the last hit.  For each of the two lists,
   the entries added since the round before count, or all of them when the
   list is not the one that round was handed.
+
+The text row parses and renders a plain state of n and 2n records.  It
+counts the nodes built, by spies on the parser's two node constructors,
+and the Python lines run in ``textio`` and ``tree``, by a line tracer: a
+loop over siblings written in Python shows there, a scan inside a C call
+such as ``list.index`` does not.
 """
 
 import sys
 
 import pytest
 
-from evocat import EvalContext, engine, load_stdlib, run_entry
+from evocat import EvalContext, engine, load_stdlib, parse, render, run_entry, textio, tree
 from evocat.errors import FuelExhausted
 from evocat.tree import Node
+
+from helpers import cli_state_text
 
 GROWTH = 2.3
 
@@ -89,3 +97,35 @@ def test_div_by_zero_as_the_fuel_doubles(work):
         assert work["resumed"] == fuel // 3 - 2  # a firing and two operations per round
         got.append(work["work"])
     assert grows_linearly(got), got
+
+
+def test_parse_and_render_as_the_records_double(monkeypatch):
+    built = {"nodes": 0}
+    for name in ("new_set", "new_atom"):
+        def spy(*args, inner=getattr(textio, name)):
+            built["nodes"] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(textio, name, spy)
+    files = {textio.__file__, tree.__file__}
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename not in files:
+            return None
+        built["lines"] += event == "line"
+        return tracer
+
+    nodes, lines = [], []
+    for records in (320, 640):
+        text = cli_state_text(records)
+        built.update(nodes=0, lines=0)
+        sys.settrace(tracer)
+        try:
+            out = render(parse(text, allow_vars=False))
+        finally:
+            sys.settrace(None)
+        assert out.count("\n") == 31 * records  # a record's entries and closing braces
+        nodes.append(built["nodes"])
+        lines.append(built["lines"])
+    assert nodes == [30 * 320 + 1, 30 * 640 + 1], nodes  # 30 nodes a record, and the root
+    assert grows_linearly(lines), lines

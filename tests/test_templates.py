@@ -504,14 +504,14 @@ class TestHeap:
         data = heap.child("data")
         heap_put(heap, leaf(4), ctx)
         assert heap_get(heap, ctx).value == 4
-        assert data.children == []
+        assert data.children == ()
         for order in ((2, 9), (9, 2)):
             for v in order:
                 heap_put(heap, leaf(v), ctx)
             assert heap_get(heap, ctx).value == 2
             assert [child.value for _, child in data.children] == [9]
             assert heap_get(heap, ctx).value == 9
-            assert data.children == []
+            assert data.children == ()
         with pytest.raises(EmptyHeap):
             heap_get(heap, ctx)
 

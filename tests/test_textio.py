@@ -18,7 +18,7 @@ from evocat.errors import (
 )
 from evocat.tree import Node, Path, node_equal
 
-from helpers import gen_any_tree
+from helpers import cli_state_text, gen_any_tree
 from test_textio_reference import reference
 
 CODES = [(None, Node.leaf(104)), (None, Node.leaf(105))]
@@ -238,23 +238,6 @@ class TestDepth:
             render(chain(depth))
         with pytest.raises(ParseError):
             parse("a {" * depth + "}" * depth)
-
-
-def cli_state_text(records: int = 160, seed: int = 1) -> str:
-    """A plain state shaped like the ``cli_state`` benchmark's 36 KB file:
-    records holding a string, nested sets, a score and a ``sum`` term over
-    a reference into another record."""
-    rng = random.Random(seed)
-    lines = []
-    for r in range(records):
-        name = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(8))
-        lines.append(f'r{r} {{\n  name = "{name}"\n  tags {{')
-        for t in range(3):
-            k, lo, hi = rng.randint(100, 999), rng.randint(10, 99), rng.randint(100, 999)
-            lines.append(f"    #{t} {{ k = {k} v {{ lo = {lo} hi = {hi} }} }}")
-        lines.append(f"  }}\n  score = {rng.randint(1000, 9999)}")
-        lines.append(f"  bonus : sum {{ #0 = [r{rng.randrange(records)}.score] #1 = {rng.randint(1, 9)} }}\n}}")
-    return "\n".join(lines) + "\n"
 
 
 class TestNoRecursion:

@@ -1,5 +1,6 @@
 """Addressing, replacement, and view semantics of the state tree."""
 
+import gc
 import itertools
 import random
 import re
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from evocat import EvalContext, load_stdlib, parse, render
 from evocat.algebra import _EAGER_OPS, apply_builtin
 from evocat.engine import match, run_rewrite, run_sequential, substitute
-from evocat.errors import EvoError, NotASet, OrdinalInMeet, PathUnresolvable
+from evocat.errors import DuplicateSibling, EvoError, NotASet, OrdinalInMeet, PathUnresolvable
 from evocat.evaluator import evaluate
 from evocat.textio import encode_text
 from evocat.tree import (
@@ -26,6 +27,8 @@ from evocat.tree import (
     StateTree,
     compose,
     meet,
+    new_atom,
+    new_set,
     node_equal,
     rebuild,
     replace_subtree,
@@ -33,7 +36,7 @@ from evocat.tree import (
     subtree_view,
 )
 
-from helpers import LABELS, gen_any_tree, gen_value_tree, node_ids, preorder
+from helpers import LABELS, cli_state_text, gen_any_tree, gen_value_tree, node_ids, preorder
 
 paths = st.builds(
     Path,
@@ -312,13 +315,19 @@ def check_payload(*roots):
 
 def check_constructed(*roots):
     """Every node below ``roots`` is unfrozen, holds its kind's payload,
-    and owns its ``children`` list."""
+    and, if a set, owns its ``nodes`` list and its ``labels`` list, which is
+    None exactly when no child is labeled; any other node has neither."""
     owners = {}
     check_payload(*roots)
     for root in roots:
         for node in preorder(root):
             assert node.frozen is None
-            assert owners.setdefault(id(node.children), node) is node
+            if node.kind != SET:
+                assert (node.nodes, node.labels, node.op) == ((), None, None)
+                continue
+            assert owners.setdefault(id(node.nodes), node) is node
+            assert node.labels is None or owners.setdefault(id(node.labels), node) is node
+            assert node.labels is None or len(node.labels) == len(node.nodes) > node.labels.count(None)
 
 
 class TestConstructors:
@@ -352,8 +361,8 @@ class TestConstructors:
 
     def test_fields_by_position_or_keyword(self):
         for node in [Node("ref", Path.of("a"), None, None), Node("ref", value=Path.of("a"))]:
-            assert (node.kind, node.value, node.children, node.op) == ("ref", ("a",), [], None)
-        assert Node.__slots__ == ("kind", "value", "children", "op", "frozen")
+            assert (node.kind, node.value, node.children, node.op) == ("ref", ("a",), (), None)
+        assert Node.__slots__ == ("kind", "value", "nodes", "labels", "op", "frozen")
 
     @given(any_trees, any_trees)
     @settings(max_examples=100, deadline=None)
@@ -403,7 +412,74 @@ class TestConstructors:
             Node(kind, 1, [(None, Node.leaf(2))])
         with pytest.raises(ValueError):
             Node(kind, 1, op="f")
-        assert Node(kind, 1, [], None).children == []
+        assert Node(kind, 1, [], None).children == ()
+
+    def test_each_constructor_builds_no_non_set_with_children_or_an_op(self):
+        atoms = [
+            Node(LEAF, 1), Node(REF, Path.of("a")), Node(VAR, "x"), Node(HOLE),
+            Node.leaf(1), Node.ref_node("a.#1"), Node.var_node("x"), Node.hole(),
+            *(new_atom(kind, value) for kind, value in [(LEAF, 1), (REF, Path.of("a")), (VAR, "x"), (HOLE, 0)]),
+        ]
+        for node in atoms:
+            assert node.kind != SET and (node.nodes, node.labels, node.op, node.children) == ((), None, None, ())
+            for write in (lambda: node.add_child(None, Node.leaf(2)), lambda: node.set_child("a", Node.leaf(2))):
+                with pytest.raises(NotASet):
+                    write()
+            assert (node.nodes, node.op) == ((), None)
+        # the set constructors: Node and set_node take (label, node) pairs, new_set the two lists
+        sets = [
+            Node(SET, 0, [("a", Node.leaf(1)), (None, Node.leaf(2))], "f"),
+            Node.set_node([("a", Node.leaf(1)), (None, Node.leaf(2))], op="f"),
+            new_set([Node.leaf(1), Node.leaf(2)], ["a", None], "f"),
+        ]
+        for node in sets:
+            assert (node.kind, node.op, node.labels) == (SET, "f", ["a", None])
+            assert render(node) == ": f {\n  a = 1\n  #1 = 2\n}\n"
+        with pytest.raises(DuplicateSibling):
+            Node.set_node([("a", Node.leaf(1)), (None, Node.leaf(2)), ("a", Node.leaf(3))])
+        for target in atoms + sets:  # become takes over a well-formed node whole
+            for source in atoms + sets:
+                node = target.copy().become(source.copy())
+                assert node_equal(node, source) and (node.kind == SET or (node.nodes, node.op) == ((), None))
+
+    def test_the_pair_view_is_a_tuple_that_refuses_writes(self):
+        t = parse("a = 1 #1 = 2")
+        assert t.children == (("a", t.child("a")), (None, t.child_at(1)))
+        with pytest.raises(AttributeError):
+            t.children.append((None, Node.leaf(3)))
+        with pytest.raises(AttributeError):
+            t.children = ()
+        assert render(t) == "a = 1\n#1 = 2\n"
+
+    def test_labels_are_none_exactly_when_no_child_is_labeled(self):
+        t = parse("#0 = 1 #1 = 2")
+        assert t.labels is None
+        t.add_child(None, Node.leaf(3))
+        assert t.labels is None
+        t.add_child("a", Node.leaf(4))
+        assert t.labels == [None, None, None, "a"]
+        t.swap_children(0, 3)
+        assert t.labels == ["a", None, None, None] and t.child("a").value == 4
+        t.swap_children(0, 3)
+        t.add_child(None, Node.leaf(5))
+        assert t.pop_child().value == 5 and t.labels == [None, None, None, "a"]
+        assert t.pop_child().value == 4 and t.labels is None
+        assert node_equal(t, parse("#0 = 1 #1 = 2 #2 = 3"))
+        check_constructed(t)
+
+    def test_a_parsed_state_is_at_most_1_7_tracked_objects_per_node(self):
+        # each tracked object the collector can reach from the root: the
+        # nodes, their own node and label lists, and references' paths
+        seen, work, nodes = set(), [parse(cli_state_text(), allow_vars=False)], 0
+        while work:
+            obj = work.pop()
+            if id(obj) in seen or not gc.is_tracked(obj) or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            nodes += isinstance(obj, Node)
+            work.extend(gc.get_referents(obj))
+        assert nodes == 4801
+        assert len(seen) <= 1.7 * nodes  # 3.03 per node with a list per node and a tuple per child
 
     @given(
         st.integers(0, 10**30),
@@ -496,7 +572,7 @@ class TestOneTreeType:
         n = parse("a = 1")
         assert StateTree(n) is n
         empty = StateTree()
-        assert empty.kind == "set" and empty.op is None and empty.children == []
+        assert empty.kind == "set" and empty.op is None and empty.children == ()
         assert StateTree() is not empty
 
 
