@@ -16,16 +16,16 @@ replaced by a hole.
 
 Compiled formulas: ``formulas_from`` compiles each formula once (frozen
 code caches the list), and a rewrite run reads its list once.  The lhs
-becomes a ``Pattern``, a flat list of checks that ``match`` runs in one
-loop; only the ``$f`` step is left to ``_abstract``.  The rhs becomes a
-``Template``, a flat list of build steps that ``substitute`` runs on a
-stack.  Compiling is the rule check: it raises, in preorder, every error
-matching or substituting could, so none comes after a rule loads.  A
-template also knows which bound values it uses, so a replacement's
-closedness is known without walking it.  The match scan is indexed by the
-pattern's root symbol, its key (root-symbol discrimination, as in McCune's
-term indexing): a round walks the frame once per key it needs, and
-``match`` runs only on the nodes whose root agrees.
+becomes a ``Pattern`` and the rhs a ``Template``, each holding a Python
+function generated for it, the matcher or the builder partially evaluated
+against it, which ``match`` and ``substitute`` call.  Compiling is the
+rule check: it raises, in preorder, every error matching or substituting
+could, so none comes after a rule loads.  A template also knows which
+bound values it uses, so a replacement's closedness is known without
+walking it.  The match scan is indexed by the pattern's root symbol, its
+key (root-symbol discrimination, as in McCune's term indexing): a round
+walks the frame once per key it needs, and ``match`` runs only on the
+nodes whose root agrees.
 
 A round that follows a one-hit round works only where that hit changed
 the tree, at a cost bounded by what changed (``run_rewrite`` says how, and
@@ -45,6 +45,7 @@ terms are each one evaluate-a-copy step, so a self-modifying program sees its wr
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Union
 
 from .devices import OUT
@@ -97,82 +98,120 @@ class Instruction:
 
 # --- compiled formulas --------------------------------------------------------
 
-# step codes besides node kinds: a pattern variable binds where it first
-# occurs in preorder and is compared after that; a template plugs a $f
-_BIND, _SAME, _DEFER, _PLUG = "bind", "same", "defer", "plug"
+
+@lru_cache(maxsize=256)
+def _code(source: str):
+    """``source`` compiled: formulas of one shape share their code."""
+    return compile(source, "<formula>", "exec")
+
+
+class _Source:
+    """The lines of a generated function ``run`` and the constants it reads
+    as ``k0, k1, …``: no label, op, value or name is spliced into its text.
+    Its nodes are ``n0, n1, …``, each named when its parent is met."""
+
+    def __init__(self):
+        self.lines, self.consts, self.names = [], [], 1
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def fresh(self, count: int) -> list[str]:
+        self.names += count
+        return [f"n{i}" for i in range(self.names - count, self.names)]
+
+    def function(self, param: str, lines: list[str]):
+        """``run(param)`` made of ``lines``.  The constants are defaults of its other parameters;
+        its globals are this module's, read as it runs, so a spy or a tracer sees its calls."""
+        ks = "".join(f", k{i}" for i in range(len(self.consts)))
+        exec(_code(f"def run({param}{ks}):\n " + "\n ".join(lines)), globals(), space := {})
+        space["run"].__defaults__ = tuple(self.consts)
+        return space["run"]
 
 
 class Pattern:
-    """An lhs as a preorder list of checks ``(code, register, index, a, b,
-    c)`` of child ``index`` in the node list ``register``; register 0 is
-    ``[subject]``, and a set check, of op ``a``, arity ``b`` and labels
-    ``c``, appends its node's list.
+    """An lhs as ``run(subject)``, the ``Binding`` or None: a guard per
+    check, in preorder.  A set's guard checks kind, arity, op and labels,
+    and its node list is unpacked into its children; a variable binds where
+    it first occurs and is compared after that; ``_abstract`` does ``$f``.
     ``vars`` and ``funcs`` are the names bound; ``key`` is what a subject's
     root must agree with: (kind, op, arity), where only a set has an op or
-    children; None when any subject may match.  ``depth`` is how far below
-    its subject a match reads: that of its deepest check, or None when a
+    children; None when the root is a variable or a ``$f``, which check
+    nothing, so any subject may match.  ``depth`` is how far below its
+    subject a match reads: that of its deepest check, or None when a
     repeated variable or a ``$f`` compares or abstracts whole subtrees."""
 
-    __slots__ = ("steps", "key", "vars", "funcs", "depth")
+    __slots__ = ("run", "key", "vars", "funcs", "depth")
 
     def __init__(self, lhs: Node):
-        steps, bound, applied, depth = [], set(), [], 0
-        work, registers = [(lhs, 0, 0, 0)], 1
+        src, bound, applied, depth, same = _Source(), {}, [], 0, False
+        k, lines, work = src.const, src.lines, [(lhs, "n0", 0)]
         while work:
-            p, below, *where = work.pop()
+            p, n, below = work.pop()
             depth = max(depth, below)
             if p.kind == VAR:
-                steps.append((_SAME if p.value in bound else _BIND, *where, p.value, None, None))
-                bound.add(p.value)
+                if p.value in bound:
+                    lines.append(f"if not node_equal({bound[p.value]}, {n}): return None")
+                    same = True
+                else:
+                    bound[p.value] = n
             elif p.kind in (LEAF, REF):
-                steps.append((p.kind, *where, p.value, None, None))
+                lines.append(f"if {n}.kind != {k(p.kind)} or {n}.value != {k(p.value)}: return None")
             elif p.kind == HOLE:
                 raise EvalError("hole nodes cannot appear in patterns")
             elif p.op is not None and p.op.startswith("$"):  # not looked into
                 if len(p.nodes) != 1 or p.nodes[0].kind != VAR:
                     raise EvalError(f"function variable {p.op} must be applied to exactly one variable")
-                applied.append((p.op[1:], p.nodes[0].value))
-                steps.append((_DEFER, *where, *applied[-1], None))
+                applied.append((p.op[1:], p.nodes[0].value, n))
             else:
-                steps.append((SET, *where, p.op, len(p.nodes), p.labels))
-                work += reversed([(c, below + 1, registers, i) for i, c in enumerate(p.nodes)])
-                registers += 1
-        for fname, argname in applied:
+                arity, labels = f"len({n}.nodes) != {len(p.nodes)}", k(p.labels and p.labels[:])
+                guard = f"{n}.kind != SET or {arity} or {n}.op != {k(p.op)} or {n}.labels != {labels}"
+                kids = src.fresh(len(p.nodes))
+                lines.extend([f"if {guard}: return None", f"[{', '.join(kids)}] = {n}.nodes"])
+                work += reversed([(c, kid, below + 1) for c, kid in zip(p.nodes, kids)])
+        for fname, argname, _ in applied:
             if argname not in bound:
                 never = f"applied to ${argname}, which the pattern never binds"
                 raise EvalError(f"function variable ${fname} {never}")
-        self.steps, self.vars, self.funcs = steps, bound, {fname for fname, _ in applied}
-        self.key = None if steps[0][0] in (_BIND, _DEFER) else (lhs.kind, lhs.op, len(lhs.nodes))
-        self.depth = None if any(step[0] in (_SAME, _DEFER) for step in steps) else depth
+        self.key = (lhs.kind, lhs.op, len(lhs.nodes)) if lines else None
+        lines.append(f"b = Binding({{{', '.join(f'{k(name)}: {n}' for name, n in bound.items())}}})")
+        if applied:
+            deferred = ", ".join(f"({k(fname)}, {bound[argname]}, {n})" for fname, argname, n in applied)
+            lines.append(f"if not _abstract([{deferred}], b): return None")
+        self.run = src.function("n0", [*lines, "return b"])
+        self.vars, self.funcs = set(bound), {fname for fname, _, _ in applied}
+        self.depth = None if same or applied else depth
 
 
 class Template:
-    """An rhs as a postorder list of build steps ``(kind, labels, arity,
-    value, name)``, each pushing a node: a skeleton node of ``kind`` over
-    the last ``arity`` nodes, labeled by a copy of ``labels``, a copy of
-    the binding of ``name`` (``VAR``), or ``$name`` plugged with what
-    template ``value`` builds (``_PLUG``).  ``closed``: the skeleton has
-    no reference and no ``select``; ``copies`` and ``plugs`` are the
-    variables and ``(name, argument template)`` pairs used."""
+    """An rhs as ``run(binding)``, which builds it: one assignment per
+    node, children first, of a skeleton node over its children, a copy of
+    a bound value, or ``$f``'s body plugged with what the template of its
+    argument builds.  ``closed``: the skeleton has no reference and no
+    ``select``; ``copies`` and ``plugs`` are the variables and ``(name,
+    argument template)`` pairs used."""
 
-    __slots__ = ("steps", "copies", "plugs", "closed")
+    __slots__ = ("run", "copies", "plugs", "closed")
 
     def __init__(self):
-        self.steps, self.copies, self.plugs, self.closed = [], set(), [], True
+        self.copies, self.plugs, self.closed = set(), [], True
 
     @classmethod
     def of(cls, rhs: Node, bound, funcs) -> "Template":
         """Compile ``rhs`` with its names among ``bound`` and ``funcs``.  The
-        walk is preorder, as errors must be; steps are its reverse."""
-        templates = [cls()]
-        work = [(rhs, templates[0])]
+        walk is preorder, as errors must be; each function is its reverse."""
+        sources = {(top := cls()): _Source()}
+        work = [(rhs, top, "n0")]
         while work:
-            node, into = work.pop()
+            node, into, n = work.pop()
+            src = sources[into]
+            k = src.const
             if node.kind == VAR:
                 if node.value not in bound:
                     raise UnboundVariable(f"${node.value} is not bound")
                 into.copies.add(node.value)
-                into.steps.append((VAR, None, 0, 0, node.value))
+                src.lines.append(f"{n} = b.vars[{k(node.value)}].copy()")
             elif node.kind == HOLE:
                 raise EvalError("hole nodes cannot appear in templates")
             elif node.op is not None and node.op.startswith("$"):
@@ -181,17 +220,22 @@ class Template:
                     raise UnboundVariable(f"${name} is not bound")
                 if len(node.nodes) != 1:
                     raise EvalError(f"function variable ${name} must be applied to exactly one argument")
-                templates.append(cls())
-                into.plugs.append((name, templates[-1]))
-                into.steps.append((_PLUG, None, 0, templates[-1], name))
-                work.append((node.nodes[0], templates[-1]))
+                sources[argument := cls()] = _Source()
+                into.plugs.append((name, argument))
+                src.lines.append(f"{n} = b.funcs[{k(name)}].plug(substitute({k(argument)}, b))")
+                work.append((node.nodes[0], argument, "n0"))
             else:
                 into.closed = into.closed and node.kind != REF and node.op != "select"
-                into.steps.append((node.kind, node.labels, len(node.nodes), node.value, node.op))
-                work += [(c, into) for c in reversed(node.nodes)]
-        for template in templates:
-            template.steps.reverse()
-        return templates[0]
+                if node.kind == SET:
+                    kids = src.fresh(len(node.nodes))
+                    labels = "None" if node.labels is None else f"{k(node.labels[:])}[:]"
+                    src.lines.append(f"{n} = new_set([{', '.join(kids)}], {labels}, {k(node.op)})")
+                    work += reversed([(c, into, kid) for c, kid in zip(node.nodes, kids)])
+                else:
+                    src.lines.append(f"{n} = new_atom({k(node.kind)}, {k(node.value)})")
+        for template, src in sources.items():
+            template.run = src.function("b", [*reversed(src.lines), "return n0"])
+        return top
 
 
 @dataclass
@@ -204,52 +248,22 @@ class Formula:
     template: Template
 
 
-# --- matching ----------------------------------------------------------------
-
-
 def match(pattern: Union[Pattern, Node], subject: Node) -> Optional[Binding]:
     """Match ``subject`` against ``pattern``; None when they disagree.  A
     bare ``Node`` is compiled first, so a malformed one always raises."""
-    if not isinstance(pattern, Pattern):
-        pattern = Pattern(pattern)
-    registers, bound, deferred = [[subject]], {}, []
-    for code, register, index, a, b, c in pattern.steps:
-        node = registers[register][index]
-        if code == SET:
-            if node.kind != SET or node.op != a or len(node.nodes) != b or node.labels != c:
-                return None
-            registers.append(node.nodes)
-        elif code == _BIND:
-            bound[a] = node
-        elif code == _SAME:
-            if not node_equal(bound[a], node):
-                return None
-        elif code == _DEFER:
-            deferred.append((a, b, node))
-        elif node.kind != code or node.value != a:  # a leaf or a reference
-            return None
-    binding = Binding(bound)
-    if deferred and not _abstract(deferred, binding):
-        return None
-    return binding
+    return (pattern if isinstance(pattern, Pattern) else Pattern(pattern)).run(subject)
 
 
-def _abstract(deferred: list[tuple[str, str, Node]], binding: Binding) -> bool:
+def _abstract(deferred: list[tuple[str, Node, Node]], binding: Binding) -> bool:
     """The ``$f`` step of ``match``: bind each ``$f`` to an abstraction of what
-    it met.  False when two bodies of one ``$f`` disagree."""
-    for fname, argname, node in deferred:
-        argval = binding.vars[argname]
+    it met, given its argument's value.  False when two bodies of one ``$f`` disagree."""
+    for fname, argval, node in deferred:
         # subtrees equal to the argument become holes (none: a constant function)
         body = rebuild(node, lambda n: Node.hole() if node_equal(n, argval) else None)
-        seen = binding.funcs.get(fname)
-        if seen is None:
-            binding.funcs[fname] = Abstraction(body)
-        elif not node_equal(seen.body, body):
+        seen = binding.funcs.setdefault(fname, Abstraction(body)).body  # the first is kept
+        if seen is not body and not node_equal(seen, body):
             return False
     return True
-
-
-# --- substitution ------------------------------------------------------------
 
 
 def substitute(template: Union[Template, Node], binding: Binding) -> Node:
@@ -258,21 +272,7 @@ def substitute(template: Union[Template, Node], binding: Binding) -> Node:
     bare ``Node`` is compiled first, against the names ``binding`` binds."""
     if not isinstance(template, Template):
         template = Template.of(template, binding.vars, binding.funcs)
-    stack: list[Node] = []
-    for kind, labels, arity, value, name in template.steps:
-        if kind == VAR:
-            node = binding.vars[name].copy()
-        elif kind == _PLUG:
-            node = binding.funcs[name].plug(substitute(value, binding))
-        elif kind == SET:
-            kids = stack[: -arity - 1 : -1]  # the last pushed is the leftmost
-            if arity:
-                del stack[-arity:]
-            node = new_set(kids, labels and labels[:], name)
-        else:
-            node = new_atom(kind, value)
-        stack.append(node)
-    return stack[0]
+    return template.run(binding)
 
 
 # --- program extraction -------------------------------------------------------
@@ -303,8 +303,7 @@ def formulas_from(rules: Node) -> list[Formula]:
     for index, node in enumerate(rules.nodes):
         if node.kind != SET:
             raise EvalError(f"formula #{index} is not a set node")
-        lhs = node.child("lhs")
-        rhs = node.child("rhs")
+        lhs, rhs = node.child("lhs"), node.child("rhs")
         if lhs is None or rhs is None:
             raise EvalError(f"formula #{index} must have 'lhs' and 'rhs'")
         side = "lhs"

@@ -44,7 +44,7 @@ from .evaluator import (
     freeze_code,
     instance_args_ready,
 )
-from .tree import LEAF, SET, Node, Path, _as_path, pairs, resolve
+from .tree import LEAF, SET, Node, Path, _as_path, pairs, repeated_label, resolve
 
 from . import textio
 
@@ -171,13 +171,13 @@ def run_entry(
 
 def merge_program(base: Node, program: Node) -> Node:
     """Adjoin a program's top-level entries to the machine root; a
-    duplicate top-level label is a load error, not a shadowing."""
+    duplicate top-level label is a load error, not a shadowing, and then
+    none is adjoined."""
     if program.kind != SET:
         raise NotASet("a program file must be a set of top-level entries")
-    for label, child in pairs(program):
-        if label is not None and base.child(label) is not None:
-            raise DuplicateSibling(f"duplicate top-level label {label!r}")
-        base.add_child(label, child)
+    if (twice := repeated_label(program.labels or (), base.labels or ())) is not None:
+        raise DuplicateSibling(f"duplicate top-level label {twice!r}")
+    base.add_children(list(pairs(program)))
     return base
 
 

@@ -33,7 +33,7 @@ non-set with children or an op (``Node(kind, value, children, op)``, whose
 fields may be given by position or keyword, and ``Node.set_node`` take
 ``(label, node)`` pairs; the unchecked ``new_set(nodes, labels, op)`` and
 ``new_atom(kind, value)`` serve the parser, the rhs builder and the
-built-ins), ``add_child``, ``set_child``, ``set_nodes``,
+built-ins), ``add_child``, ``add_children``, ``set_child``, ``set_nodes``,
 ``swap_children``, ``pop_child`` and ``become``; a copy with some subtrees
 replaced is built by ``rebuild``.
 Copies share frozen template code (``Node.freeze``), which those writers
@@ -159,11 +159,14 @@ class Node:
     ):
         if kind != SET and (children or op is not None):
             raise ValueError(f"a {kind} node has no children and no operation")
+        given = list(children or ())
+        labels = [label for label, _ in given]
+        if (twice := repeated_label(labels)) is not None:
+            raise DuplicateSibling(f"duplicate sibling label {twice!r}")
         self.kind = kind
         self.value = value
-        given = list(children or ())
         self.nodes = [node for _, node in given] if kind == SET else ()
-        self.labels = [label for label, _ in given] if any(label is not None for label, _ in given) else None
+        self.labels = labels if any(label is not None for label in labels) else None
         self.op = op
         self.frozen = None
 
@@ -181,10 +184,7 @@ class Node:
         children: Optional[list[tuple[Optional[str], "Node"]]] = None,
         op: Optional[str] = None,
     ) -> "Node":
-        node = cls(SET, op=op)
-        for label, child in children or []:
-            node.add_child(label, child)
-        return node
+        return cls(SET, children=children, op=op)
 
     @classmethod
     def ref_node(cls, path: Union[Path, str]) -> "Node":
@@ -238,6 +238,23 @@ class Node:
             self.labels = [None] * len(self.nodes) + [label]
         self.nodes.append(node)
         return node
+
+    def add_children(self, entries: list[tuple[Optional[str], "Node"]]) -> None:
+        """Append each ``(label, node)`` of ``entries``, in order.  A label
+        is checked against one set of the labels held, not by a scan of
+        them each, and on a repeat none is appended."""
+        if self.frozen is not None:
+            raise FrozenCode(_FROZEN)
+        labels = [label for label, _ in entries]
+        if (twice := repeated_label(labels, self.labels or ())) is not None:
+            raise DuplicateSibling(f"duplicate sibling label {twice!r}")
+        if self.kind != SET:
+            raise NotASet(f"a {self.kind} node has no children")
+        if self.labels is not None:
+            self.labels += labels
+        elif any(label is not None for label in labels):
+            self.labels = [None] * len(self.nodes) + labels
+        self.nodes += [node for _, node in entries]
 
     def set_child(self, label: str, node: "Node") -> "Node":
         """Replace the child carrying ``label`` in place, or append it."""
@@ -378,6 +395,17 @@ def new_atom(kind: str, value: Union[int, Path, str]) -> Node:
     node.nodes = ()
     node.labels = node.op = node.frozen = None
     return node
+
+
+def repeated_label(labels, held=()) -> Optional[str]:
+    """The first label of ``labels`` that ``held`` or an earlier one of
+    ``labels`` has too, or None: one set is built, not a scan per label."""
+    seen = set(held)
+    for label in labels:
+        if label is not None and label in seen:
+            return label
+        seen.add(label)
+    return None
 
 
 def pairs(node: Node) -> zip:

@@ -12,6 +12,10 @@ The count is taken by spies on the engine's helpers:
   the entries added since the round before count, or all of them when the
   list is not the one that round was handed.
 
+The merge row adjoins n and 2n entries to a machine root and counts the
+root's labels scanned, by a label list that counts them at each membership
+test, ``index`` call and iteration.
+
 The text row parses and renders a plain state of n and 2n records.  It
 counts the nodes built, by spies on the parser's two node constructors,
 and the Python lines run in ``textio`` and ``tree``, by a line tracer: a
@@ -23,9 +27,9 @@ import sys
 
 import pytest
 
-from evocat import EvalContext, engine, load_stdlib, parse, render, run_entry, textio, tree
+from evocat import EvalContext, engine, load_stdlib, merge_program, parse, render, run_entry, textio, tree
 from evocat.errors import FuelExhausted
-from evocat.tree import Node
+from evocat.tree import SET, Node
 
 from helpers import cli_state_text
 
@@ -129,3 +133,32 @@ def test_parse_and_render_as_the_records_double(monkeypatch):
         lines.append(built["lines"])
     assert nodes == [30 * 320 + 1, 30 * 640 + 1], nodes  # 30 nodes a record, and the root
     assert grows_linearly(lines), lines
+
+
+class Scanned(list):
+    """A label list that counts the labels it scans."""
+
+    scanned = 0
+
+    def __contains__(self, label):
+        self.scanned += len(self)
+        return super().__contains__(label)
+
+    def index(self, *args):
+        self.scanned += len(self)
+        return super().index(*args)
+
+    def __iter__(self):
+        self.scanned += len(self)
+        return super().__iter__()
+
+
+def test_merge_program_as_the_entries_double():
+    got = []
+    for entries in (2_000, 4_000):
+        base = Node(SET, children=[("e", Node.leaf(0))])
+        base.labels = labels = Scanned(base.labels)
+        merge_program(base, parse(" ".join(f"e{i} = {i}" for i in range(entries))))
+        assert base.labels is labels and len(base.nodes) == entries + 1
+        got.append(labels.scanned)
+    assert grows_linearly(got), got

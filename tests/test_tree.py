@@ -442,6 +442,21 @@ class TestConstructors:
                 node = target.copy().become(source.copy())
                 assert node_equal(node, source) and (node.kind == SET or (node.nodes, node.op) == ((), None))
 
+    def test_no_constructor_or_writer_makes_a_repeated_sibling_label(self):
+        # rendered, a repeated label would not parse back
+        pairs = [("a", Node.leaf(1)), (None, Node.leaf(2)), ("a", Node.leaf(3))]
+        with pytest.raises(DuplicateSibling, match="duplicate sibling label 'a'"):
+            Node(SET, children=pairs)
+        t = parse("a = 1 #1 = 2")
+        with pytest.raises(DuplicateSibling, match="'b'"):
+            t.add_children([("b", Node.leaf(3)), ("c", Node.leaf(4)), ("b", Node.leaf(5))])
+        with pytest.raises(DuplicateSibling, match="'a'"):
+            t.add_children([("c", Node.leaf(4)), ("a", Node.leaf(5))])
+        assert render(t) == "a = 1\n#1 = 2\n"  # nothing appended on a repeat
+        t.add_children([(None, Node.leaf(3)), ("b", Node.leaf(4))])
+        assert t.labels == ["a", None, None, "b"] and render(t) == "a = 1\n#1 = 2\n#2 = 3\nb = 4\n"
+        check_constructed(t)
+
     def test_the_pair_view_is_a_tuple_that_refuses_writes(self):
         t = parse("a = 1 #1 = 2")
         assert t.children == (("a", t.child("a")), (None, t.child_at(1)))
