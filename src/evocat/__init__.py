@@ -33,6 +33,7 @@ from .engine import (
 )
 from .errors import EvoError
 from .evaluator import DEFAULT_FUEL, EvalContext, TraceSink, deref, evaluate, is_value
+from .evaluator import tree_data_of as data_of
 from .templates import (
     call,
     heap_get,
@@ -48,7 +49,6 @@ from .tree import (
     Path,
     StateTree,
     compose,
-    data_of,
     meet,
     node_equal,
     replace_subtree,

@@ -95,6 +95,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once per process: ``parse_args`` leaves it as it was (``--arg``'s
+#: append copies its default list), and each build leaves ~200 cyclic objects
+_PARSER = _build_parser()
+
+
 def _read(path: str) -> str:
     with open(path, "rb") as handle:
         data = handle.read()
@@ -198,7 +203,7 @@ def _cmd_parse(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args, traced=False)
     if args.command == "trace":

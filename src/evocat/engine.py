@@ -14,53 +14,43 @@ variable, the decidable fragment of second-order matching.  ``$f`` binds
 to the matched subtree with every occurrence of the argument's value
 replaced by a hole.
 
-Compiled formulas: ``formulas_from`` compiles each formula once (frozen
-code caches the list), and a rewrite run reads its list once.  The lhs
-becomes a ``Pattern`` and the rhs a ``Template``, each holding a Python
-function generated for it, the matcher or the builder partially evaluated
-against it, which ``match`` and ``substitute`` call.  Compiling is the
-rule check: it raises, in preorder, every error matching or substituting
-could, so none comes after a rule loads.  A template also knows which
-bound values it uses, so a replacement's closedness is known without
-walking it.  The match scan is indexed by the pattern's root symbol, its
-key (root-symbol discrimination, as in McCune's term indexing): a round
-walks the frame once per key it needs, and ``match`` runs only on the
-nodes whose root agrees.
+Compiled code: frozen code is compiled once, by one generator, ``_Source``,
+into Python functions, the matcher, builder or evaluator partially
+evaluated against it; the compiled list is cached on the frozen node, so
+copies of a template share it.  ``formulas_from`` makes each formula's lhs
+a ``Pattern`` and its rhs a ``Template``, which ``match`` and
+``substitute`` call, and ``instructions_from`` makes each instruction's
+``to`` term a function of the context (``compiled_term``).  Compiling a
+formula is the rule check: it raises, in preorder, every error matching or
+substituting could, so none comes after a rule loads.  A template also
+knows which bound values it uses, so a replacement's closedness is known
+without walking it.  The match scan is indexed by the pattern's root
+symbol, its key (root-symbol discrimination, as in McCune's term
+indexing): a round walks the frame once per key it needs, and ``match``
+runs only on the nodes whose root agrees.
 
 A round that follows a one-hit round works only where that hit changed
 the tree, at a cost bounded by what changed (``run_rewrite`` says how, and
 why that is exact).  So ``div``, which fires once per round at the bottom
 of a growing ``if``/``sum`` spine, neither re-walks nor re-reads it.
 
-Compiled instructions: ``instructions_from`` compiles each instruction's
-``to`` term once with ``evaluator.compile_term``, and ``run_sequential``
-gets its value from ``evaluator.run_term``.  Only frozen code is taken
-apart into steps, and it is cached with the template's code like the
-formulas.  A run holds the list in its ``Frame`` on ``EvalContext.running``,
-and a write that un-shares the running code re-points the ``Frame`` to the
-writable twin and recompiles at once (``EvalContext.unshared``); the twin's
-terms are each one evaluate-a-copy step, so a self-modifying program sees its writes.
+A sequential run holds its instruction list in its ``Frame`` on
+``EvalContext.running``, and a write that un-shares the running code
+re-points the ``Frame`` to the writable twin and recompiles at once
+(``EvalContext.unshared``); the twin is not frozen, so each of its terms is
+evaluated in a copy as a whole, and a self-modifying program sees its writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
+from . import algebra, evaluator
 from .devices import OUT
 from .errors import EvalError, EvoError, UnboundVariable
-from .evaluator import (
-    SHAPE_LABELS,
-    EvalContext,
-    Frame,
-    compile_term,
-    frame_of,
-    is_value,
-    run_term,
-    sweep,
-    sweep_enters,
-)
+from .evaluator import SHAPE_LABELS, EvalContext, Frame, frame_of, is_value, sweep, sweep_enters
 from .tree import HOLE, LEAF, REF, SET, VAR, Node, Path, new_atom, new_set, node_equal, pairs, rebuild
 from .tree import replace_subtree
 
@@ -92,23 +82,27 @@ class Binding:
 
 @dataclass
 class Instruction:
+    """A sequential instruction: its address, and its ``to`` term compiled
+    by ``compiled_term`` into ``run(ctx)``, which returns the term's value."""
+
     at: Path
-    steps: list[tuple]  # the ``to`` term, compiled by ``compile_term``
+    run: Callable[[EvalContext], Node]
 
 
-# --- compiled formulas --------------------------------------------------------
+# --- compiled code -------------------------------------------------------------
 
 
 @lru_cache(maxsize=256)
 def _code(source: str):
-    """``source`` compiled: formulas of one shape share their code."""
-    return compile(source, "<formula>", "exec")
+    """``source`` compiled: code of one shape shares it."""
+    return compile(source, "<frozen code>", "exec")
 
 
 class _Source:
     """The lines of a generated function ``run`` and the constants it reads
-    as ``k0, k1, …``: no label, op, value or name is spliced into its text.
-    Its nodes are ``n0, n1, …``, each named when its parent is met."""
+    as ``k0, k1, …``: no label, op, value, path or name is spliced into its
+    text.  Its nodes are ``n0, n1, …``, each named when its parent is met.
+    ``Pattern``, ``Template.of`` and ``compiled_term`` each fill one."""
 
     def __init__(self):
         self.lines, self.consts, self.names = [], [], 1
@@ -238,6 +232,38 @@ class Template:
         return top
 
 
+def compiled_term(to: Node) -> Callable[[EvalContext], Node]:
+    """A sequential instruction's ``to`` as ``run(ctx)``, its value: what
+    ``evaluate`` leaves in a fresh copy of it, with the same effects, fuel,
+    ``stats`` and errors in the same order.  Frozen code gets one
+    assignment per node, operands first, left to right: a leaf is a new
+    leaf, a reference is ``deref``'s copy, an eager built-in fires on its
+    operands' values, and any other subterm is evaluated in a copy.  An
+    unfrozen ``to`` is one such copy, so a write into it shows at its next
+    run; if it is a leaf then, it is not evaluated.  As in ``Template.of``,
+    the walk is preorder and the function its reverse, but operands are
+    pushed left to right, so that the rightmost is met first.  ``deref``,
+    ``evaluate`` and ``apply_builtin`` are read off their modules as it
+    runs, so a spy or a tracer sees every call."""
+    src = _Source()
+    k, blocks, work = src.const, [], [(to, "n0")]
+    while work:
+        node, n = work.pop()
+        kind, eager = node.kind, node.kind == SET and node.op in algebra._EAGER_OPS
+        if to.frozen is None or not (eager or kind == LEAF or kind == REF):
+            blocks.append([f"{n} = {k(node)}.copy()", f"if {n}.kind != LEAF: evaluator.evaluate({n}, ctx)"])
+        elif kind == LEAF:
+            blocks.append([f"{n} = new_atom(LEAF, {k(node.value)})"])
+        elif kind == REF:
+            blocks.append([f"{n} = evaluator.deref({k(node.value)}, ctx)", 'ctx.transition("deref")'])
+        else:
+            kids = src.fresh(len(node.nodes))
+            apply = f"{n} = algebra.apply_builtin({k(node.op)}, [{', '.join(kids)}])"
+            blocks.append([apply, 'ctx.transition("op")'])
+            work += zip(node.nodes, kids)
+    return src.function("ctx", [*(line for block in reversed(blocks) for line in block), "return n0"])
+
+
 @dataclass
 class Formula:
     lhs: Node
@@ -280,7 +306,7 @@ def substitute(template: Union[Template, Node], binding: Binding) -> Node:
 
 def instructions_from(body: Node) -> list[Instruction]:
     """Read ``{ at = [path] to = ... }`` entries out of a body node and
-    compile each ``to`` term (``compile_term``)."""
+    compile each ``to`` term (``compiled_term``)."""
     program: list[Instruction] = []
     for index, node in enumerate(body.nodes):
         if node.kind != SET:
@@ -291,7 +317,7 @@ def instructions_from(body: Node) -> list[Instruction]:
             raise EvalError(f"instruction #{index} must have exactly 'at' and 'to'")
         if at.kind != REF:
             raise EvalError(f"instruction #{index}: 'at' must be an address [path]")
-        program.append(Instruction(at.value, compile_term(to)))
+        program.append(Instruction(at.value, compiled_term(to)))
     return program
 
 
@@ -324,11 +350,11 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None, r
     """Execute an instruction list against a frame.
 
     The reserved child ``ip`` starts at 0; each step runs the instruction's
-    compiled term (``run_term``) in the frame context, applies the replacement
-    at the address, and increments ``ip`` unless the instruction wrote it at
-    the address ``[ip]``.  Execution halts once ``ip`` runs past the last
-    instruction.  ``record``, the call's ``Frame`` or else a bare one, is
-    held in ``ctx.running``.
+    compiled term (``Instruction.run``) in the frame context, applies the
+    replacement at the address, and increments ``ip`` unless the
+    instruction wrote it at the address ``[ip]``.  Execution halts once
+    ``ip`` runs past the last instruction.  ``record``, the call's
+    ``Frame`` or else a bare one, is held in ``ctx.running``.
 
     The ``ip`` node found by the first write is kept while ``frame.nodes``
     is the list it was found in and it is not frozen.  This is exact:
@@ -353,7 +379,7 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None, r
                 ctx.emit("seq", index, inst.at)
             try:
                 ctx.transition("instruction")
-                _apply_write(frame, inst.at, run_term(inst.steps, ctx), ctx)
+                _apply_write(frame, inst.at, inst.run(ctx), ctx)
                 trusted, kids = frame.nodes is kids and ip_node.frozen is None, frame.nodes
                 if inst.at != _IP:
                     ip = new_atom(LEAF, index + 1)

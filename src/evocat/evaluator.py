@@ -33,18 +33,6 @@ sweep forced the call or fired the ``select``.  Neither walker enters a
 leaf, since it is already a value, and only an op-less set is asked
 whether it is a function instance.  The rewrite engine asks
 ``sweep_enters`` too, whether the sweep goes from a node into an operand.
-
-Compiled instructions: ``compile_term`` turns a sequential instruction's
-frozen ``to`` term, once, into a postorder list of steps, and ``run_term``
-runs them on a value stack in one loop, in place of evaluating a copy of
-the term.  A leaf step pushes a fresh leaf, a reference step does what
-``evaluate``'s reference branch does, and an eager built-in pops its
-operands and fires as ``_apply`` does.  Every other subterm (``if``,
-``select``, a template call, an op-less set, a variable), and a whole
-``to`` that is not frozen, is one step that evaluates a copy of it.  So
-effects, fuel, ``stats`` and errors come in ``evaluate``'s order, and a
-term of leaves, references and built-ins costs no copy of itself, no
-``evaluate`` call and no interpreter stack however deep it is.
 """
 
 from __future__ import annotations
@@ -70,7 +58,6 @@ from .tree import (
     VAR,
     Node,
     Path,
-    new_atom,
     resolve_chain,
     unshare_path,
 )
@@ -411,59 +398,3 @@ def _apply(node: Node, ctx: EvalContext) -> Node:
         result = algebra.apply_builtin(op, kids)
     ctx.transition("op")
     return node.become(result)
-
-
-# --- compiled instruction terms -----------------------------------------------
-
-_COPY = "copy"  # step code besides node kinds: evaluate a copy of the subterm
-
-
-def compile_term(term: Node) -> list[tuple]:
-    """``term`` as a postorder list of steps ``(code, payload, arity)``
-    for ``run_term``: a leaf ``(LEAF, value)``, a reference ``(REF, path)``,
-    an eager built-in ``(SET, op, arity)`` after its operands' steps, and
-    ``(_COPY, node)`` for any other subterm.  Only frozen code is taken
-    apart; an unfrozen ``term`` is one ``_COPY`` step, so a write into it
-    shows at its next run.  The walk is preorder, operands right to left;
-    steps are its reverse."""
-    if term.frozen is None:
-        return [(_COPY, term, 0)]
-    steps, work = [], [term]
-    while work:
-        node = work.pop()
-        kind = node.kind
-        if kind == LEAF or kind == REF:
-            steps.append((kind, node.value, 0))
-        elif kind == SET and node.op in algebra._EAGER_OPS:
-            steps.append((SET, node.op, len(node.nodes)))
-            work.extend(node.nodes)
-        else:
-            steps.append((_COPY, node, 0))
-    steps.reverse()
-    return steps
-
-
-def run_term(steps: list[tuple], ctx: EvalContext) -> Node:
-    """The value of a compiled term, strictly evaluated: what ``evaluate``
-    leaves in a fresh copy of it, with the same effects, fuel, ``stats``
-    and errors in the same order.  Each step pushes one value on a stack;
-    a built-in pops its operands, as many as its arity.  Both ``deref``
-    and the built-ins return fresh nodes, so a value is pushed as it is."""
-    stack: list[Node] = []
-    for code, payload, arity in steps:
-        if code == REF:
-            value = deref(payload, ctx)
-            ctx.transition("deref")
-        elif code == LEAF:
-            value = new_atom(LEAF, payload)
-        elif code == SET:
-            cut = len(stack) - arity
-            value = algebra.apply_builtin(payload, stack[cut:])
-            del stack[cut:]
-            ctx.transition("op")
-        else:
-            value = payload.copy()
-            if value.kind != LEAF:
-                evaluate(value, ctx)
-        stack.append(value)
-    return stack[0]

@@ -355,7 +355,9 @@ class Node:
         return subtree_view(self, _as_path(at))
 
     def data_of(self, at: Union[Path, str], ctx=None) -> "Node":
-        return data_of(self, _as_path(at), ctx)
+        from .evaluator import tree_data_of  # evaluation is built on this module
+
+        return tree_data_of(self, _as_path(at), ctx)
 
     def __repr__(self) -> str:  # debugging aid only
         if self.kind == LEAF:
@@ -565,10 +567,3 @@ def subtree_view(root: Node, at: Path) -> Node:
     if node.kind != SET:
         raise NotASet(f"{at} is not a set node")
     return node
-
-
-def data_of(root: Node, at: Path, ctx=None) -> Node:
-    """Contents of the node at ``at``, evaluated if it is a term."""
-    from .evaluator import tree_data_of
-
-    return tree_data_of(root, at, ctx)

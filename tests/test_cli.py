@@ -153,6 +153,13 @@ class TestRun:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "argument error" in proc.stderr and "'n'" in proc.stderr
 
+    def test_a_second_in_process_run_sees_no_argument_of_the_first(self, capsys):
+        # one parser serves every call in a process
+        assert cli.main(["run", str(STDLIB), "--entry", "fact", "--arg", "n=3"]) == 0
+        assert capsys.readouterr() == ("6\n", "")
+        assert cli.main(["run", str(STDLIB), "--entry", "fact"]) == 2
+        assert capsys.readouterr() == ("", "evocat: resolution error: argument slot 'n' is still empty\n")
+
     def test_unknown_entry(self):
         proc = evocat("run", str(STDLIB), "--entry", "nothing")
         assert proc.returncode == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+import evocat
 from evocat import engine, evaluator
 from evocat import (
     DeviceTable,
@@ -202,6 +203,7 @@ class TestFinalTargets:
             got = deref(Path.of(label), ctx)
             assert got is not node and node_equal(got, node)
             assert tree_data_of(t, Path.of(label), ctx) is node
+            assert evocat.data_of(t, Path.of(label), ctx) is node and t.data_of(label, ctx) is node
             assert ctx.fuel == DEFAULT_FUEL and not ctx.stats
             assert not ctx.in_progress
 
@@ -424,7 +426,7 @@ class TestLeanSweep:
 
 
 class TestCompiledInstructions:
-    """A frozen instruction term runs from its compiled steps: no copy of
+    """A frozen instruction term runs as its generated function: no copy of
     the term and no ``evaluate`` call for a leaf, a reference or an eager
     built-in in it; what the machine computes is unchanged."""
 
@@ -517,25 +519,41 @@ class TestCompiledInstructions:
             ": select { #0 = [s] #1 : lt { #0 = $v #1 = 2 } }",
             ": if { #0 = 1 #1 = [x] #2 : rem { #0 = 1 #1 = 0 } }",  # the branch not taken
             ": sum { #0 = [x] #1 : select { #0 = [x] #1 = 1 } }",
+            ": not { #0 = [nope] #1 = 1 }",  # the operand fails before the arity
         ],
     )
     def test_steps_do_what_evaluate_does_to_a_copy(self, term):
         # ... and what the rewrite engine's sweep does to a copy: a term
-        # of built-ins whose operands become values is reduced alike
+        # of built-ins whose operands become values is reduced alike, and
+        # an unfrozen term, evaluated in a copy as a whole, alike too
         def run(leg):
             root = parse(f"x = 4 s {{ a = 1 }} t {term}")
             to, ctx = root.resolve("t"), EvalContext(root)
-            to.freeze()
+            if leg != "unfrozen":
+                to.freeze()
             try:
-                if leg == "compiled":
-                    result = render(evaluator.run_term(evaluator.compile_term(to), ctx))
+                if leg in ("compiled", "unfrozen"):
+                    result = render(engine.compiled_term(to)(ctx))
                 else:
                     result = render(getattr(evaluator, leg)(to.copy(), ctx))
             except EvoError as err:
                 result = (type(err).__name__, str(err))
             return result, dict(ctx.stats), DEFAULT_FUEL - ctx.fuel
 
-        assert run("compiled") == run("evaluate") == run("sweep")
+        assert run("compiled") == run("unfrozen") == run("evaluate") == run("sweep")
+
+    def test_an_unfrozen_term_is_read_at_each_run_and_a_leaf_is_not_evaluated(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        root = parse("x = 4 t : sum { #0 = [x] #1 = 1 } u = 7")
+        ctx = EvalContext(root)
+        to, leaf = root.resolve("t"), root.resolve("u")
+        run, run_leaf = engine.compiled_term(to), engine.compiled_term(leaf)
+        assert run_leaf(ctx).value == 7 and calls["evaluate"] == 0
+        assert run(ctx).value == 5 and calls["evaluate"] == 2  # the sum and its reference
+        to.become(Node.leaf(9))  # a write into unfrozen code shows at the next run
+        assert run(ctx).value == 9 and calls["evaluate"] == 2
+        assert (to.value, leaf.value) == (9, 7)
+        assert (dict(ctx.stats), DEFAULT_FUEL - ctx.fuel) == ({"deref": 1, "op": 1}, 2)
 
     def test_a_deep_instruction_term_needs_no_interpreter_stack(self):
         chain = Node.leaf(1)

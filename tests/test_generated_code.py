@@ -1,8 +1,10 @@
-"""Each formula side is a generated Python function.  Checked against the
-generic matcher and ``substitute`` of ``rewrite_reference.py`` on formulas
-whose labels, ops, variable names and reference segments hold quotes,
-backslashes, newlines, braces, parentheses and ``#``, none of which may
-reach the generated source; and the code cache, keyed by that source."""
+"""Each formula side and each frozen instruction term is a generated
+Python function.  A formula is checked against the generic matcher and
+``substitute`` of ``rewrite_reference.py``, and an instruction term
+against ``evaluate`` of a copy of it, on code whose labels, ops, variable
+names and reference segments hold quotes, backslashes, newlines, braces,
+parentheses and ``#``, none of which may reach the generated source; and
+the code cache, keyed by that source."""
 
 from contextlib import contextmanager
 from itertools import cycle
@@ -11,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rewrite_reference as reference
-from evocat import engine, parse
-from evocat.engine import Pattern, Template, formulas_from, match, substitute
+from evocat import engine, evaluator, parse
+from evocat.engine import Pattern, Template, compiled_term, formulas_from, match, substitute
+from evocat.errors import EvoError
+from evocat.evaluator import EvalContext
 from evocat.tree import LEAF, REF, VAR, Path, new_atom, new_set, node_equal, rebuild
 
 from helpers import preorder
@@ -129,6 +133,70 @@ def test_generated_code_agrees_with_the_generic_code_and_holds_no_program_text(l
             rhs = data.draw(right_sides(sorted(want.vars), sorted(want.funcs)))
             built = substitute(Template.of(rhs, pattern.vars, pattern.funcs), got)
             assert node_equal(built, reference.substitute(rhs, want))
+    assert generated
+    assert not [text for source in generated for text in HOSTILE if text in source]
+
+
+# --- instruction terms ------------------------------------------------------------
+
+ARITY = {"sum": 2, "prod": 2, "monus": 2, "lt": 2, "not": 1, "rem": 2, "pair": 2}
+SEGMENTS = HOSTILE[:6]
+
+
+def machine():
+    """A root for the references of ``terms`` to read: leaves, a set, a
+    term that a read evaluates in place, and a reference; no ``SEGMENTS[5]``."""
+    record = hostile_set(None, [(SEGMENTS[2], new_atom(LEAF, 1)), (SEGMENTS[3], new_atom(LEAF, 0))])
+    term = new_set([new_atom(LEAF, 2), new_atom(LEAF, 1)], None, "sum")
+    reference = new_atom(REF, Path([SEGMENTS[0]]))
+    entries = [new_atom(LEAF, 3), record, term, reference, new_atom(LEAF, 0)]
+    return hostile_set(None, list(zip(SEGMENTS, entries)))
+
+
+@st.composite
+def terms(draw, depth=3):
+    """A ``to`` term: leaves, references, eager built-ins mostly of the
+    right arity, ``if``, ``select``, and sets with no op or an unknown one."""
+    roll = draw(st.integers(0, 9))
+    if depth == 0 or roll < 3:
+        if draw(st.booleans()):
+            return new_atom(LEAF, draw(st.integers(0, 2)))
+        segments = st.lists(st.sampled_from(SEGMENTS) | st.integers(0, 2), min_size=1, max_size=2)
+        return new_atom(REF, Path(draw(segments)))
+    part = terms(depth - 1)
+    if roll < 7:
+        op = draw(st.sampled_from(sorted(ARITY)))
+        arity = draw(st.sampled_from([ARITY[op]] * 4 + [0, 1, 3]))
+        return new_set(draw(st.lists(part, min_size=arity, max_size=arity)), None, op)
+    if roll == 7:
+        return new_set(draw(st.lists(part, min_size=3, max_size=4)), None, "if")
+    if roll == 8:
+        predicate = new_set([new_atom(VAR, "v"), draw(part)], None, draw(st.sampled_from(["lt", "max"])))
+        return new_set([draw(part), predicate], None, "select")
+    return hostile_set(draw(OPS), draw(st.lists(st.tuples(LABELS, part), max_size=3)))
+
+
+@given(to=terms(), fuel=st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_a_compiled_term_does_what_evaluate_does_to_a_copy_and_holds_no_program_text(to, fuel):
+    to.freeze()
+
+    def run(leg):
+        ctx = EvalContext(machine(), fuel=fuel)
+        try:
+            outcome = leg(ctx)
+        except EvoError as err:
+            outcome = (type(err).__name__, str(err))
+        return outcome, dict(ctx.stats), ctx.fuel
+
+    with sources() as generated:
+        got = run(compiled_term(to))
+    want = run(lambda ctx: evaluator.evaluate(to.copy(), ctx))
+    assert got[1:] == want[1:]
+    if isinstance(want[0], tuple) or isinstance(got[0], tuple):
+        assert got[0] == want[0]
+    else:
+        assert node_equal(got[0], want[0])
     assert generated
     assert not [text for source in generated for text in HOSTILE if text in source]
 
