@@ -7,7 +7,7 @@ of a match are skipped), replace all matches with instantiated right
 sides.  The two-rule system here computes greatest common divisors.
 """
 
-from evocat import EvalContext, TraceSink, parse, render, run_rewrite
+from evocat import CollectingOutput, EvalContext, TraceSink, parse, render, run_rewrite
 
 RULES = """
 rules {
@@ -25,13 +25,13 @@ frame.root.add_child(
 print("before:")
 print(render(frame.resolve("goal")))
 
-sink = TraceSink()
-ctx = EvalContext(frame, trace=sink)
+trace = CollectingOutput()
+ctx = EvalContext(frame, trace=TraceSink(trace))
 run_rewrite(frame.resolve("rules"), frame, ctx)
 
 print("after:", render(frame.resolve("goal")).strip())
 print("\ntransitions (step, mode, formula, target):")
-for event in sink.events:
-    print(" ", event)
+for line in trace.lines:
+    print(" ", line)
 print("\nthe remainder rule fired twice, then the base rule closed it out;")
 print("rem(12,8) and rem(8,4) were evaluated by the ready-term sweep between firings.")

@@ -74,7 +74,11 @@ def nat_lattice(op: str, a: Node, b: Node) -> Node:
 def remainder(a: Node, b: Node) -> Node:
     x, y = _nat(a, "rem"), _nat(b, "rem")
     if y == 0:
-        raise DivisionByZero(f"rem({x}, 0)")
+        try:
+            shown = str(x)
+        except ValueError:  # more digits than this interpreter converts
+            shown = repr(a)
+        raise DivisionByZero(f"rem({shown}, 0)")
     return new_atom(LEAF, x % y)
 
 

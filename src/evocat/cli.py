@@ -122,11 +122,6 @@ def _named(path: str, err: Exception) -> str:
     return f"{path}: {type(err).__name__}: {err}"
 
 
-def _make_devices(args) -> DeviceTable:
-    clock = scripted_clock(*args.scripted_clock) if args.scripted_clock is not None else None
-    return DeviceTable.standard(clock=clock, stdin=sys.stdin, stdout=sys.stdout)
-
-
 def _cmd_run(args, traced: bool) -> int:
     path = args.state
     try:
@@ -153,11 +148,13 @@ def _cmd_run(args, traced: bool) -> int:
         print(f"evocat: argument error: {err}", file=sys.stderr)
         return EXIT_RESOLVE
 
+    write = sys.stdout.write  # read at each run: callers may redirect stdout
+    clock = scripted_clock(*args.scripted_clock) if args.scripted_clock is not None else None
     ctx = EvalContext(
         machine,
         fuel=args.fuel,
-        devices=_make_devices(args),
-        trace=TraceSink(sys.stdout) if traced else None,
+        devices=DeviceTable.standard(clock=clock, stdin=sys.stdin, stdout=write),
+        trace=TraceSink(write) if traced else None,
     )
     try:
         result = run_entry(machine, entry, arguments, ctx)

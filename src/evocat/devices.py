@@ -8,16 +8,20 @@ value on every access (never memoized), an output device turns the written
 value into an effect.  ``DeviceTable.lookup`` is the one way in: one
 dictionary lookup (a ``Path`` hashes as the tuple of its segments) and the
 one place that checks a mount's direction; the caller then calls the
-device's ``read`` or ``write``.
-The table is injected at machine construction, so tests run against
+device's ``read`` or ``write``, which is all a device has.  Each device
+takes one kind of source or sink: the clock a callable giving milliseconds,
+``dev.stdin`` an iterable of lines (a text stream is one), ``dev.stdout``
+a write callable, the one sink type at the boundary, which the trace takes
+too.  The table is injected at machine construction, so tests run against
 scripted fakes and stay deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
-from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import EndOfInput, NotEncodable, UnboundDevice
 from .textio import decode_text, encode_text
@@ -32,59 +36,34 @@ STDOUT_PATH = "dev.stdout"
 
 
 class Device:
-    """One mount point; subclasses provide read() or write()."""
+    """One mount point: an IN device has ``read()``, an OUT device ``write(value)``."""
 
     direction: str = IN
-
-    def read(self) -> Node:
-        raise UnboundDevice("device is not readable")
-
-    def write(self, value: Node) -> None:
-        raise UnboundDevice("device is not writable")
 
 
 class ClockDevice(Device):
     """Milliseconds since epoch; re-read on every access."""
 
-    direction = IN
-
     def __init__(self, source: Optional[Callable[[], int]] = None):
-        self.source = source if source is not None else _wall_clock_ms
+        self.source = source if source is not None else lambda: time.time_ns() // 1_000_000
 
     def read(self) -> Node:
         return Node.leaf(self.source())
 
 
-def _wall_clock_ms() -> int:
-    return time.time_ns() // 1_000_000
-
-
 def scripted_clock(start: int, step: int = 1) -> Callable[[], int]:
     """A deterministic clock source: start, start+step, start+2*step, ..."""
-    state = {"now": start}
-
-    def tick() -> int:
-        now = state["now"]
-        state["now"] = now + step
-        return now
-
-    return tick
+    return itertools.count(start, step).__next__
 
 
 class LineInputDevice(Device):
     """One line of text per read, without the terminator, as string sugar."""
 
-    direction = IN
-
-    def __init__(self, source: Union[TextIO, Iterable[str]]):
-        if hasattr(source, "readline"):
-            self._next = lambda: source.readline()  # '' at EOF
-        else:
-            it: Iterator[str] = iter(source)
-            self._next = lambda: next(it, "")
+    def __init__(self, source: Iterable[str]):
+        self._lines = iter(source)
 
     def read(self) -> Node:
-        line = self._next()
+        line = next(self._lines, "")
         if line == "":
             raise EndOfInput("input stream is exhausted")
         return encode_text(line.rstrip("\n"))
@@ -95,8 +74,8 @@ class TextOutputDevice(Device):
 
     direction = OUT
 
-    def __init__(self, sink: Union[TextIO, Callable[[str], None]]):
-        self._emit = sink if callable(sink) else sink.write
+    def __init__(self, write: Callable[[str], object]):
+        self._write = write
 
     def write(self, value: Node) -> None:
         if value.kind == LEAF:
@@ -111,7 +90,7 @@ class TextOutputDevice(Device):
             text = decoded
         else:
             raise NotEncodable(f"cannot encode {value!r} as text")
-        self._emit(text + "\n")
+        self._write(text + "\n")
 
 
 class DeviceTable:
@@ -140,19 +119,20 @@ class DeviceTable:
     def standard(
         cls,
         clock: Optional[Callable[[], int]] = None,
-        stdin: Union[TextIO, Iterable[str], None] = None,
-        stdout: Union[TextIO, Callable[[str], None], None] = None,
+        stdin: Optional[Iterable[str]] = None,
+        stdout: Optional[Callable[[str], object]] = None,
     ) -> "DeviceTable":
-        """The console machine: dev.clock, dev.stdin, dev.stdout."""
+        """The console machine: dev.clock, dev.stdin, dev.stdout; by default
+        wall time, ``sys.stdin`` and ``sys.stdout.write``."""
         table = cls()
         table.mount(CLOCK_PATH, ClockDevice(clock))
         table.mount(STDIN_PATH, LineInputDevice(stdin if stdin is not None else sys.stdin))
-        table.mount(STDOUT_PATH, TextOutputDevice(stdout if stdout is not None else sys.stdout))
+        table.mount(STDOUT_PATH, TextOutputDevice(stdout if stdout is not None else sys.stdout.write))
         return table
 
 
 class CollectingOutput:
-    """A stdout fake: call it like a sink, read .lines afterwards."""
+    """A fake write callable, for dev.stdout or the trace: read .lines afterwards."""
 
     def __init__(self):
         self.chunks: list[str] = []

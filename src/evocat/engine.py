@@ -376,7 +376,7 @@ def run_sequential(body: Node, frame: Node, ctx: Optional[EvalContext] = None, r
         while index < len(record.program):
             inst = record.program[index]
             if ctx.trace is not None:
-                ctx.emit("seq", index, inst.at)
+                ctx.trace.emit("seq", index, inst.at)
             try:
                 ctx.transition("instruction")
                 _apply_write(frame, inst.at, inst.run(ctx), ctx)
@@ -509,7 +509,7 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
         for node, cell, binding in hits:
             replacement = substitute(fired.template, binding)
             if ctx.trace is not None:
-                ctx.emit("rew", fired.index + 1, Path([*segs, *(seg for seg, _ in _below(cell))]))
+                ctx.trace.emit("rew", fired.index + 1, Path([*segs, *(seg for seg, _ in _below(cell))]))
             ctx.transition("firing")
             node.become(replacement)
         one = len(hits) == 1 and ctx.stats["deref"] == derefs

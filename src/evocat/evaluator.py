@@ -11,7 +11,8 @@ References resolve through a scope chain, innermost context first and the
 machine root last, which is also how function identifiers find their
 templates.  Every address here is a ``Path``: a device read is one
 ``DeviceTable.lookup``, the cycle guard keys on the path itself, and the
-trace turns a path into text only when it writes or stores an event.  A
+trace turns a path into text only for the line it hands to its write
+callable as the transition happens; it keeps no line.  A
 shared fuel budget bounds every run: ``EvalContext.transition`` charges one
 unit for each ``deref``, built-in ``op``, sequential ``instruction``,
 rewrite ``firing`` and template ``call``, and counts it in ``stats``.  A
@@ -38,7 +39,7 @@ whether it is a function instance.  The rewrite engine asks
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
+from typing import Callable, Optional
 
 from . import algebra
 from .devices import IN
@@ -70,27 +71,20 @@ _CODE_LABELS = {MODE_SEQUENTIAL: "body", MODE_REWRITE: "rules"}  # no label is "
 
 
 class TraceSink:
-    """One event per machine transition: written to ``stream`` as it
-    happens, or, without a stream, collected in ``events``.
+    """One line per machine transition, handed to ``write`` as it happens.
 
     A line is ``<step> <mode> <index> <path>``: a global step counter, the
     engine mode (``seq``/``rew``), the instruction index (0-based) or
-    formula index (1-based), and the target path.  ``emit`` takes the
-    path as a ``Path``; it is formatted only for the line or the event.
+    formula index (1-based), and the target path, formatted only here.
     """
 
-    def __init__(self, stream=None):
-        self.events: list[tuple[int, str, int, str]] = []
-        self.stream = stream
+    def __init__(self, write: Callable[[str], object]):
+        self.write = write
         self.steps = 0
 
     def emit(self, mode: str, index: int, path: Path) -> None:
-        step = self.steps
+        self.write(f"{self.steps} {mode} {index} {path}\n")
         self.steps += 1
-        if self.stream is None:
-            self.events.append((step, mode, index, str(path)))
-        else:
-            self.stream.write(f"{step} {mode} {index} {path}\n")
 
 
 class EvalContext:
@@ -129,10 +123,6 @@ class EvalContext:
             raise FuelExhausted("step budget exhausted")
         self.fuel -= 1
         self.stats[kind] += 1
-
-    def emit(self, mode: str, index: int, path: Path) -> None:
-        if self.trace is not None:
-            self.trace.emit(mode, index, path)
 
     def unshared(self, holder: Node, code: Node, twin: Node) -> None:
         """Re-point a sequential run in ``holder`` from ``code`` to its copy ``twin``, rebuilt now."""

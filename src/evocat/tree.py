@@ -88,7 +88,10 @@ class Path(tuple):
         for piece in text.split("."):
             m = _ORDINAL_RE.match(piece)
             if m:
-                segs.append(int(m.group(1)))
+                try:
+                    segs.append(int(m.group(1)))
+                except ValueError:  # more digits than this interpreter converts
+                    raise ParseError(f"ordinal of {len(m.group(1))} digits is too long") from None
             elif _IDENT_RE.match(piece):
                 segs.append(piece)
             else:

@@ -196,7 +196,8 @@ def run_rewrite(rules: Node, frame: Node, ctx: Optional[EvalContext] = None) -> 
             break
         for node, path, binding in hits:
             replacement = substitute(fired.rhs, binding)
-            ctx.emit("rew", fired.index + 1, path)
+            if ctx.trace is not None:
+                ctx.trace.emit("rew", fired.index + 1, path)
             ctx.transition("firing")
             node.become(replacement)
     return frame

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path as FsPath
 
 from evocat import (
+    CollectingOutput,
     EvalContext,
     TraceSink,
     load_stdlib,
@@ -76,10 +77,11 @@ def test_criterion_1_gcd():
         assert result.kind == "leaf" and result.value == want, (a, b)
         assert ctx.stats["firing"] == steps + 1, (a, b)
     # the worked example: three firings, second formula twice then the first
-    ctx = EvalContext(lib, trace=TraceSink())
+    trace = CollectingOutput()
+    ctx = EvalContext(lib, trace=TraceSink(trace))
     result = run_entry(lib, "gcd", {"arg1": leaf(12), "arg2": leaf(8)}, ctx)
     assert result.value == 4
-    firings = [e[2] for e in ctx.trace.events if e[1] == "rew"]
+    firings = [int(index) for _, mode, index, _ in map(str.split, trace.lines) if mode == "rew"]
     assert firings == [2, 2, 1]
 
 

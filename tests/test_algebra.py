@@ -1,5 +1,7 @@
 """Value operations: categorical laws, lattices, comparison, select."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +164,16 @@ class TestRemainder:
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             remainder(leaf(5), leaf(0))
+
+    def test_division_by_zero_names_the_dividend_or_its_size(self):
+        with pytest.raises(DivisionByZero, match=r"^rem\(5, 0\)$"):
+            remainder(leaf(5), leaf(0))
+        # 5 001 digits: past the default limit of int-to-text conversion
+        limited = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001
+        want = "rem(<leaf of 16610 bits>, 0)" if limited else f"rem({10**5000}, 0)"
+        with pytest.raises(DivisionByZero) as info:
+            remainder(leaf(10**5000), leaf(0))
+        assert str(info.value) == want
 
     def test_range(self, rng):
         for _ in range(200):

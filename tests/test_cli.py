@@ -99,6 +99,24 @@ big {
 }
 """
 
+# 10 squared fourteen times has 16 385 digits: more than str() converts by default
+HUGE_REM = """
+huge {
+  args { }
+  mode = 0
+  body {
+    #0 { at = [x] to = 10 }
+%s
+    #15 { at = [result] to : rem { #0 = [x] #1 = 0 } }
+  }
+  result = 0
+}
+""" % "\n".join(f"    #{k} {{ at = [x] to : prod {{ #0 = [x] #1 = [x] }} }}" for k in range(1, 15))
+
+STDOUT_VAR = """
+main { args { } mode = 0 body { #0 { at = [dev.stdout] to = $x } } result = 0 }
+"""
+
 
 def evocat(*args, stdin="", cwd=None):
     return subprocess.run(
@@ -236,6 +254,30 @@ class TestRun:
             assert status == 3 and out == ""
             assert err.startswith("evocat: render error: NotEncodable")
             assert len(err.splitlines()) == 1
+
+    def test_a_huge_dividend_of_rem_by_zero_is_a_runtime_error(self, tmp_path):
+        program = tmp_path / "huge.evo"
+        program.write_text(HUGE_REM)
+        proc = evocat("run", str(program), "--entry", "huge")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("evocat: runtime error (instruction 15): DivisionByZero: rem(")
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+    def test_an_ordinal_too_long_for_int_is_an_argument_error(self):
+        proc = evocat("run", str(STDLIB), "--entry", "gcd.#" + "1" * 5000)
+        assert proc.returncode == 2 and proc.stdout == ""
+        limited = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
+        want = "argument error: ordinal of 5000 digits" if limited else "resolution error: no node at gcd.#"
+        assert proc.stderr.startswith(f"evocat: {want}")
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+    def test_a_variable_written_to_stdout_is_a_runtime_error(self, tmp_path, capsys):
+        program = tmp_path / "var.evo"
+        program.write_text(STDOUT_VAR)
+        assert cli.main(["run", str(program), "--entry", "main"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "evocat: runtime error (instruction 0): NotEncodable: cannot encode <var $x> as text\n"
 
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.evo"

@@ -1,5 +1,6 @@
 """Device table behavior: reads, writes, directions, determinism."""
 
+import io
 import re
 
 import pytest
@@ -16,7 +17,8 @@ from evocat import (
 )
 from evocat.devices import IN, OUT, ClockDevice
 from evocat.errors import EndOfInput, NotEncodable, UnboundDevice
-from evocat.tree import Path
+from evocat.textio import decode_text
+from evocat.tree import Node, Path
 from helpers import leaf
 
 
@@ -49,6 +51,16 @@ class TestReads:
         node = read(t, "dev.stdin")
         assert [c.value for _, c in node.children] == [104, 105]
 
+    def test_stdin_from_a_text_stream(self):
+        t = DeviceTable.standard(stdin=io.StringIO("ab\n\ncd"), stdout=CollectingOutput())
+        assert [decode_text(read(t, "dev.stdin")) for _ in range(3)] == ["ab", "", "cd"]
+        with pytest.raises(EndOfInput):
+            read(t, "dev.stdin")
+
+    def test_scripted_clock_steps(self):
+        t = DeviceTable.standard(clock=scripted_clock(1000, 7), stdin=[], stdout=CollectingOutput())
+        assert [read(t, "dev.clock").value for _ in range(3)] == [1000, 1007, 1014]
+
     def test_end_of_input(self):
         t, _ = table(lines=[])
         with pytest.raises(EndOfInput):
@@ -71,6 +83,19 @@ class TestWrites:
         t, out = table()
         write(t, "dev.stdout", parse('s = "ok"').resolve("s"))
         assert out.lines == ["ok"]
+
+    def test_stdout_to_a_stream_write(self):
+        stream = io.StringIO()
+        t = DeviceTable.standard(stdin=[], stdout=stream.write)
+        write(t, "dev.stdout", leaf(7))
+        write(t, "dev.stdout", parse('s = "ok"').resolve("s"))
+        assert stream.getvalue() == "7\nok\n"
+
+    def test_a_variable_is_not_encodable(self):
+        t, out = table()
+        with pytest.raises(NotEncodable, match=re.escape("cannot encode <var $x> as text")):
+            write(t, "dev.stdout", Node.var_node("x"))
+        assert out.lines == []
 
     def test_structured_set_not_encodable(self):
         t, _ = table()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evocat import EvalContext, StateTree, TraceSink, load_stdlib, parse, render, run_entry
+from evocat import CollectingOutput, EvalContext, StateTree, TraceSink, load_stdlib, parse, render, run_entry
 from evocat.engine import (
     Abstraction,
     Binding,
@@ -344,30 +344,47 @@ class TestSequential:
 
     def test_trace_lists_steps(self):
         body = parse("b { #0 { at = [x] to = 1 } #1 { at = [y] to = 2 } }").resolve("b")
-        sink = TraceSink()
-        run_sequential(body, StateTree(), EvalContext(StateTree(), trace=sink))
-        assert [(e[1], e[2], e[3]) for e in sink.events] == [("seq", 0, "x"), ("seq", 1, "y")]
+        trace = CollectingOutput()
+        run_sequential(body, StateTree(), EvalContext(StateTree(), trace=TraceSink(trace)))
+        assert [line.split(" ", 1)[1] for line in trace.lines] == ["seq 0 x", "seq 1 y"]
 
 
-    def test_streaming_trace_keeps_no_events(self):
+    def test_the_trace_keeps_only_its_write_and_step_count(self):
         lib = load_stdlib()
         stream = io.StringIO()
-        sink = TraceSink(stream)
+        sink = TraceSink(stream.write)
         args = {"arg1": leaf(12), "arg2": leaf(8)}
         assert run_entry(lib, "gcd", args, EvalContext(lib, trace=sink)).value == 4
-        assert sink.events == []
         steps = [int(line.split()[0]) for line in stream.getvalue().splitlines()]
         assert steps and steps == list(range(len(steps)))
+        assert vars(sink) == {"write": stream.write, "steps": len(steps)}
 
-    def test_events_hold_text_and_match_the_stream(self):
+    def test_every_write_callable_gets_the_same_lines(self):
         lib = load_stdlib()
         args = {"arg1": leaf(12), "arg2": leaf(8)}
-        collected, stream = TraceSink(), io.StringIO()
-        for sink in (collected, TraceSink(stream)):
-            assert run_entry(lib, "gcd", args, EvalContext(lib, trace=sink)).value == 4
-        assert collected.events and all(type(e[3]) is str for e in collected.events)
-        lines = [" ".join(map(str, e)) for e in collected.events]
-        assert stream.getvalue() == "".join(line + "\n" for line in lines)
+        collected, stream = CollectingOutput(), io.StringIO()
+        for write in (collected, stream.write):
+            assert run_entry(lib, "gcd", args, EvalContext(lib, trace=TraceSink(write))).value == 4
+        assert collected.lines and all(len(line.split(" ")) == 4 for line in collected.lines)
+        assert stream.getvalue() == "".join(line + "\n" for line in collected.lines)
+
+    @pytest.mark.parametrize("entry, args", [("gcd", {"arg1": 12, "arg2": 8}), ("fact", {"n": 5})])
+    def test_each_line_is_written_before_the_next_transition_is_charged(self, entry, args):
+        # line k goes out while k instructions and firings are charged:
+        # a trace that held its lines back would be written later
+        lib = load_stdlib()
+        ctx = EvalContext(lib)
+        charged, trace = [], CollectingOutput()
+
+        def write(line):
+            charged.append(ctx.stats["instruction"] + ctx.stats["firing"])
+            trace(line)
+
+        ctx.trace = TraceSink(write)
+        run_entry(lib, entry, {label: leaf(v) for label, v in args.items()}, ctx)
+        steps = [int(line.split()[0]) for line in trace.lines]
+        assert len(charged) >= 3 and charged == steps == list(range(len(steps)))
+        assert charged[-1] + 1 == ctx.stats["instruction"] + ctx.stats["firing"]
 
 
 class TestRewrite:
@@ -378,12 +395,12 @@ class TestRewrite:
 
     def test_gcd_trace(self):
         frame = self.goal_frame(12, 8)
-        sink = TraceSink()
-        ctx = EvalContext(frame, trace=sink)
+        trace = CollectingOutput()
+        ctx = EvalContext(frame, trace=TraceSink(trace))
         run_rewrite(frame.resolve("rules"), frame, ctx)
         assert frame.resolve("goal").value == 4
-        firings = [e for e in sink.events if e[1] == "rew"]
-        assert [e[2] for e in firings] == [2, 2, 1]
+        firings = [line.split(" ") for line in trace.lines if line.split(" ")[1] == "rew"]
+        assert [int(e[2]) for e in firings] == [2, 2, 1]
         assert all(e[3] == "goal" for e in firings)
 
     def test_gcd_base_case(self):

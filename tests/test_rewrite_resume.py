@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rewrite_reference as reference
-from evocat import EvalContext, TraceSink, load_stdlib, parse, render, run_entry
+from evocat import CollectingOutput, EvalContext, TraceSink, load_stdlib, parse, render, run_entry
 from evocat import engine, evaluator
 from evocat.engine import formulas_from, run_rewrite
 from evocat.errors import EvoError, FuelExhausted
@@ -55,16 +55,17 @@ def listing(frame):
 
 def outcome(loop, frame):
     """Run ``loop`` on ``frame`` with a small budget: the frame's listing
-    afterwards, stats, fuel left, trace events and the error, if any.  The
+    afterwards, stats, fuel left, trace lines and the error, if any.  The
     fuel spent must be the number of transitions counted."""
-    ctx = EvalContext(frame, fuel=FUEL, trace=TraceSink())
+    trace = CollectingOutput()
+    ctx = EvalContext(frame, fuel=FUEL, trace=TraceSink(trace))
     error = None
     try:
         loop(frame.child("rules"), frame, ctx)
     except EvoError as err:
         error = (type(err), str(err))
     assert FUEL - ctx.fuel == transitions(ctx.stats)
-    return listing(frame), dict(ctx.stats), ctx.fuel, ctx.trace.events, error
+    return listing(frame), dict(ctx.stats), ctx.fuel, trace.lines, error
 
 
 def both(frame):
@@ -306,13 +307,14 @@ def rewritten(text):
     frame = parse(text)
     got, want = both(frame)
     assert got == want and got[-1] is None
-    ctx = EvalContext(frame, trace=TraceSink())
+    trace = CollectingOutput()
+    ctx = EvalContext(frame, trace=TraceSink(trace))
     run_rewrite(frame.child("rules"), frame, ctx)
-    return render(frame), dict(ctx.stats), ctx.trace.events
+    return render(frame), dict(ctx.stats), trace.lines
 
 
 def test_a_hit_can_make_an_ancestor_match_an_earlier_formula():
-    text, stats, events = rewritten(
+    text, stats, lines = rewritten(
         """rules {
           #0 { lhs : f { #0 : g { } } rhs = 7 }
           #1 { lhs : h { } rhs : g { } }
@@ -320,21 +322,21 @@ def test_a_hit_can_make_an_ancestor_match_an_earlier_formula():
         #1 : f { #0 : h { } }"""
     )
     assert text.endswith("}\n#1 = 7\n")
-    assert events == [(0, "rew", 2, "#1.#0"), (1, "rew", 1, "#1")]
+    assert lines == ["0 rew 2 #1.#0", "1 rew 1 #1"]
     assert stats == {"firing": 2}
 
 
 def test_a_hit_at_rules_can_make_its_parent_a_function_instance():
     # after the write d is an instance: neither the sweep nor the scan
     # goes into it, so k { } at d.rules is never rewritten
-    text, _, events = rewritten(
+    text, _, lines = rewritten(
         """rules {
           #0 { lhs : k { } rhs = 1 }
           #1 { lhs = 0 rhs : k { } }
         }
         d { args { } mode = 1 result = 5 rules = 0 }"""
     )
-    assert events == [(0, "rew", 2, "d.rules")]
+    assert lines == ["0 rew 2 d.rules"]
     assert "rules : k {" in text.split("d {", 1)[1]
 
 
@@ -354,7 +356,7 @@ def test_a_hit_the_sweep_does_not_reach_stays_unevaluated(term):
 
 def test_a_reference_in_the_hit_may_force_a_node_outside_it():
     # [a.#1] evaluates a.#1 in place to 3, which formula #0 then matches
-    _, stats, events = rewritten(
+    _, stats, lines = rewritten(
         """rules {
           #0 { lhs = 3 rhs = 9 }
           #1 { lhs : f { } rhs : k { #0 = [a.#1] } }
@@ -362,7 +364,7 @@ def test_a_reference_in_the_hit_may_force_a_node_outside_it():
         a : if { #0 : g { } #1 : sum { #0 = 1 #1 = 2 } #2 = 0 }
         b : f { }"""
     )
-    assert events == [(0, "rew", 2, "b"), (1, "rew", 1, "a.#1"), (2, "rew", 1, "b.#0")]
+    assert lines == ["0 rew 2 b", "1 rew 1 a.#1", "2 rew 1 b.#0"]
     assert stats == {"firing": 3, "deref": 1, "op": 1}
 
 

@@ -4,7 +4,7 @@ scan, and the work the indexed scan does on the stdlib rules."""
 import pytest
 from hypothesis import given, settings
 
-from evocat import EvalContext, TraceSink, load_stdlib, parse, render, run_entry
+from evocat import CollectingOutput, EvalContext, TraceSink, load_stdlib, parse, render, run_entry
 from evocat import engine
 from evocat.engine import Formula, Pattern, _below, match, run_rewrite
 from evocat.errors import EvoError
@@ -33,38 +33,38 @@ def reference_collect(lhs, node, path, hits):
 
 def traced_entry(name, arguments):
     lib = load_stdlib()
-    sink = TraceSink()
-    result = run_entry(lib, name, arguments, EvalContext(lib, trace=sink))
-    return result, sink.events
+    trace = CollectingOutput()
+    result = run_entry(lib, name, arguments, EvalContext(lib, trace=TraceSink(trace)))
+    return result, trace.lines
 
 
 def test_div_trace():
-    result, events = traced_entry("div", {"a": leaf(23), "b": leaf(5)})
+    result, lines = traced_entry("div", {"a": leaf(23), "b": leaf(5)})
     assert result.value == 4
-    assert events == [
-        (0, "rew", 1, "result"),
-        (1, "rew", 1, "result.#2.#1"),
-        (2, "rew", 1, "result.#2.#1.#2.#1"),
-        (3, "rew", 1, "result.#2.#1.#2.#1.#2.#1"),
-        (4, "rew", 1, "result.#2.#1.#2.#1.#2.#1.#2.#1"),
+    assert lines == [
+        "0 rew 1 result",
+        "1 rew 1 result.#2.#1",
+        "2 rew 1 result.#2.#1.#2.#1",
+        "3 rew 1 result.#2.#1.#2.#1.#2.#1",
+        "4 rew 1 result.#2.#1.#2.#1.#2.#1.#2.#1",
     ]
 
 
 def test_deriv_trace():
     e = setn(setn(atom_x(), leaf(3), op="sum"), atom_x(), op="prod")
-    result, events = traced_entry("deriv", {"e": e})
+    result, lines = traced_entry("deriv", {"e": e})
     want = setn(
         setn(setn(atom_x(), leaf(3), op="sum"), leaf(1), op="prod"),
         setn(atom_x(), leaf(1), op="prod"),
         op="sum",
     )
     assert node_equal(result, want)
-    assert events == [
-        (0, "rew", 1, "result"),
-        (1, "rew", 2, "result.#1.#1"),
-        (2, "rew", 3, "result.#0.#1"),
-        (3, "rew", 3, "result.#1.#1.#0"),
-        (4, "rew", 4, "result.#1.#1.#1"),
+    assert lines == [
+        "0 rew 1 result",
+        "1 rew 2 result.#1.#1",
+        "2 rew 3 result.#0.#1",
+        "3 rew 3 result.#1.#1.#0",
+        "4 rew 4 result.#1.#1.#1",
     ]
 
 
@@ -80,13 +80,13 @@ def test_unlabeled_data_and_second_formula_trace():
     nested = setn(leaf(3), setn(leaf(4), leaf(5), op="f"), op="f")
     frame.add_child(None, setn(nested, setn(leaf(6), leaf(7), op="f"), leaf(8), labels=[None, "k", None]))
     frame.add_child(None, leaf(9))
-    sink = TraceSink()
-    run_rewrite(frame.resolve("rules"), frame, EvalContext(frame, trace=sink))
-    assert sink.events == [
-        (0, "rew", 2, "#1"),
-        (1, "rew", 2, "#2.#0"),
-        (2, "rew", 2, "#2.k"),
-        (3, "rew", 2, "#2.#0.#0"),
+    trace = CollectingOutput()
+    run_rewrite(frame.resolve("rules"), frame, EvalContext(frame, trace=TraceSink(trace)))
+    assert trace.lines == [
+        "0 rew 2 #1",
+        "1 rew 2 #2.#0",
+        "2 rew 2 #2.k",
+        "3 rew 2 #2.#0.#0",
     ]
     data = render(frame).split("}\n}\n", 1)[1]
     assert data == (

@@ -8,7 +8,7 @@ outcome is that of the full-round loop in ``rewrite_reference.py``."""
 import pytest
 
 import rewrite_reference as reference
-from evocat import EvalContext, TraceSink, load_stdlib, parse, render, run_entry
+from evocat import CollectingOutput, EvalContext, TraceSink, load_stdlib, parse, render, run_entry
 from evocat import templates
 from evocat.errors import DivisionByZero, EvoError
 from evocat.evaluator import Frame
@@ -54,14 +54,14 @@ def run(machine, entry: str, arguments=None, fuel: int = 100):
     ``running``: the result or the error, the context, the trace lines and
     the cells that were added."""
     root = parse(machine) if isinstance(machine, str) else machine
-    ctx = EvalContext(root, fuel=fuel, trace=TraceSink())
+    trace = CollectingOutput()
+    ctx = EvalContext(root, fuel=fuel, trace=TraceSink(trace))
     ctx.running = cells = Cells()
     try:
         result = render(run_entry(root, entry, arguments, ctx))
     except EvoError as err:
         result = (type(err), err.instruction, str(err))
-    trace = [f"{step} {mode} {index} {path}" for step, mode, index, path in ctx.trace.events]
-    return result, ctx, trace, cells.added
+    return result, ctx, trace.lines, cells.added
 
 
 class TestSelfPeekingRewrite:

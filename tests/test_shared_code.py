@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evocat import EvalContext, TraceSink, instantiate, load_stdlib, parse, render, run_entry
+from evocat import CollectingOutput, EvalContext, TraceSink, instantiate, load_stdlib, parse, render, run_entry
 from evocat import engine
 from evocat.errors import EvoError, FrozenCode
 from evocat.evaluator import frame_of
@@ -111,15 +111,14 @@ def outcome(source: str, entry: str, fuel: int = FUEL):
     fuel spent, trace lines, and the machine afterwards.  The fuel spent
     must be the number of transitions counted."""
     root = parse(source)
-    sink = TraceSink()
-    ctx = EvalContext(root, fuel=fuel, trace=sink)
+    trace = CollectingOutput()
+    ctx = EvalContext(root, fuel=fuel, trace=TraceSink(trace))
     try:
         result = render(run_entry(root, entry, ctx=ctx))
     except EvoError as err:
         result = (type(err).__name__, err.instruction, str(err))
-    trace = [f"{step} {mode} {index} {path}" for step, mode, index, path in sink.events]
     assert fuel - ctx.fuel == transitions(ctx.stats)
-    return result, dict(ctx.stats), fuel - ctx.fuel, trace, render(root)
+    return result, dict(ctx.stats), fuel - ctx.fuel, trace.lines, render(root)
 
 
 class TestParity:
@@ -224,6 +223,8 @@ class TestSharing:
         inner = body.child_at(1)
         writers = [
             lambda: body.add_child(None, Node.leaf(1)),
+            lambda: body.add_children([(None, Node.leaf(1))]),
+            lambda: body.set_nodes([Node.leaf(1)]),  # over a frozen child
             lambda: inner.set_child("at", Node.leaf(1)),
             lambda: body.swap_children(0, 1),
             lambda: body.pop_child(),

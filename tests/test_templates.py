@@ -32,6 +32,7 @@ from evocat.errors import (
     EvoError,
     FrozenCode,
     MissingArgument,
+    NotASet,
     PathUnresolvable,
     UnknownOperation,
 )
@@ -137,6 +138,17 @@ class TestInstantiate:
         with pytest.raises(PathUnresolvable):
             instantiate(load_stdlib(), "nope")
 
+    def test_a_leaf_is_no_template(self):
+        with pytest.raises(NotASet, match="x is not a template set node"):
+            instantiate(parse("x = 1"), "x")
+
+    def test_a_program_that_is_no_set_is_not_merged(self):
+        lib = load_stdlib()
+        before = render(lib)
+        with pytest.raises(NotASet, match="a program file must be a set of top-level entries"):
+            merge_program(lib, leaf(1))
+        assert render(lib) == before
+
 
 class TestCall:
     def test_gcd_replaces_instance_with_result(self):
@@ -147,6 +159,12 @@ class TestCall:
         result = call(instance, EvalContext(lib))
         assert result is instance  # the node became the value
         assert instance.kind == "leaf" and instance.value == 4
+
+    def test_a_set_that_is_no_function_instance_is_not_called(self):
+        root = parse("x { args { } mode = 0 result = 0 }")  # no body
+        with pytest.raises(EvalError, match="call target is not a function instance"):
+            call(root.child("x"), EvalContext(root))
+        assert render(root) == "x {\n  args {\n  }\n  mode = 0\n  result = 0\n}\n"
 
     def test_missing_argument_is_named(self):
         lib = load_stdlib()
@@ -219,16 +237,16 @@ class TestCall:
     @staticmethod
     def traced_run(program: str, entry: str, identity=()):
         """The entry's rendered result or error, stats, fuel spent and
-        trace events; each ``at`` in ``identity`` is made the identity path."""
+        trace lines; each ``at`` in ``identity`` is made the identity path."""
         root = parse(program)
         for at in identity:
             root.resolve(at).become(Node.ref_node(""))
-        ctx = EvalContext(root, fuel=100, trace=(sink := TraceSink()))
+        ctx = EvalContext(root, fuel=100, trace=TraceSink(trace := CollectingOutput()))
         try:
             got = render(run_entry(root, entry, ctx=ctx))
         except EvoError as err:
             got = (type(err), str(err))
-        return got, dict(ctx.stats), 100 - ctx.fuel, sink.events
+        return got, dict(ctx.stats), 100 - ctx.fuel, trace.lines
 
     def test_a_write_at_the_ip_slot_by_ordinal_is_not_a_jump(self):
         # #4 is the ip slot that the run appends; only the literal [ip] is
@@ -238,7 +256,7 @@ class TestCall:
             "1\n",
             {"call": 1, "instruction": 2, "deref": 1},
             4,
-            [(0, "seq", 0, "#4"), (1, "seq", 1, "result")],
+            ["0 seq 0 #4", "1 seq 1 result"],
         )
 
     @pytest.mark.parametrize(
@@ -262,24 +280,24 @@ class TestCall:
             "6\n",
             {"call": 1, "instruction": 5, "deref": 4, "op": 2},
             12,
-            [(0, "seq", 0, "."), (1, "seq", 1, "z"), (2, "seq", 2, "ip"),
-             (3, "seq", 4, "." if len(identity) == 2 else "x"), (4, "seq", 5, "result")],
+            ["0 seq 0 .", "1 seq 1 z", "2 seq 2 ip",
+             "3 seq 4 " + ("." if len(identity) == 2 else "x"), "4 seq 5 result"],
         )
 
     @pytest.mark.parametrize(
-        "entry, stats, events",
+        "entry, stats, lines",
         [
-            ("r", {"call": 1, "firing": 1, "op": 1}, [(0, "rew", 1, "result")]),
-            ("o", {"call": 2, "instruction": 1, "firing": 1, "op": 1}, [(0, "seq", 0, "result"), (1, "rew", 1, "result")]),
+            ("r", {"call": 1, "firing": 1, "op": 1}, ["0 rew 1 result"]),
+            ("o", {"call": 2, "instruction": 1, "firing": 1, "op": 1}, ["0 seq 0 result", "1 rew 1 result"]),
         ],
     )
-    def test_a_rewrite_call_whose_rule_fires_at_result(self, entry, stats, events):
+    def test_a_rewrite_call_whose_rule_fires_at_result(self, entry, stats, lines):
         program = (
             "r { args { } mode = 1 rules { #0 { lhs : f { #0 = $X } rhs : sum { #0 = $X #1 = 2 } } }"
             " result : f { #0 = 1 } }"
             " o { args { } mode = 0 body { #0 { at = [result] to : r { } } } result = 0 }"
         )
-        assert self.traced_run(program, entry) == ("3\n", stats, sum(stats.values()), events)
+        assert self.traced_run(program, entry) == ("3\n", stats, sum(stats.values()), lines)
 
     def test_weekday_2004_02_05_is_thursday(self):
         result = run_entry(

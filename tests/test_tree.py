@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from evocat import EvalContext, load_stdlib, parse, render
 from evocat.algebra import _EAGER_OPS, apply_builtin
 from evocat.engine import match, run_rewrite, run_sequential, substitute
-from evocat.errors import DuplicateSibling, EvoError, NotASet, OrdinalInMeet, PathUnresolvable
+from evocat.errors import DuplicateSibling, EvoError, NotASet, OrdinalInMeet, ParseError, PathUnresolvable
 from evocat.evaluator import evaluate
 from evocat.textio import encode_text
 from evocat.tree import (
@@ -152,6 +152,16 @@ class TestPaths:
     def test_str_round_trip(self):
         for text in ["a.b.#1", "x", "#0", "."]:
             assert str(Path.parse(text)) == text
+
+    def test_an_ordinal_too_long_to_convert_is_a_parse_error(self):
+        # 5 000 digits is past the interpreter's default int-from-text limit
+        text = "gcd.#" + "1" * 5000
+        try:
+            path = Path.parse(text)
+        except ParseError as err:
+            assert str(err) == "ordinal of 5000 digits is too long"
+        else:  # an interpreter without the limit
+            assert path == Path.of("gcd", int("1" * 5000))
 
 
 class TestMeet:
@@ -422,7 +432,11 @@ class TestConstructors:
         ]
         for node in atoms:
             assert node.kind != SET and (node.nodes, node.labels, node.op, node.children) == ((), None, None, ())
-            for write in (lambda: node.add_child(None, Node.leaf(2)), lambda: node.set_child("a", Node.leaf(2))):
+            for write in (
+                lambda: node.add_child(None, Node.leaf(2)),
+                lambda: node.set_child("a", Node.leaf(2)),
+                lambda: node.add_children([(None, Node.leaf(2))]),
+            ):
                 with pytest.raises(NotASet):
                     write()
             assert (node.nodes, node.op) == ((), None)
@@ -452,6 +466,8 @@ class TestConstructors:
             t.add_children([("b", Node.leaf(3)), ("c", Node.leaf(4)), ("b", Node.leaf(5))])
         with pytest.raises(DuplicateSibling, match="'a'"):
             t.add_children([("c", Node.leaf(4)), ("a", Node.leaf(5))])
+        with pytest.raises(DuplicateSibling, match="duplicate sibling label 'a'"):
+            t.add_child("a", Node.leaf(5))
         assert render(t) == "a = 1\n#1 = 2\n"  # nothing appended on a repeat
         t.add_children([(None, Node.leaf(3)), ("b", Node.leaf(4))])
         assert t.labels == ["a", None, None, "b"] and render(t) == "a = 1\n#1 = 2\n#2 = 3\nb = 4\n"
