@@ -57,10 +57,12 @@ def scripted_clock(start: int, step: int = 1) -> Callable[[], int]:
 
 
 class LineInputDevice(Device):
-    """One line of text per read, without the terminator, as string sugar."""
+    """One line of text per read, without the terminator, as string sugar.
+    The source's end, or an empty string from it, ends the input for good:
+    every later read raises ``EndOfInput`` too."""
 
     def __init__(self, source: Iterable[str]):
-        self._lines = iter(source)
+        self._lines = itertools.takewhile(bool, source)
 
     def read(self) -> Node:
         line = next(self._lines, "")

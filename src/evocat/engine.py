@@ -43,7 +43,6 @@ evaluated in a copy as a whole, and a self-modifying program sees its writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
@@ -59,34 +58,43 @@ RESERVED_FRAME_LABELS = SHAPE_LABELS - {"result"} | {"ip"}
 
 _IP = Path.of("ip")
 
+# The records below are plain classes with ``__slots__``: ``dataclasses``
+# would load ``inspect``, ``ast`` and ``dis`` on every ``import evocat``.
 
-@dataclass
+
 class Abstraction:
     """A one-hole context: the body of a matched function variable."""
 
-    body: Node
+    __slots__ = ("body",)
+
+    def __init__(self, body: Node):
+        self.body = body
 
     def plug(self, argument: Node) -> Node:
         """A copy of the body with a copy of ``argument`` in every hole."""
         return rebuild(self.body, lambda n: argument.copy() if n.kind == HOLE else None)
 
 
-@dataclass
 class Binding:
     """Match results: subtrees for variables, abstractions for function
-    variables.  Repeated variables only ever bind equal subtrees."""
+    variables.  Repeated variables only ever bind equal subtrees.  Each
+    field defaults to a fresh empty dict."""
 
-    vars: dict[str, Node] = field(default_factory=dict)
-    funcs: dict[str, Abstraction] = field(default_factory=dict)
+    __slots__ = ("vars", "funcs")
+
+    def __init__(self, vars: Optional[dict[str, Node]] = None, funcs: Optional[dict[str, Abstraction]] = None):
+        self.vars = {} if vars is None else vars
+        self.funcs = {} if funcs is None else funcs
 
 
-@dataclass
 class Instruction:
     """A sequential instruction: its address, and its ``to`` term compiled
     by ``compiled_term`` into ``run(ctx)``, which returns the term's value."""
 
-    at: Path
-    run: Callable[[EvalContext], Node]
+    __slots__ = ("at", "run")
+
+    def __init__(self, at: Path, run: Callable[[EvalContext], Node]):
+        self.at, self.run = at, run
 
 
 # --- compiled code -------------------------------------------------------------
@@ -264,14 +272,18 @@ def compiled_term(to: Node) -> Callable[[EvalContext], Node]:
     return src.function("ctx", [*(line for block in reversed(blocks) for line in block), "return n0"])
 
 
-@dataclass
 class Formula:
-    lhs: Node
-    rhs: Node
-    index: int  # 0-based position in the rule list
-    key: Optional[tuple[str, Optional[str], int]]  # the pattern's key
-    pattern: Pattern
-    template: Template
+    """A compiled rule: its sides, its 0-based position in the rule list,
+    the pattern's key, and the sides compiled (``Pattern``, ``Template``)."""
+
+    __slots__ = ("lhs", "rhs", "index", "key", "pattern", "template")
+
+    def __init__(
+        self, lhs: Node, rhs: Node, index: int, key: Optional[tuple[str, Optional[str], int]],
+        pattern: Pattern, template: Template,
+    ):
+        self.lhs, self.rhs, self.index, self.key = lhs, rhs, index, key
+        self.pattern, self.template = pattern, template
 
 
 def match(pattern: Union[Pattern, Node], subject: Node) -> Optional[Binding]:

@@ -21,7 +21,6 @@ write, so a failed compare leaves the heap as it was.
 
 from __future__ import annotations
 
-from importlib import resources
 from typing import Optional, Union
 
 from .engine import run_rewrite, run_sequential
@@ -182,7 +181,11 @@ def merge_program(base: Node, program: Node) -> Node:
 
 
 def load_stdlib() -> Node:
-    """The shipped template library: gcd, fact, div, Date, deriv, heap."""
+    """The shipped template library: gcd, fact, div, Date, deriv, heap.
+    The one call that imports ``importlib.resources``: ``import evocat``
+    does not load it, and the CLI reads files by path."""
+    from importlib import resources
+
     source = resources.files(__package__).joinpath("stdlib.evo").read_text("utf-8")
     return textio.parse(source)
 

@@ -66,6 +66,13 @@ class TestReads:
         with pytest.raises(EndOfInput):
             read(t, "dev.stdin")
 
+    def test_an_empty_line_ends_the_input_for_good(self):
+        t, _ = table(lines=["a", "", "b"])
+        assert decode_text(read(t, "dev.stdin")) == "a"
+        for _ in range(2):
+            with pytest.raises(EndOfInput):
+                read(t, "dev.stdin")
+
     def test_read_on_output_mount(self):
         t, _ = table()
         with pytest.raises(UnboundDevice, match="cannot read from output device at dev.stdout"):
